@@ -1,8 +1,9 @@
 """Command-line front end: one executable, one subcommand per capability.
 
 Exit codes: simulate reports its outcome (0 horizon reached, 10 blow-up,
-20 step floor, 30 boundary contamination); configuration problems exit 2;
-an unknown subcommand prints usage and exits 64.
+20 step floor, 30 boundary contamination, 40 numerical instability);
+configuration problems exit 2; an unknown subcommand prints usage and exits
+64.  `python -m blowuplab.cli` runs the same entry point as `blwp`.
 """
 
 import json
@@ -343,3 +344,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

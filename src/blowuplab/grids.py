@@ -5,6 +5,13 @@ mode-wise on the discrete Fourier transform, so the Laplacian is exact for
 band-limited fields and the shifted-Laplacian solve (Id - a*Lap) w = rhs is a
 diagonal division.  The rectangle rule is the natural quadrature here and is
 spectrally accurate for smooth periodic integrands.
+
+Fields are real, so the transforms are numpy's real FFTs (`rfftn`): the last
+axis keeps only its N/2 + 1 non-negative modes.  `half_spectrum` and
+`from_half_spectrum` convert samples to and from these coefficients,
+`half_k_squared` is |k|^2 on them, and `parseval_weights` turns them into
+box integrals, so the solver can work on coefficients alone and every
+transform it makes runs here.
 """
 
 import struct
@@ -22,6 +29,10 @@ __all__ = [
     "integrate",
     "grad_sq_integral",
     "gradient",
+    "half_spectrum",
+    "from_half_spectrum",
+    "half_k_squared",
+    "parseval_weights",
     "l2_norm",
     "linf_norm",
     "boundary_shell_mask",
@@ -87,8 +98,56 @@ def _wavenumbers(grid: Grid) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _k_squared(grid: Grid) -> np.ndarray:
-    return sum(km**2 for km in _wavenumbers(grid))
+def half_k_squared(grid: Grid) -> np.ndarray:
+    """|k|^2 on the real-FFT coefficient grid of `half_spectrum`."""
+    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    k_last = 2.0 * np.pi * np.fft.rfftfreq(grid.points_per_axis, d=grid.spacing)
+    axes = [k1] * (grid.dim - 1) + [k_last]
+    k2 = sum(km**2 for km in np.meshgrid(*axes, indexing="ij"))
+    k2.flags.writeable = False  # one cached array is shared by every caller
+    return k2
+
+
+@lru_cache(maxsize=64)
+def parseval_weights(grid: Grid) -> np.ndarray:
+    """Weights w with  int f g dx = sum w * Re(f_hat * conj(g_hat))  for real
+    f, g and their `half_spectrum` coefficients.
+
+    A coefficient off the zero and Nyquist columns of the last axis stands
+    for itself and its dropped complex conjugate, so it counts twice; the
+    factor spacing^dim / num_points is the rectangle rule under Parseval.
+    """
+    w = np.full(half_k_squared(grid).shape, 2.0)
+    w[..., 0] = 1.0
+    w[..., -1] = 1.0
+    w *= grid.spacing**grid.dim / grid.num_points
+    w.flags.writeable = False
+    return w
+
+
+def _grid_axes(a: np.ndarray, grid: Grid) -> tuple:
+    return tuple(range(a.ndim - grid.dim, a.ndim))
+
+
+def half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real-FFT coefficients (numpy.fft.rfftn) of samples on the grid.
+
+    The grid's axes are the trailing grid.dim axes of values; leading axes
+    stack independent fields, which are transformed in one call.
+    """
+    if grid.dim == 1:
+        # the same coefficients as rfftn, without the n-D wrapper's per-call
+        # axis handling, which at N = 256 costs as much as the transform
+        return np.fft.rfft(values)
+    return np.fft.rfftn(values, axes=_grid_axes(values, grid))
+
+
+def from_half_spectrum(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Samples on the grid from `half_spectrum` coefficients (irfftn); leading
+    axes stack independent fields as in `half_spectrum`."""
+    if grid.dim == 1:  # see half_spectrum
+        return np.fft.irfft(coeffs, grid.points_per_axis)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(coeffs, grid))
 
 
 @dataclass
@@ -118,16 +177,16 @@ def constant_field(grid: Grid, value: float) -> Field:
 
 def laplacian(f: Field) -> Field:
     """Spectral Laplacian: each Fourier mode is scaled by -|k|^2."""
-    fhat = np.fft.fftn(f.values)
-    return Field(f.grid, np.fft.ifftn(-_k_squared(f.grid) * fhat).real)
+    fhat = half_spectrum(f.values, f.grid)
+    return Field(f.grid, from_half_spectrum(-half_k_squared(f.grid) * fhat, f.grid))
 
 
 def helmholtz_solve(rhs: Field, a: float) -> Field:
     """Solve (Id - a*Lap) w = rhs mode-wise; uniformly invertible for a >= 0."""
     if a < 0:
         raise ValueError(f"helmholtz_solve needs a >= 0, got {a}")
-    fhat = np.fft.fftn(rhs.values)
-    return Field(rhs.grid, np.fft.ifftn(fhat / (1.0 + a * _k_squared(rhs.grid))).real)
+    fhat = half_spectrum(rhs.values, rhs.grid) / (1.0 + a * half_k_squared(rhs.grid))
+    return Field(rhs.grid, from_half_spectrum(fhat, rhs.grid))
 
 
 def integrate(f: Field) -> float:
@@ -145,9 +204,9 @@ def gradient(f: Field) -> list:
 
 def grad_sq_integral(f: Field) -> float:
     """Integral of |grad f|^2 evaluated in Fourier space (Parseval)."""
-    fhat = np.fft.fftn(f.values)
-    total = float((_k_squared(f.grid) * (fhat.real**2 + fhat.imag**2)).sum())
-    return f.grid.spacing**f.grid.dim / f.grid.num_points * total
+    fhat = half_spectrum(f.values, f.grid)
+    weights = parseval_weights(f.grid) * half_k_squared(f.grid)
+    return float(np.vdot(fhat, weights * fhat).real)
 
 
 def l2_norm(f: Field) -> float:

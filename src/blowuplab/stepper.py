@@ -9,10 +9,26 @@ else explicitly:
     u_new = u + dt * v_new
 
 The damping term has an unbounded stiffness b*k^2 in the mode number k, which
-is why it goes through the shifted-Laplacian solve; the wave and source parts
-are cheap and stay explicit under a dt <= cfl * spacing cap.  The scheme is
-first order; a step-doubling companion supplies the local error estimate that
-drives the adaptive step size.
+is why it is implicit; the wave and source parts are cheap and stay explicit
+under a dt <= cfl * spacing cap.  The scheme is first order; a step-doubling
+companion supplies the local error estimate that drives the adaptive step
+size.
+
+Every operator above is diagonal in Fourier space, so the solver state keeps
+the real-FFT coefficients (u_hat, v_hat) between steps and one step is, mode
+by mode,
+
+    v_hat <- (v_hat - dt k^2 u_hat + dt F[|u|^p]) / (1 + dt b k^2)
+    u_hat <- u_hat + dt v_hat
+
+Physical u is built, by one inverse transform, only where a pointwise value
+is needed: the source |u|^p, the sup norm, the boundary shell and the
+step-doubling error.  A fixed linear step therefore costs one transform (the
+inverse for the sup norm); a nonlinear one adds the forward transform of
+|u|^p, which each state computes once and keeps for every step taken from
+it.  An adaptive attempt shares that transform between its coarse step and
+first half step, and brings the fine and coarse results back to samples in
+one stacked inverse transform for the error check.
 
 The energy ledger tracks, per accepted step,
 
@@ -21,8 +37,9 @@ The energy ledger tracks, per accepted step,
     work(t)       = int_0^t int |u|^p v ds
 
 so that E + dissipated - work is conserved in the continuum; the discrete
-drift shrinks at first order in dt.  Cumulative terms use the trapezoid rule
-over accepted steps only.
+drift shrinks at first order in dt.  All of these integrals are Parseval sums
+on the coefficients.  Cumulative terms use the trapezoid rule over accepted
+steps only.
 """
 
 import math
@@ -33,11 +50,13 @@ import numpy as np
 
 from .grids import (
     Field,
+    Grid,
     boundary_shell_mask,
-    grad_sq_integral,
-    helmholtz_solve,
-    laplacian,
+    from_half_spectrum,
+    half_k_squared,
+    half_spectrum,
     linf_norm,
+    parseval_weights,
 )
 from .model import InitialData, Params, damping_coeff
 
@@ -63,17 +82,76 @@ EXIT_CODES = {
     "BlowupDetected": 10,
     "StepFloorReached": 20,
     "BoundaryContaminated": 30,
+    "NumericalInstability": 40,
 }
 
 
-@dataclass
 class State:
-    t: float
-    u: Field
-    v: Field
+    """The solution (u, v) at time t.
+
+    A state holds the fields as physical samples, as `half_spectrum`
+    coefficients, or both: `u`, `v`, `u_hat` and `v_hat` each build their
+    representation from the other on first use and keep it.  `State(t, u, v)`
+    starts from samples; the solver makes its states from coefficients.
+    """
+
+    def __init__(self, t: float, u: Field, v: Field):
+        if u.grid != v.grid:
+            raise ValueError("u and v live on different grids")
+        self.t = t
+        self.grid = u.grid
+        self._u, self._v = u, v
+        self._u_hat = self._v_hat = None
+        self._source = None  # (p, F[|u|^p]) once computed
+
+    @classmethod
+    def from_spectrum(cls, t: float, grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> "State":
+        state = cls.__new__(cls)
+        state.t = t
+        state.grid = grid
+        state._u = state._v = None
+        state._u_hat, state._v_hat = u_hat, v_hat
+        state._source = None
+        return state
+
+    @property
+    def u(self) -> Field:
+        if self._u is None:
+            self._u = Field(self.grid, from_half_spectrum(self._u_hat, self.grid))
+        return self._u
+
+    @property
+    def v(self) -> Field:
+        if self._v is None:
+            self._v = Field(self.grid, from_half_spectrum(self._v_hat, self.grid))
+        return self._v
+
+    @property
+    def u_hat(self) -> np.ndarray:
+        if self._u_hat is None:
+            self._u_hat = half_spectrum(self._u.values, self.grid)
+        return self._u_hat
+
+    @property
+    def v_hat(self) -> np.ndarray:
+        if self._v_hat is None:
+            self._v_hat = half_spectrum(self._v.values, self.grid)
+        return self._v_hat
+
+    def source_hat(self, p: float) -> np.ndarray:
+        """F[|u|^p], computed once per state and exponent."""
+        if self._source is None or self._source[0] != p:
+            self._source = (p, half_spectrum(np.abs(self.u.values) ** p, self.grid))
+        return self._source[1]
+
+    def physical(self) -> "State":
+        """The same state holding samples only, for results kept after the run."""
+        return State(self.t, self.u, self.v)
 
     def is_finite(self) -> bool:
-        return self.u.is_finite() and self.v.is_finite()
+        u = self._u.values if self._u is not None else self._u_hat
+        v = self._v.values if self._v is not None else self._v_hat
+        return bool(np.isfinite(u).all() and np.isfinite(v).all())
 
 
 @dataclass
@@ -103,6 +181,7 @@ class Outcome(Enum):
     BLOWUP_DETECTED = "BlowupDetected"
     STEP_FLOOR_REACHED = "StepFloorReached"
     BOUNDARY_CONTAMINATED = "BoundaryContaminated"
+    NUMERICAL_INSTABILITY = "NumericalInstability"
 
 
 @dataclass
@@ -161,46 +240,57 @@ def step(state: State, params: Params, dt: float) -> State:
     """One IMEX step of size dt from the given state."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    k2 = half_k_squared(state.grid)
     b = damping_coeff(state.t + dt, params)
-    rhs = laplacian(state.u).values
+    rhs = state.v_hat - dt * k2 * state.u_hat
     if params.nonlinear:
-        rhs = rhs + np.abs(state.u.values) ** params.p
-    vstar = Field(state.u.grid, state.v.values + dt * rhs)
-    v_new = helmholtz_solve(vstar, dt * b)
-    u_new = Field(state.u.grid, state.u.values + dt * v_new.values)
-    return State(state.t + dt, u_new, v_new)
+        rhs += dt * state.source_hat(params.p)
+    v_hat = rhs / (1.0 + (dt * b) * k2)
+    return State.from_spectrum(state.t + dt, state.grid, state.u_hat + dt * v_hat, v_hat)
+
+
+def _inner(a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
+    """sum weights * Re(a_hat * conj(b_hat)): a box integral under Parseval."""
+    return float(np.vdot(a_hat, weights * b_hat).real)
 
 
 def _ledger_rates(state: State, params: Params) -> tuple:
-    g = damping_coeff(state.t, params) * grad_sq_integral(state.v)
-    if params.nonlinear:
-        meas = state.u.grid.spacing**state.u.grid.dim
-        w = float((np.abs(state.u.values) ** params.p * state.v.values).sum()) * meas
-    else:
-        w = 0.0
-    return g, w
+    """Dissipation rate b int |grad v|^2 and source work int |u|^p v."""
+    w = parseval_weights(state.grid)
+    grad_v_sq = _inner(state.v_hat, state.v_hat, w * half_k_squared(state.grid))
+    work = _inner(state.source_hat(params.p), state.v_hat, w) if params.nonlinear else 0.0
+    return damping_coeff(state.t, params) * grad_v_sq, work
 
 
 def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
     """Energy-ledger row for one state; the cumulative columns are passed in
     because they belong to the run, not to the snapshot."""
-    meas = state.u.grid.spacing**state.u.grid.dim
-    usq = float((state.u.values**2).sum()) * meas
+    w = parseval_weights(state.grid)
     return EnergyRecord(
         t=state.t,
-        kinetic=0.5 * float((state.v.values**2).sum()) * meas,
-        potential=0.5 * grad_sq_integral(state.u),
+        kinetic=0.5 * _inner(state.v_hat, state.v_hat, w),
+        potential=0.5 * _inner(state.u_hat, state.u_hat, w * half_k_squared(state.grid)),
         dissipated_cum=dissipated_cum,
         work_cum=work_cum,
         linf=linf_norm(state.u),
-        l2=math.sqrt(usq),
+        l2=math.sqrt(_inner(state.u_hat, state.u_hat, w)),
     )
 
 
 def _step_error(fine: State, coarse: State) -> float:
-    scale = max(linf_norm(fine.u), linf_norm(fine.v), 1e-30)
-    du = float(np.abs(fine.u.values - coarse.u.values).max())
-    dv = float(np.abs(fine.v.values - coarse.v.values).max())
+    """Relative sup-norm gap between the fine and coarse results, or inf when
+    either is not finite.  One stacked inverse transform gives all four
+    fields; the fine state keeps its samples for the monitors."""
+    coeffs = np.stack((fine.u_hat, fine.v_hat, coarse.u_hat, coarse.v_hat))
+    stack = from_half_spectrum(coeffs, fine.grid)
+    if not np.isfinite(stack).all():
+        return math.inf
+    fu, fv, cu, cv = stack
+    # copies, so that a kept state does not hold on to the whole stack
+    fine._u, fine._v = Field(fine.grid, fu.copy()), Field(fine.grid, fv.copy())
+    scale = max(float(np.abs(fu).max()), float(np.abs(fv).max()), 1e-30)
+    du = float(np.abs(fu - cu).max())
+    dv = float(np.abs(fv - cv).max())
     return max(du, dv) / scale
 
 
@@ -212,6 +302,13 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     the finer result when the difference passes tol, halves on failure and
     grows the step by the configured factor when the error is comfortably
     small.  Rejected trial steps never touch the energy ledger.
+
+    Fixed mode takes the step dt0; the time after step n is n * dt0, except
+    that the last step ends exactly at t_end, and a remainder below
+    1e-9 * dt0 is no step at all.
+
+    A linear run cannot blow up: its energy never grows.  When one turns
+    non-finite or exceeds u_max, the outcome is NumericalInstability.
     """
     grid = init.u0.grid
     if init.u1.grid != grid:
@@ -228,29 +325,27 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     adaptive = controls.tol is not None
     cfl_cap = controls.cfl * grid.spacing
     dt = min(controls.dt0, cfl_cap) if adaptive else controls.dt0
+    t_end = controls.t_end
+    fixed_steps = max(1, math.ceil(t_end / controls.dt0 - 1e-9))
+    diverged = Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
 
     state = State(0.0, init.u0.copy(), init.u1.copy())
     g_prev, w_prev = _ledger_rates(state, params)
     dissipated = 0.0
     work = 0.0
     trace = [energy(state, params, dissipated, work)]
-    snapshots = [state] if controls.snapshot_every else None
+    snapshots = [state.physical()] if controls.snapshot_every else None
 
     outcome = None
-    estimate = None
     accepted = 0
-    t_end = controls.t_end
-    while state.t < t_end * (1.0 - 1e-14):
-        dt_step = min(dt, t_end - state.t)
+    while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (accepted < fixed_steps):
         if adaptive:
+            dt_step = min(dt, t_end - state.t)
             if dt_step < controls.dt_min:
                 outcome = Outcome.STEP_FLOOR_REACHED
                 break
             coarse = step(state, params, dt_step)
             fine = step(step(state, params, 0.5 * dt_step), params, 0.5 * dt_step)
-            if not (fine.is_finite() and coarse.is_finite()):
-                dt = 0.5 * dt_step
-                continue
             err = _step_error(fine, coarse)
             if err > controls.tol:
                 dt = 0.5 * dt_step
@@ -261,10 +356,12 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
             else:
                 dt = dt_step
         else:
+            t_new = t_end if accepted + 1 == fixed_steps else (accepted + 1) * controls.dt0
+            dt_step = t_new - state.t
             new = step(state, params, dt_step)
+            new.t = t_new
             if not new.is_finite():
-                outcome = Outcome.BLOWUP_DETECTED
-                estimate = _estimate_from_trace(trace, params, controls)
+                outcome = diverged
                 break
         g_new, w_new = _ledger_rates(new, params)
         dissipated += 0.5 * dt_step * (g_prev + g_new)
@@ -275,10 +372,9 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         record = energy(state, params, dissipated, work)
         trace.append(record)
         if snapshots is not None and accepted % controls.snapshot_every == 0:
-            snapshots.append(state)
+            snapshots.append(state.physical())
         if record.linf > controls.u_max:
-            outcome = Outcome.BLOWUP_DETECTED
-            estimate = _estimate_from_trace(trace, params, controls)
+            outcome = diverged
             break
         if shell is not None and record.linf > 0:
             if float(np.abs(state.u.values[shell]).max()) > 1e-6 * record.linf:
@@ -286,13 +382,16 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
                 break
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
+    estimate = None
+    if outcome is Outcome.BLOWUP_DETECTED:
+        estimate = _estimate_from_trace(trace, params, controls)
     return RunReport(
         outcome=outcome,
         t_stop=state.t,
         energy_trace=trace,
         estimate=estimate,
         snapshots=snapshots,
-        final_state=state,
+        final_state=state.physical(),
     )
 
 

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import blowuplab
 from blowuplab.cli import EXIT_CONFIG, EXIT_USAGE, main
 from blowuplab.grids import load_field_binary
 
@@ -24,6 +27,18 @@ def test_unknown_subcommand(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == EXIT_USAGE
     assert "unknown command" in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(blowuplab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blowuplab.cli", "frobnicate"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "unknown command" in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from blowuplab.grids import Field, Grid, constant_field, linf_norm
+from blowuplab import stepper
+from blowuplab.grids import (
+    Field,
+    Grid,
+    constant_field,
+    grad_sq_integral,
+    integrate,
+    l2_norm,
+    linf_norm,
+)
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
 from blowuplab.oracles import linear_mode_trajectory
 from blowuplab.stepper import (
@@ -245,3 +254,119 @@ def test_energy_csv_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,kinetic,potential,dissipated_cum,work_cum,linf,l2"
     assert len(lines) == len(report.energy_trace) + 1
+
+
+def test_linear_instability_is_not_reported_as_blowup():
+    # dt = 0.2 is far above the explicit wave bound and b0 = 1e-6 barely
+    # damps, so the top modes grow; the linear equation itself cannot blow up
+    g = Grid(1, 256, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False)
+    init = make_initial_data(constant_field(g, 0.0), bump_data(g, 1.0))
+    controls = Controls(t_end=10.0, dt0=0.2, tol=None, boundary_check=False)
+    report = simulate(params, init, controls)
+    assert report.outcome is Outcome.NUMERICAL_INSTABILITY
+    assert report.exit_code == 40
+    assert report.estimate is None
+    assert report.energy_trace[-1].linf > controls.u_max
+
+
+def test_nonfinite_fixed_step_keeps_last_finite_state():
+    g = Grid(1, 256, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False)
+    init = make_initial_data(constant_field(g, 0.0), bump_data(g, 1.0))
+    controls = Controls(t_end=1000.0, dt0=0.2, tol=None, boundary_check=False, u_max=math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = simulate(params, init, controls)
+    assert report.outcome is Outcome.NUMERICAL_INSTABILITY
+    assert report.t_stop < controls.t_end
+    final = report.final_state
+    assert final.is_finite()
+    assert final.t == report.t_stop == report.energy_trace[-1].t
+    assert linf_norm(final.u) == report.energy_trace[-1].linf
+
+
+def test_fixed_step_time_comes_from_step_index():
+    # 10 / 2.5e-4 is 40000 in exact arithmetic; accumulating t in floating
+    # point used to leave a 6e-13 sliver step and a near-duplicate row
+    g = Grid(1, 8, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0, nonlinear=False)
+    report = simulate(params, zero_init(g), Controls(t_end=10.0, dt0=2.5e-4, tol=None))
+    assert len(report.energy_trace) == 40001
+    assert report.t_stop == report.energy_trace[-1].t == 10.0
+    steps = np.diff([r.t for r in report.energy_trace])
+    assert steps.min() > 0.999 * 2.5e-4
+
+
+def test_fixed_step_remainder_is_one_short_step():
+    g = Grid(1, 8, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0, nonlinear=False)
+    report = simulate(params, zero_init(g), Controls(t_end=0.25, dt0=0.1, tol=None))
+    assert [r.t for r in report.energy_trace] == [0.0, 0.1, 0.2, 0.25]
+
+
+def _spectral_ledger_cases():
+    g1 = Grid(1, 128, 8.0)
+    init1 = make_initial_data(bump_data(g1, 0.5, 0.3, 2.0), bump_data(g1, 1.0, -0.2, 1.5))
+    g3 = Grid(3, 16, 6.0)
+    init3 = make_initial_data(bump_data(g3, 0.5, 0.0, 2.5), mode_data(g3, 0.3, 1))
+    return [
+        (Params(n=1, p=2.0, beta=0.5), init1, Controls(t_end=0.5, dt0=1e-2, tol=None)),
+        (Params(n=1, p=3.0, beta=-1.0), init1, Controls(t_end=0.5, dt0=1e-2, tol=1e-6)),
+        (Params(n=3, p=2.0, beta=1.0), init3, Controls(t_end=0.25, dt0=1e-2, tol=None)),
+    ]
+
+
+@pytest.mark.parametrize("params, init, controls", _spectral_ledger_cases())
+def test_spectral_ledger_matches_public_functions(params, init, controls):
+    report = simulate(params, init, controls)
+    assert report.outcome is Outcome.COMPLETED_HORIZON
+    last = report.energy_trace[-1]
+    final = report.final_state
+    again = energy(final, params, last.dissipated_cum, last.work_cum)
+    for name in ("t", "kinetic", "potential", "linf", "l2"):
+        assert getattr(last, name) == pytest.approx(getattr(again, name), rel=1e-12, abs=0.0)
+    # and against the sample-space quadratures
+    kinetic = 0.5 * integrate(Field(final.grid, final.v.values**2))
+    assert last.kinetic == pytest.approx(kinetic, rel=1e-12)
+    assert last.potential == pytest.approx(0.5 * grad_sq_integral(final.u), rel=1e-12)
+    assert last.l2 == pytest.approx(l2_norm(final.u), rel=1e-12)
+    assert last.linf == linf_norm(final.u)
+
+
+def _count_step_calls(monkeypatch):
+    calls = []
+    real_step = stepper.step
+
+    def counted(state, params, dt):
+        out = real_step(state, params, dt)
+        calls.append((state, dt, out))
+        return out
+
+    monkeypatch.setattr(stepper, "step", counted)
+    return calls
+
+
+def test_fixed_mode_calls_step_once_per_step(monkeypatch):
+    calls = _count_step_calls(monkeypatch)
+    g = Grid(1, 64, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0)
+    init = make_initial_data(bump_data(g, 1.0), constant_field(g, 0.0))
+    report = simulate(params, init, Controls(t_end=1.0, dt0=1e-2, tol=None))
+    assert len(calls) == len(report.energy_trace) - 1 == 100
+
+
+def test_adaptive_mode_calls_step_three_times_per_attempt(monkeypatch):
+    calls = _count_step_calls(monkeypatch)
+    g = Grid(1, 32, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0)
+    init = make_initial_data(constant_data(g, 1.0), constant_data(g, math.sqrt(2.0 / 3.0)))
+    controls = Controls(t_end=10.0, dt0=1e-2, tol=1e-5, u_max=1e6, boundary_check=False)
+    report = simulate(params, init, controls)
+    assert len(calls) % 3 == 0
+    attempts = [calls[i : i + 3] for i in range(0, len(calls), 3)]
+    for (s0, dt, _), (s1, half, mid), (s2, half2, _) in attempts:
+        # coarse step, then two half steps from the same start
+        assert s1 is s0 and s2 is mid
+        assert half == half2 == 0.5 * dt
+    accepted = len(report.energy_trace) - 1
+    assert len(attempts) > accepted  # this run rejects some attempts
