@@ -168,6 +168,10 @@ def cmd_simulate(argv) -> int:
                 "t_star_est": report.estimate.t_star if report.estimate else None,
                 "fit_quality": report.estimate.fit_quality if report.estimate else None,
                 "samples_used": report.estimate.samples_used if report.estimate else None,
+                "accepted": report.accepted,
+                "rejected": report.rejected,
+                "dt_min": report.dt_min,
+                "dt_max": report.dt_max,
             },
             fh,
             indent=2,

@@ -10,9 +10,9 @@ else explicitly:
 
 The damping term has an unbounded stiffness b*k^2 in the mode number k, which
 is why it is implicit; the wave and source parts are cheap and stay explicit
-under a dt <= cfl * spacing cap.  The scheme is first order; a step-doubling
-companion supplies the local error estimate that drives the adaptive step
-size.
+under a dt <= cfl * spacing cap.  This IMEX Euler step is first order, and it
+is the only stepping kernel: fixed-step runs march with it, and the adaptive
+driver extrapolates it to third order.
 
 Every operator above is diagonal in Fourier space, so the solver state keeps
 the real-FFT coefficients (u_hat, v_hat) between steps and one step is, mode
@@ -23,12 +23,25 @@ by mode,
 
 Physical u is built, by one inverse transform, only where a pointwise value
 is needed: the source |u|^p, the sup norm, the boundary shell and the
-step-doubling error.  A fixed linear step therefore costs one transform (the
+adaptive error.  A fixed linear step therefore costs one transform (the
 inverse for the sup norm); a nonlinear one adds the forward transform of
 |u|^p, which each state computes once and keeps for every step taken from
-it.  An adaptive attempt shares that transform between its coarse step and
-first half step, and brings the fine and coarse results back to samples in
-one stacked inverse transform for the error check.
+it.
+
+An adaptive attempt of size H runs three chains of the step from the same
+state, 1 step of H, 2 of H/2 and 3 of H/3, and combines their coefficients by
+Aitken-Neville extrapolation (Constantinescu & Sandu, "Extrapolated
+implicit-explicit time stepping", SIAM J. Sci. Comput. 31, 2010):
+
+    T[j,1] = result of n_j substeps,             n = (1, 2, 3)
+    T[j,k] = T[j,k-1] + (T[j,k-1] - T[j-1,k-1]) / (n_j / n_(j-k+1) - 1)
+
+T[3,3] is third order and is the accepted result; its relative sup-norm gap
+to the second-order T[3,2] is the error estimate.  Unlike the step itself,
+the extrapolation amplifies weakly damped high modes slightly, so with weak
+damping the adaptive step also stays below a mode-wise stability bound.  One stacked inverse
+transform brings both back to samples for that check, and the accepted state
+keeps its samples for the monitors.
 
 The energy ledger tracks, per accepted step,
 
@@ -36,8 +49,8 @@ The energy ledger tracks, per accepted step,
     dissipated(t) = int_0^t b(s) int |grad v|^2 ds
     work(t)       = int_0^t int |u|^p v ds
 
-so that E + dissipated - work is conserved in the continuum; the discrete
-drift shrinks at first order in dt.  All of these integrals are Parseval sums
+so that E + dissipated - work is conserved in the continuum; in a fixed-step
+run the discrete drift shrinks at first order in dt.  All of these integrals are Parseval sums
 on the coefficients.  Cumulative terms use the trapezoid rule over accepted
 steps only.
 """
@@ -186,12 +199,20 @@ class Outcome(Enum):
 
 @dataclass
 class RunReport:
+    """How a run ended, its ledger, and its step statistics: `accepted`
+    and `rejected` count steps and rejected adaptive attempts, and
+    `dt_min` / `dt_max` span the accepted step sizes (None without one)."""
+
     outcome: Outcome
     t_stop: float
     energy_trace: list
     estimate: BlowupEstimate | None = None
     snapshots: list | None = None
     final_state: "State | None" = None
+    accepted: int = 0
+    rejected: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
 
     @property
     def exit_code(self) -> int:
@@ -203,9 +224,13 @@ class Controls:
     """Knobs for `simulate`.
 
     tol = None switches the error control off and marches with the fixed
-    step dt0 (used by refinement and order studies).  boundary_check = None
-    means: monitor the boundary shell exactly when the initial data is
-    compactly supported.
+    step dt0 (used by refinement and order studies).  With tol set, dt0 is
+    the first trial step, tol bounds the relative sup-norm error estimate of
+    each accepted step, and growth caps the factor by which one step may
+    exceed the last; cfl * spacing caps every step.  An attempt that
+    fails is retried smaller, and dt_min is the floor below which the run
+    stops.  boundary_check = None means: monitor the boundary shell exactly
+    when the initial data is compactly supported.
     """
 
     t_end: float
@@ -277,31 +302,82 @@ def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: 
     )
 
 
-def _step_error(fine: State, coarse: State) -> float:
-    """Relative sup-norm gap between the fine and coarse results, or inf when
-    either is not finite.  One stacked inverse transform gives all four
-    fields; the fine state keeps its samples for the monitors."""
-    coeffs = np.stack((fine.u_hat, fine.v_hat, coarse.u_hat, coarse.v_hat))
-    stack = from_half_spectrum(coeffs, fine.grid)
+SUBSTEPS = (1, 2, 3)
+
+
+def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
+    """One adaptive attempt of size dt: the third-order extrapolation of
+    `step` over SUBSTEPS, and its error estimate (see the module docstring).
+    Returns the state at t + dt and the relative error, inf when the
+    attempt is not finite."""
+    table = []
+    for j, n in enumerate(SUBSTEPS):
+        end = state
+        for _ in range(n):
+            end = step(end, params, dt / n)
+        row = [np.stack((end.u_hat, end.v_hat))]
+        for k in range(1, j + 1):
+            ratio = n / SUBSTEPS[j - k]
+            row.append(row[k - 1] + (row[k - 1] - table[j - 1][k - 1]) / (ratio - 1.0))
+        table.append(row)
+    high, low = table[-1][-1], table[-1][-2]
+    new = State.from_spectrum(state.t + dt, state.grid, high[0], high[1])
+    return new, _step_error(new, np.concatenate((high, low)))
+
+
+def _step_error(new: State, coeffs: np.ndarray) -> float:
+    """Relative sup-norm gap between new and a lower-order result, given
+    coeffs = (u_hat, v_hat) of new followed by those of the other, or inf
+    when either is not finite.  One stacked inverse transform gives all four
+    fields; new keeps its samples for the monitors."""
+    stack = from_half_spectrum(coeffs, new.grid)
     if not np.isfinite(stack).all():
         return math.inf
-    fu, fv, cu, cv = stack
+    hu, hv, lu, lv = stack
     # copies, so that a kept state does not hold on to the whole stack
-    fine._u, fine._v = Field(fine.grid, fu.copy()), Field(fine.grid, fv.copy())
-    scale = max(float(np.abs(fu).max()), float(np.abs(fv).max()), 1e-30)
-    du = float(np.abs(fu - cu).max())
-    dv = float(np.abs(fv - cv).max())
+    new._u, new._v = Field(new.grid, hu.copy()), Field(new.grid, hv.copy())
+    scale = max(float(np.abs(hu).max()), float(np.abs(hv).max()), 1e-30)
+    du = float(np.abs(hu - lu).max())
+    dv = float(np.abs(hv - lv).max())
     return max(du, dv) / scale
+
+
+def _stable_step(t: float, dt: float, params: Params, k_top: float) -> float:
+    """Largest attempt size at which the extrapolated step amplifies no
+    mode, for an attempt from t of size about dt.
+
+    Undamped, the extrapolated step multiplies mode k by about
+    1 + (dt k)^6 / 118 per step, while the damping takes dt b k^2 / 2 away.
+    Keeping the first below the second at the top mode k_top, with the
+    smallest b over the step, bounds dt by (59 b / k_top^4)^(1/5); the
+    constant 50 leaves a margin for the higher-order terms.  Mode-wise
+    spectral radii stay at most 1 with it for b k_top from 1e-8 to 1e2.
+    """
+    b = min(damping_coeff(t, params), damping_coeff(t + dt, params))
+    return (50.0 * b / k_top**4) ** 0.2
+
+
+def _step_factor(err: float, controls: Controls) -> float:
+    """Elementary controller for a third-order error estimate: the next step
+    over the one just tried, for an accepted and a rejected attempt alike."""
+    if math.isinf(err):
+        return 0.5
+    ratio = controls.tol / err if err > 0 else math.inf
+    return min(controls.growth, max(0.2, 0.9 * ratio ** (1.0 / 3.0)))
 
 
 def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport:
     """Advance the problem from the given data until the horizon, blow-up,
     a step-size floor, or boundary contamination.
 
-    Adaptive mode (tol set) steps once with dt and twice with dt/2, accepts
-    the finer result when the difference passes tol, halves on failure and
-    grows the step by the configured factor when the error is comfortably
-    small.  Rejected trial steps never touch the energy ledger.
+    Adaptive mode (tol set) makes each attempt by extrapolating the step
+    to third order (see the module docstring) and accepts it when its error
+    estimate err is at most tol.  Accepted or not, the next attempt has the
+    size dt * min(growth, max(0.2, 0.9 (tol/err)^(1/3))), capped at
+    cfl * spacing; an attempt that turned non-finite is retried at half the
+    size.  Where the damping is too weak to hold the top modes of the
+    extrapolated wave step, a second cap keeps every mode from growing (see
+    `_stable_step`).  Rejected attempts never touch the energy ledger.
 
     Fixed mode takes the step dt0; the time after step n is n * dt0, except
     that the last step ends exactly at t_end, and a remainder below
@@ -324,6 +400,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     shell = boundary_shell_mask(grid) if check_boundary else None
     adaptive = controls.tol is not None
     cfl_cap = controls.cfl * grid.spacing
+    k_top = math.sqrt(float(half_k_squared(grid).max()))
     dt = min(controls.dt0, cfl_cap) if adaptive else controls.dt0
     t_end = controls.t_end
     fixed_steps = max(1, math.ceil(t_end / controls.dt0 - 1e-9))
@@ -337,49 +414,48 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     snapshots = [state.physical()] if controls.snapshot_every else None
 
     outcome = None
-    accepted = 0
-    while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (accepted < fixed_steps):
-        if adaptive:
-            dt_step = min(dt, t_end - state.t)
-            if dt_step < controls.dt_min:
-                outcome = Outcome.STEP_FLOOR_REACHED
-                break
-            coarse = step(state, params, dt_step)
-            fine = step(step(state, params, 0.5 * dt_step), params, 0.5 * dt_step)
-            err = _step_error(fine, coarse)
-            if err > controls.tol:
-                dt = 0.5 * dt_step
-                continue
-            new = fine
-            if err < 0.25 * controls.tol:
-                dt = min(dt_step * controls.growth, cfl_cap)
+    accepted = rejected = 0
+    dt_lo, dt_hi = math.inf, 0.0
+    # a diverging trial step overflows on its way to the outcome below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (accepted < fixed_steps):
+            if adaptive:
+                dt_step = min(dt, t_end - state.t)
+                dt_step = min(dt_step, _stable_step(state.t, dt_step, params, k_top))
+                if dt_step < controls.dt_min:
+                    outcome = Outcome.STEP_FLOOR_REACHED
+                    break
+                new, err = _extrapolated_step(state, params, dt_step)
+                dt = min(dt_step * _step_factor(err, controls), cfl_cap)
+                if err > controls.tol:
+                    rejected += 1
+                    continue
             else:
-                dt = dt_step
-        else:
-            t_new = t_end if accepted + 1 == fixed_steps else (accepted + 1) * controls.dt0
-            dt_step = t_new - state.t
-            new = step(state, params, dt_step)
-            new.t = t_new
-            if not new.is_finite():
+                t_new = t_end if accepted + 1 == fixed_steps else (accepted + 1) * controls.dt0
+                dt_step = t_new - state.t
+                new = step(state, params, dt_step)
+                new.t = t_new
+                if not new.is_finite():
+                    outcome = diverged
+                    break
+            g_new, w_new = _ledger_rates(new, params)
+            dissipated += 0.5 * dt_step * (g_prev + g_new)
+            work += 0.5 * dt_step * (w_prev + w_new)
+            g_prev, w_prev = g_new, w_new
+            state = new
+            accepted += 1
+            dt_lo, dt_hi = min(dt_lo, dt_step), max(dt_hi, dt_step)
+            record = energy(state, params, dissipated, work)
+            trace.append(record)
+            if snapshots is not None and accepted % controls.snapshot_every == 0:
+                snapshots.append(state.physical())
+            if record.linf > controls.u_max:
                 outcome = diverged
                 break
-        g_new, w_new = _ledger_rates(new, params)
-        dissipated += 0.5 * dt_step * (g_prev + g_new)
-        work += 0.5 * dt_step * (w_prev + w_new)
-        g_prev, w_prev = g_new, w_new
-        state = new
-        accepted += 1
-        record = energy(state, params, dissipated, work)
-        trace.append(record)
-        if snapshots is not None and accepted % controls.snapshot_every == 0:
-            snapshots.append(state.physical())
-        if record.linf > controls.u_max:
-            outcome = diverged
-            break
-        if shell is not None and record.linf > 0:
-            if float(np.abs(state.u.values[shell]).max()) > 1e-6 * record.linf:
-                outcome = Outcome.BOUNDARY_CONTAMINATED
-                break
+            if shell is not None and record.linf > 0:
+                if float(np.abs(state.u.values[shell]).max()) > 1e-6 * record.linf:
+                    outcome = Outcome.BOUNDARY_CONTAMINATED
+                    break
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
     estimate = None
@@ -392,6 +468,10 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         estimate=estimate,
         snapshots=snapshots,
         final_state=state.physical(),
+        accepted=accepted,
+        rejected=rejected,
+        dt_min=dt_lo if accepted else None,
+        dt_max=dt_hi if accepted else None,
     )
 
 

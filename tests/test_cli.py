@@ -146,6 +146,12 @@ def test_simulate_blowup_exit_code(tmp_path, capsys):
     )
     assert code == 10
     assert "BlowupDetected" in out
+    report = json.loads((tmp_path / "blow" / "report.json").read_text())
+    assert report["outcome"] == "BlowupDetected"
+    trace = (tmp_path / "blow" / "energy_trace.csv").read_text().splitlines()
+    assert report["accepted"] == len(trace) - 2
+    assert report["rejected"] >= 0
+    assert 0.0 < report["dt_min"] <= report["dt_max"] <= 0.5 * 8.0 / 32
 
 
 def test_simulate_config_file_with_override(tmp_path, capsys):

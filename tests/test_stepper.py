@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from blowuplab.grids import (
     Grid,
     constant_field,
     grad_sq_integral,
+    half_k_squared,
+    half_spectrum,
     integrate,
     l2_norm,
     linf_norm,
+    parseval_weights,
 )
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
 from blowuplab.oracles import linear_mode_trajectory
@@ -275,7 +279,9 @@ def test_nonfinite_fixed_step_keeps_last_finite_state():
     params = Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False)
     init = make_initial_data(constant_field(g, 0.0), bump_data(g, 1.0))
     controls = Controls(t_end=1000.0, dt0=0.2, tol=None, boundary_check=False, u_max=math.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the overflow on the way to a non-finite state stays out of sight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = simulate(params, init, controls)
     assert report.outcome is Outcome.NUMERICAL_INSTABILITY
     assert report.t_stop < controls.t_end
@@ -355,18 +361,120 @@ def test_fixed_mode_calls_step_once_per_step(monkeypatch):
     assert len(calls) == len(report.energy_trace) - 1 == 100
 
 
-def test_adaptive_mode_calls_step_three_times_per_attempt(monkeypatch):
-    calls = _count_step_calls(monkeypatch)
-    g = Grid(1, 32, 1.0)
+def _rejecting_case():
+    # constant data does not see the box, so a wide box lifts the CFL cap
+    # above dt0, and the first attempts fail the tight tolerance
+    g = Grid(1, 8, 100.0)
     params = Params(n=1, p=2.0, beta=0.0)
     init = make_initial_data(constant_data(g, 1.0), constant_data(g, math.sqrt(2.0 / 3.0)))
-    controls = Controls(t_end=10.0, dt0=1e-2, tol=1e-5, u_max=1e6, boundary_check=False)
+    return params, init, Controls(t_end=1.0, dt0=1.0, tol=1e-8, boundary_check=False)
+
+
+def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
+    calls = _count_step_calls(monkeypatch)
+    params, init, controls = _rejecting_case()
     report = simulate(params, init, controls)
-    assert len(calls) % 3 == 0
-    attempts = [calls[i : i + 3] for i in range(0, len(calls), 3)]
-    for (s0, dt, _), (s1, half, mid), (s2, half2, _) in attempts:
-        # coarse step, then two half steps from the same start
-        assert s1 is s0 and s2 is mid
-        assert half == half2 == 0.5 * dt
-    accepted = len(report.energy_trace) - 1
-    assert len(attempts) > accepted  # this run rejects some attempts
+    assert report.outcome is Outcome.COMPLETED_HORIZON
+    assert len(calls) % 6 == 0
+    starts = []
+    for i in range(0, len(calls), 6):
+        (s0, h, _), (s1, h2, m1), (s2, h2b, _), (s3, h3, m2), (s4, h3b, m3), (s5, h3c, _) = (
+            calls[i : i + 6]
+        )
+        # chains of 1 x H, 2 x H/2 and 3 x H/3, all from the attempt's state
+        assert s1 is s0 and s3 is s0
+        assert s2 is m1 and s4 is m2 and s5 is m3
+        assert h2 == h2b == h / 2 and h3 == h3b == h3c == h / 3
+        starts.append(s0)
+    # a rejected attempt is retried from the same state and adds no ledger row
+    rejected = sum(a is b for a, b in zip(starts, starts[1:]))
+    assert rejected == report.rejected > 0
+    assert len(report.energy_trace) - 1 == report.accepted == len(starts) - rejected
+    assert [r.t for r in report.energy_trace[:-1]] == [s.t for s in dict.fromkeys(starts)]
+    # the step statistics cover the accepted steps only
+    steps = np.diff([r.t for r in report.energy_trace])
+    assert report.dt_min == pytest.approx(steps.min(), rel=1e-12)
+    assert report.dt_max == pytest.approx(steps.max(), rel=1e-12)
+    assert report.dt_min < report.dt_max < controls.dt0
+
+
+def test_extrapolated_attempt_is_third_order():
+    # the space-free reduction u'' = u^2, from a state on its exact solution
+    g = Grid(1, 8, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0)
+
+    def exact(t):
+        return 6.0 / (math.sqrt(6.0) - t) ** 2, 12.0 / (math.sqrt(6.0) - t) ** 3
+
+    t0 = 1.0
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        u, v = exact(t0)
+        start = State(t0, constant_field(g, u), constant_field(g, v))
+        new, _ = stepper._extrapolated_step(start, params, dt)
+        assert new.t == t0 + dt
+        u_end, v_end = exact(t0 + dt)
+        errors.append(max(np.abs(new.u.values - u_end).max(), np.abs(new.v.values - v_end).max()))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.5 <= math.log2(coarse / fine) <= 4.5
+
+
+def test_adaptive_space_free_run_takes_few_steps():
+    g = Grid(1, 32, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
+    init = make_initial_data(constant_data(g, 1.0), constant_data(g, math.sqrt(2.0 / 3.0)))
+    report = simulate(params, init, Controls(t_end=10.0, dt0=1e-2, tol=1e-6))
+    assert report.outcome is Outcome.BLOWUP_DETECTED
+    assert report.accepted < 5000
+    assert abs(report.estimate.t_star - math.sqrt(6.0)) < 1e-5
+
+
+def _top_third_energy_share(state):
+    g = state.grid
+    k2 = half_k_squared(g)
+    density = parseval_weights(g) * (
+        np.abs(half_spectrum(state.v.values, g)) ** 2
+        + k2 * np.abs(half_spectrum(state.u.values, g)) ** 2
+    )
+    return density[k2 > (2.0 / 3.0) ** 2 * k2.max()].sum() / density.sum()
+
+
+def test_weakly_damped_adaptive_run_stays_stable():
+    # b k^2 is small at the top of the spectrum, where the extrapolated
+    # wave step is unstable at the CFL cap; the top modes must still decay
+    g = Grid(1, 256, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1e-3, nonlinear=False)
+    init = make_initial_data(constant_field(g, 0.0), bump_data(g, 1.0, 0.0, 2.0))
+    controls = Controls(t_end=200.0, boundary_check=False, snapshot_every=500)
+    report = simulate(params, init, controls)
+    assert report.outcome is Outcome.COMPLETED_HORIZON
+    totals = np.array([r.total for r in report.energy_trace])
+    assert (np.diff(totals) <= 0.0).all()
+    for snap in report.snapshots + [report.final_state]:
+        if snap.t >= 10.0:
+            assert _top_third_energy_share(snap) < 1e-10
+
+
+@pytest.mark.parametrize("b0", [1e-8, 1e-5, 1e-3, 1e-1])
+def test_stable_step_keeps_every_mode_from_growing(b0):
+    g = Grid(1, 64, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=b0, nonlinear=False)
+    k2 = half_k_squared(g)
+    dt = min(stepper._stable_step(0.0, 1.0, params, math.sqrt(k2.max())), 0.5 * g.spacing)
+    # the attempt is linear and mode-wise: two unit starts give each
+    # mode's 2 x 2 amplification matrix
+    ones = np.ones(k2.shape, dtype=complex)
+    zeros = np.zeros_like(ones)
+    from_u, _ = stepper._extrapolated_step(State.from_spectrum(0.0, g, ones, zeros), params, dt)
+    from_v, _ = stepper._extrapolated_step(State.from_spectrum(0.0, g, zeros, ones), params, dt)
+    for m in range(k2.size):
+        amp = np.array([[from_u.u_hat[m], from_v.u_hat[m]], [from_u.v_hat[m], from_v.v_hat[m]]])
+        assert np.abs(np.linalg.eigvals(amp)).max() <= 1.0 + 1e-12
+
+
+def test_step_statistics_of_a_fixed_run():
+    g = Grid(1, 8, 1.0)
+    params = Params(n=1, p=2.0, beta=0.0, nonlinear=False)
+    report = simulate(params, zero_init(g), Controls(t_end=1.0, dt0=0.125, tol=None))
+    assert (report.accepted, report.rejected) == (8, 0)
+    assert report.dt_min == report.dt_max == 0.125
