@@ -31,7 +31,7 @@ from .model import Params
 from .oracles import OdeProblem, ode_blowup_time
 from .scaling import invariance_error
 from .stepper import ENERGY_CSV_COLUMNS, simulate, write_energy_csv
-from .sweep import SweepConfig, run_sweep, write_sweep_csv
+from .sweep import SweepConfig, format_cell, run_sweep, write_sweep_csv
 from .weakform import CutoffSpec, manufactured_crosscheck, measure_term_slopes
 
 USAGE = """usage: blwp <command> [options]
@@ -50,16 +50,6 @@ Config keys can be overridden one to one: --model.p 2.5 --time.t_end 10.
 
 EXIT_USAGE = 64
 EXIT_CONFIG = 2
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf"
-        return repr(float(x))
-    return str(x)
 
 
 class _Flags:
@@ -186,7 +176,7 @@ def cmd_simulate(argv) -> int:
             os.path.join(out_dir, "energy_trace.png"),
         )
     _write_manifest(out_dir, config_hash(cfg), wall)
-    print(f"{report.outcome.value} t_stop={_fmt(report.t_stop)}")
+    print(f"{report.outcome.value} t_stop={format_cell(report.t_stop)}")
     return report.exit_code
 
 
@@ -242,10 +232,8 @@ def cmd_slopes(argv) -> int:
     lines = ["term,T,value,fitted_slope,predicted_exponent,abs_error"]
     for name, row in table.items():
         for T, v in zip(row["horizons"], row["values"]):
-            lines.append(
-                f"{name},{_fmt(T)},{_fmt(v)},{_fmt(row['slope'])},"
-                f"{_fmt(row['predicted'])},{_fmt(row['abs_error'])}"
-            )
+            cells = (T, v, row["slope"], row["predicted"], row["abs_error"])
+            lines.append(",".join([name, *map(format_cell, cells)]))
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out:
@@ -265,7 +253,7 @@ def cmd_scaling(argv) -> int:
     print("lambda,resolution,error")
     for res in resolutions:
         err = invariance_error(params, lam=lam, resolution=res)
-        print(f"{_fmt(lam)},{res},{_fmt(err)}")
+        print(f"{format_cell(lam)},{res},{format_cell(err)}")
     return 0
 
 
@@ -279,7 +267,7 @@ def cmd_exponents(argv) -> int:
             kato = float(kato_threshold(n))
             strauss = strauss_exponent(n) if n >= 2 else math.nan
             thr = float(beta_threshold(n, beta))
-            print(f"{n},{_fmt(beta)},{_fmt(kato)},{_fmt(strauss)},{_fmt(thr)}")
+            print(",".join(map(format_cell, (n, beta, kato, strauss, thr))))
     return 0
 
 
@@ -301,7 +289,7 @@ def cmd_weakcheck(argv) -> int:
     grid = Grid(1, points, half)
     result = manufactured_crosscheck(grid, params, spec, nt)
     print("weak_residual,strong_form,rel_diff")
-    print(f"{_fmt(result['weak'])},{_fmt(result['strong'])},{_fmt(result['rel_diff'])}")
+    print(",".join(format_cell(result[key]) for key in ("weak", "strong", "rel_diff")))
     return 0
 
 
@@ -311,7 +299,7 @@ def cmd_oracle(argv) -> int:
     v0 = flags.get("v0", 0.0, float)
     p = flags.get("p", 2.0, float)
     t_star = ode_blowup_time(OdeProblem(u0, v0, p))
-    print(f"t_star,{_fmt(t_star)}")
+    print(f"t_star,{format_cell(t_star)}")
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "l2_norm",
     "linf_norm",
     "boundary_shell_mask",
-    "boundary_shell_max",
     "save_field_binary",
     "load_field_binary",
     "save_field_csv",
@@ -231,10 +230,6 @@ def boundary_shell_mask(grid: Grid, fraction: float = 0.9) -> np.ndarray:
     for c in coords[1:]:
         mask |= np.abs(c) > limit
     return mask
-
-
-def boundary_shell_max(f: Field, fraction: float = 0.9) -> float:
-    return float(np.abs(f.values[boundary_shell_mask(f.grid, fraction)]).max())
 
 
 def save_field_binary(f: Field, path) -> None:

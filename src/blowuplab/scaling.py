@@ -86,7 +86,7 @@ class Trajectory:
         return self.u[0].grid
 
     @staticmethod
-    def from_report(report, dt_snapshot: float) -> "Trajectory":
+    def from_report(report) -> "Trajectory":
         if not report.snapshots:
             raise ValueError("run report carries no snapshots")
         times = np.array([s.t for s in report.snapshots])
@@ -168,9 +168,7 @@ def _fixed_run(params: Params, init: InitialData, t_end: float, dt: float) -> Tr
         snapshot_every=1,
         boundary_check=False,
     )
-    report = simulate(params, init, controls)
-    times = np.array([s.t for s in report.snapshots])
-    return Trajectory(times, [s.u for s in report.snapshots], [s.v for s in report.snapshots])
+    return Trajectory.from_report(simulate(params, init, controls))
 
 
 def invariance_error(

@@ -29,6 +29,7 @@ __all__ = [
     "sweep_points",
     "run_sweep",
     "write_sweep_csv",
+    "format_cell",
     "SWEEP_CSV_COLUMNS",
 ]
 
@@ -170,7 +171,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list:
         return list(pool.map(partial(_run_point, config), points))
 
 
-def _cell(value) -> str:
+def format_cell(value) -> str:
+    """The one number formatter of CSV cells and CLI output: repr for
+    floats (so inf, -inf and nan read back), empty for None."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -182,10 +185,8 @@ def write_sweep_csv(results, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
         for r in results:
-            row = [
-                _cell(r.n), _cell(r.p), _cell(r.beta), _cell(r.b0),
-                _cell(r.amplitude), _cell(r.mean_u1), r.verdict_theory,
-                r.outcome, _cell(r.t_stop), _cell(r.t_star_est),
-                _cell(r.fit_quality),
-            ]
-            fh.write(",".join(row) + "\n")
+            row = (
+                r.n, r.p, r.beta, r.b0, r.amplitude, r.mean_u1, r.verdict_theory,
+                r.outcome, r.t_stop, r.t_star_est, r.fit_quality,
+            )
+            fh.write(",".join(map(format_cell, row)) + "\n")

@@ -140,8 +140,9 @@ def default_cutoff_spec(p: float, d: float, T: float) -> CutoffSpec:
     return CutoffSpec(ell=k, eta=k, d=d, T=T)
 
 
-def _time_window(spec: CutoffSpec, t: float) -> tuple:
-    """psi2^eta and its first two time derivatives at scalar time t."""
+def _time_window(spec: CutoffSpec, t) -> tuple:
+    """psi2^eta and its first two time derivatives at time t (scalar or
+    array)."""
     T, eta = spec.T, spec.eta
     tau = t / T
     p2 = cutoff(tau)
@@ -236,9 +237,7 @@ def weak_identity_terms(u_traj, u0: Field, u1: Field, spec: CutoffSpec, params: 
         m_win[j] = (v * val_x).sum() * meas
         m_lap[j] = (v * lap_x).sum() * meas
 
-    w_val = np.array([_time_window(spec, t)[0] for t in times])
-    w_vel = np.array([_time_window(spec, t)[1] for t in times])
-    w_acc = np.array([_time_window(spec, t)[2] for t in times])
+    w_val, w_vel, w_acc = _time_window(spec, times)
 
     terms = {
         "source": float(np.trapezoid(src * w_val, times)),
@@ -533,6 +532,7 @@ def manufactured_crosscheck(
     meas = grid.spacing**grid.dim
     val_x = _space_window(spec, params.n, grid.radii())[0]
     omega = np.pi / T
+    w_val = _time_window(spec, times)[0]
     vals = np.zeros(len(times))
     for j, t in enumerate(times):
         c = math.cos(omega * t)
@@ -544,8 +544,7 @@ def manufactured_crosscheck(
         )
         if params.nonlinear:
             strong = strong - np.abs(c * bump.values) ** params.p
-        w_val = _time_window(spec, t)[0]
-        vals[j] = (strong * val_x).sum() * meas * w_val
+        vals[j] = (strong * val_x).sum() * meas * w_val[j]
     strong_integral = -float(np.trapezoid(vals, times))
     rel = abs(weak - strong_integral) / max(abs(weak), abs(strong_integral), 1e-300)
     return {"weak": weak, "strong": strong_integral, "rel_diff": rel}

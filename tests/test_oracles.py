@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_trajectory_reports_divergence():
     # everything reported is finite and the cut happens just before sqrt(6)
     assert np.all(np.isfinite(res.u))
     assert res.t_last < math.sqrt(6.0) < 3.0
+
+
+def test_trajectory_reports_divergence_without_a_finite_threshold():
+    # with no threshold to reach, the run still ends at the blow-up: the
+    # integrator cannot follow u past sqrt(6), and that counts as divergence
+    prob = OdeProblem(1.0, math.sqrt(2.0 / 3.0), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ode_trajectory(
+            prob, np.linspace(0.0, 3.0, 31), divergence_threshold=math.inf
+        )
+    assert res.diverged
+    assert np.all(np.isfinite(res.u)) and np.all(np.isfinite(res.v))
+    assert res.t_last < math.sqrt(6.0)
 
 
 def test_trajectory_grid_validation():

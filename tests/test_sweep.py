@@ -5,6 +5,7 @@ import pytest
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
+    format_cell,
     run_sweep,
     sweep_points,
     write_sweep_csv,
@@ -72,6 +73,14 @@ def test_csv_deterministic_across_worker_counts(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == ",".join(SWEEP_CSV_COLUMNS)
+
+
+def test_format_cell():
+    # the one formatter of sweep CSV cells and CLI output
+    assert format_cell(None) == ""
+    assert format_cell(-math.inf) == "-inf"
+    assert format_cell(math.inf) == "inf"
+    assert format_cell(math.nan) == "nan"
 
 
 def test_worker_cap_env(monkeypatch):

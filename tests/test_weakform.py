@@ -24,6 +24,7 @@ from blowuplab.weakform import (
     weak_identity_terms,
     weak_residual,
     _space_window,
+    _time_window,
 )
 
 
@@ -113,6 +114,17 @@ def test_psi_parts_supports():
     assert np.all(early["lap_psi"][inner] == 0.0)
     outside_space = r >= 4.0
     assert np.all(early["psi"][outside_space] == 0.0)
+
+
+def test_time_window_on_an_array_matches_per_sample_calls():
+    # the weak identity evaluates the window once on all sample times; the
+    # per-sample scalar calls are the reference
+    spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
+    times = np.linspace(0.0, 4.0, 2001)
+    stacked = _time_window(spec, times)
+    for j in range(3):
+        reference = np.array([_time_window(spec, t)[j] for t in times])
+        np.testing.assert_allclose(stacked[j], reference, rtol=1e-13, atol=0.0)
 
 
 def test_psi_parts_time_derivatives_match_finite_differences():
