@@ -197,7 +197,7 @@ def cmd_sweep(argv) -> int:
         t_end=cfg["time.t_end"],
         dt0=cfg["time.dt0"],
         dt_min=cfg["time.dt_min"],
-        tol=cfg["time.tol"] or 1e-6,
+        tol=None if cfg["time.tol"] == 0 else cfg["time.tol"],
         u_max=cfg["blowup.u_max"],
         fit_points=cfg["blowup.fit_points"],
     )

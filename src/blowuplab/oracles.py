@@ -11,14 +11,14 @@ Two problem shapes are covered:
 Trajectories come from one integrator, scipy's embedded Dormand-Prince
 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving Ordinary Differential
 Equations I, 1993) at rtol = 1e-13 and atol = 1e-14.  Threshold crossings
-are located as integrator events on its dense output.
+are located as integrator events on its dense output.  scipy is imported by
+the functions that use it, so importing the package does not load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 __all__ = [
     "OdeProblem",
@@ -81,6 +81,8 @@ def ode_blowup_time(prob: OdeProblem, rtol: float = 1e-9) -> float:
     if u0 < 0.0 or v0 < 0.0:
         return blowup_time_from_trajectory(prob)
 
+    from scipy.integrate import quad
+
     e0 = ode_energy(u0, v0, p)
 
     def speed_sq(u):
@@ -105,6 +107,8 @@ def ode_blowup_time(prob: OdeProblem, rtol: float = 1e-9) -> float:
 def _solve(rhs, y0, t_span, t_eval=None, events=None):
     """The oracles' one integrator.  Overflow near a blow-up only makes the
     step fail, so numpy's warnings about it are silenced."""
+    from scipy.integrate import solve_ivp
+
     with np.errstate(over="ignore", invalid="ignore"):
         return solve_ivp(
             rhs, t_span, y0, method="DOP853", t_eval=t_eval, events=events,
@@ -129,7 +133,9 @@ def ode_trajectory(
     """Integrate u'' = |u|^p on the given increasing time grid.
 
     Stops once |u| reaches the divergence threshold, or the integrator can
-    no longer advance, and then reports the samples collected before that.
+    no longer advance, and then reports the samples collected before that;
+    when the integrator cannot take even its first step, that is the
+    initial state alone.
     """
     t_grid = _check_grid(t_grid)
 
@@ -141,6 +147,9 @@ def ode_trajectory(
         _source_rhs(prob.p), [prob.u0, prob.v0], (t_grid[0], t_grid[-1]),
         t_eval=t_grid, events=escaped,
     )
+    if len(sol.t) == 0:
+        start = np.array([[prob.u0], [prob.v0]], dtype=float)
+        return OdeResult(t_grid[:1], start[0], start[1], diverged=True)
     return OdeResult(sol.t, sol.y[0], sol.y[1], diverged=len(sol.t) < len(t_grid))
 
 

@@ -23,10 +23,10 @@ by mode,
 
 Physical u is built, by one inverse transform, only where a pointwise value
 is needed: the source |u|^p, the sup norm, the boundary shell and the
-adaptive error.  A fixed linear step therefore costs one transform (the
-inverse for the sup norm); a nonlinear one adds the forward transform of
-|u|^p, which each state computes once and keeps for every step taken from
-it.
+adaptive error.  A fixed linear step therefore costs one inverse transform
+for the sup norm, made for a block of steps at once (see below); a
+nonlinear one makes the inverse and the forward transform of |u|^p, which
+each state computes once and keeps for every step taken from it.
 
 An adaptive attempt of size H runs three chains of the step from the same
 state, 1 step of H, 2 of H/2 and 3 of H/3, and combines their coefficients by
@@ -50,14 +50,28 @@ The energy ledger tracks, per accepted step,
     work(t)       = int_0^t int |u|^p v ds
 
 so that E + dissipated - work is conserved in the continuum; in a fixed-step
-run the discrete drift shrinks at first order in dt.  All of these integrals are Parseval sums
-on the coefficients.  Cumulative terms use the trapezoid rule over accepted
-steps only.
+run the discrete drift shrinks at first order in dt.  All of these integrals
+are Parseval sums on the coefficients, and the cumulative terms use the
+trapezoid rule over accepted steps only.
+
+The ledger is columnar.  `_ledger_rows` computes the rows of a block of
+states with array operations: the quadratic sums row by row, finiteness,
+and the sup norm and boundary shell from one stacked inverse transform, or
+from the samples the states already hold (a nonlinear state builds them for
+its source, an adaptive one for its error estimate).  A fixed-step run
+keeps its new states until a block of about LEDGER_BLOCK_BYTES is full, or
+the run ends, and then computes the block; the rows are walked in order to
+extend the trapezoid sums and check the monitors, and the run ends at the
+first row that trips one.  A non-finite row is dropped, a row above u_max
+or with a contaminated shell is kept, and later rows are discarded, so the
+outcome, the ledger and the final state are those of checking every step.
+An adaptive run, and `energy`, use blocks of one row.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,7 +82,6 @@ from .grids import (
     from_half_spectrum,
     half_k_squared,
     half_spectrum,
-    linf_norm,
     parseval_weights,
 )
 from .model import InitialData, Params, damping_coeff
@@ -88,6 +101,9 @@ __all__ = [
 ]
 
 ENERGY_CSV_COLUMNS = ("t", "kinetic", "potential", "dissipated_cum", "work_cum", "linf", "l2")
+
+# memory for one ledger block of a fixed-step run; see _block_rows
+LEDGER_BLOCK_BYTES = 2**20
 
 # exit codes used by the command-line front end
 EXIT_CODES = {
@@ -274,32 +290,145 @@ def step(state: State, params: Params, dt: float) -> State:
     return State.from_spectrum(state.t + dt, state.grid, state.u_hat + dt * v_hat, v_hat)
 
 
-def _inner(a_hat: np.ndarray, b_hat: np.ndarray, weights: np.ndarray) -> float:
-    """sum weights * Re(a_hat * conj(b_hat)): a box integral under Parseval."""
-    return float(np.vdot(a_hat, weights * b_hat).real)
+def _block_rows(grid: Grid) -> int:
+    """Rows per ledger block in a fixed-step run: a row holds and builds
+    about eight complex arrays of the coefficients' size, so at
+    LEDGER_BLOCK_BYTES a 1-D run at N = 256 takes 63 rows and a 3-D run at
+    64^3 one."""
+    return max(1, LEDGER_BLOCK_BYTES // (8 * 16 * half_k_squared(grid).size))
 
 
-def _ledger_rates(state: State, params: Params) -> tuple:
-    """Dissipation rate b int |grad v|^2 and source work int |u|^p v."""
-    w = parseval_weights(state.grid)
-    grad_v_sq = _inner(state.v_hat, state.v_hat, w * half_k_squared(state.grid))
-    work = _inner(state.source_hat(params.p), state.v_hat, w) if params.nonlinear else 0.0
-    return damping_coeff(state.t, params) * grad_v_sq, work
+@lru_cache(maxsize=64)
+def _ledger_weights(grid: Grid) -> np.ndarray:
+    """Columns w and w |k|^2 of Parseval weights, one row per float of the
+    coefficients viewed as (re, im) pairs: int f^2 = sum w * pairs(f)^2."""
+    w = parseval_weights(grid).ravel()
+    weights = np.repeat(np.stack((w, w * half_k_squared(grid).ravel()), axis=1), 2, axis=0)
+    weights.flags.writeable = False
+    return weights
+
+
+def _ledger_rows(states: list | tuple, params: Params, shell: np.ndarray | None = None) -> dict:
+    """The ledger columns of a block of states, one row per state, in array
+    operations.
+
+    Returns t, kinetic, potential, l2, linf, the dissipation rate
+    b int |grad v|^2 and the work rate int |u|^p v, whether each row's
+    coefficients are finite, the sup of |u| on the given shell mask (None
+    without one), and the samples of u, taken from the states when they
+    hold them and else from one stacked inverse transform.  A row's values
+    do not depend on the other rows of the block.
+    """
+    grid = states[0].grid
+    rows = len(states)
+    if params.nonlinear:
+        # the source builds each state's samples, so the sup norm reuses them
+        fields = [(s.u_hat, s.v_hat, s.source_hat(params.p)) for s in states]
+    else:
+        fields = [(s.u_hat, s.v_hat) for s in states]
+    coeffs = np.array(fields, dtype=complex)
+    pairs = coeffs.reshape(rows, len(fields[0]), -1).view(np.float64)
+    # u u, v v and, with a source, F[|u|^p] v, against w and w |k|^2
+    products = pairs * pairs
+    if params.nonlinear:
+        products[:, 2] = pairs[:, 2] * pairs[:, 1]
+    sums = products @ _ledger_weights(grid)
+    if all(s._u is not None for s in states):
+        samples = np.array([s._u.values for s in states])
+    else:
+        samples = from_half_spectrum(coeffs[:, 0], grid)
+    b = np.array([damping_coeff(s.t, params) for s in states])
+    half = 0.5 * sums
+    return {
+        "t": [s.t for s in states],
+        "kinetic": half[:, 1, 0],
+        "potential": half[:, 0, 1],
+        "l2": np.sqrt(sums[:, 0, 0]),
+        "linf": np.abs(samples.reshape(rows, -1)).max(axis=1),
+        "dissipation_rate": b * sums[:, 1, 1],
+        "work_rate": sums[:, 2, 0] if params.nonlinear else np.zeros(rows),
+        "finite": np.isfinite(pairs[:, :2]).all(axis=(1, 2)),
+        "shell": None if shell is None else np.abs(samples[:, shell]).max(axis=1),
+        "samples": samples,
+    }
 
 
 def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
     """Energy-ledger row for one state; the cumulative columns are passed in
     because they belong to the run, not to the snapshot."""
-    w = parseval_weights(state.grid)
-    return EnergyRecord(
-        t=state.t,
-        kinetic=0.5 * _inner(state.v_hat, state.v_hat, w),
-        potential=0.5 * _inner(state.u_hat, state.u_hat, w * half_k_squared(state.grid)),
-        dissipated_cum=dissipated_cum,
-        work_cum=work_cum,
-        linf=linf_norm(state.u),
-        l2=math.sqrt(_inner(state.u_hat, state.u_hat, w)),
+    return _record(_ledger_rows([state], params), dissipated_cum, work_cum)
+
+
+def _record(row: dict, dissipated_cum: float, work_cum: float) -> EnergyRecord:
+    """The EnergyRecord of a one-row block."""
+    kinetic, potential, linf, l2 = (
+        float(row[name][0]) for name in ("kinetic", "potential", "linf", "l2")
     )
+    return EnergyRecord(row["t"][0], kinetic, potential, dissipated_cum, work_cum, linf, l2)
+
+
+class _Ledger:
+    """The energy ledger and monitors of one run.
+
+    Accepted states wait in `pending` with their step sizes.  `flush`
+    computes them as one block with `_ledger_rows`, then walks the rows in
+    order as a per-step check would: it extends the trapezoid sums, records
+    the row, its step size and its snapshot, and stops at the first row
+    that trips a monitor.  `state` is the last state kept.
+    """
+
+    def __init__(self, state: State, params: Params, controls: Controls, shell):
+        self.params, self.controls, self.shell = params, controls, shell
+        # a linear run cannot blow up, so its divergence is numerical
+        self.diverged = (
+            Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
+        )
+        row = _ledger_rows([state], params)
+        self.trace = [_record(row, 0.0, 0.0)]
+        self.rates = float(row["dissipation_rate"][0]), float(row["work_rate"][0])
+        self.state = state
+        self.pending = []
+        self.accepted = 0
+        self.dt_lo, self.dt_hi = math.inf, 0.0
+        self.snapshots = [state.physical()] if controls.snapshot_every else None
+
+    def flush(self) -> "Outcome | None":
+        """Compute and check the pending rows; the outcome of the first row
+        that trips a monitor, or None when every row passes."""
+        states, dts = zip(*self.pending)
+        self.pending = []
+        rows = _ledger_rows(states, self.params, self.shell)
+        shell_sup = None if self.shell is None else rows["shell"].tolist()
+        u_max, every = self.controls.u_max, self.controls.snapshot_every
+        last = self.trace[-1]
+        dissipated, work = last.dissipated_cum, last.work_cum
+        g_prev, w_prev = self.rates
+        walked = ("kinetic", "potential", "linf", "l2", "dissipation_rate", "work_rate", "finite")
+        columns = zip(rows["t"], dts, *(rows[name].tolist() for name in walked))
+        outcome = None
+        for j, (t, dt, kinetic, potential, linf, l2, g, w, finite) in enumerate(columns):
+            if not finite:
+                outcome = self.diverged  # the non-finite row is dropped
+                break
+            dissipated += 0.5 * dt * (g_prev + g)
+            work += 0.5 * dt * (w_prev + w)
+            g_prev, w_prev = g, w
+            self.trace.append(EnergyRecord(t, kinetic, potential, dissipated, work, linf, l2))
+            self.accepted += 1
+            self.dt_lo, self.dt_hi = min(self.dt_lo, dt), max(self.dt_hi, dt)
+            self.state = states[j]
+            if every and self.accepted % every == 0:
+                if self.state._u is None:  # a copy, so the snapshot does not keep the block
+                    self.state._u = Field(self.state.grid, rows["samples"][j].copy())
+                self.snapshots.append(self.state.physical())
+            if linf > u_max:
+                outcome = self.diverged
+                break
+            if shell_sup is not None and linf > 0 and shell_sup[j] > 1e-6 * linf:
+                outcome = Outcome.BOUNDARY_CONTAMINATED
+                break
+        self.rates = g_prev, w_prev
+        return outcome
 
 
 SUBSTEPS = (1, 2, 3)
@@ -381,7 +510,9 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
 
     Fixed mode takes the step dt0; the time after step n is n * dt0, except
     that the last step ends exactly at t_end, and a remainder below
-    1e-9 * dt0 is no step at all.
+    1e-9 * dt0 is no step at all.  It computes the ledger and the monitors
+    a block of steps at a time (see the module docstring); the outcome, the
+    ledger and the final state are those of checking every step.
 
     A linear run cannot blow up: its energy never grows.  When one turns
     non-finite or exceeds u_max, the outcome is NumericalInstability.
@@ -404,21 +535,15 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     dt = min(controls.dt0, cfl_cap) if adaptive else controls.dt0
     t_end = controls.t_end
     fixed_steps = max(1, math.ceil(t_end / controls.dt0 - 1e-9))
-    diverged = Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
+    block_rows = 1 if adaptive else _block_rows(grid)
 
     state = State(0.0, init.u0.copy(), init.u1.copy())
-    g_prev, w_prev = _ledger_rates(state, params)
-    dissipated = 0.0
-    work = 0.0
-    trace = [energy(state, params, dissipated, work)]
-    snapshots = [state.physical()] if controls.snapshot_every else None
-
+    ledger = _Ledger(state, params, controls, shell)
     outcome = None
-    accepted = rejected = 0
-    dt_lo, dt_hi = math.inf, 0.0
-    # a diverging trial step overflows on its way to the outcome below
+    taken = rejected = 0
+    # a diverging step overflows on its way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
-        while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (accepted < fixed_steps):
+        while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (taken < fixed_steps):
             if adaptive:
                 dt_step = min(dt, t_end - state.t)
                 dt_step = min(dt_step, _stable_step(state.t, dt_step, params, k_top))
@@ -431,47 +556,35 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
                     rejected += 1
                     continue
             else:
-                t_new = t_end if accepted + 1 == fixed_steps else (accepted + 1) * controls.dt0
+                t_new = t_end if taken + 1 == fixed_steps else (taken + 1) * controls.dt0
                 dt_step = t_new - state.t
                 new = step(state, params, dt_step)
                 new.t = t_new
-                if not new.is_finite():
-                    outcome = diverged
-                    break
-            g_new, w_new = _ledger_rates(new, params)
-            dissipated += 0.5 * dt_step * (g_prev + g_new)
-            work += 0.5 * dt_step * (w_prev + w_new)
-            g_prev, w_prev = g_new, w_new
             state = new
-            accepted += 1
-            dt_lo, dt_hi = min(dt_lo, dt_step), max(dt_hi, dt_step)
-            record = energy(state, params, dissipated, work)
-            trace.append(record)
-            if snapshots is not None and accepted % controls.snapshot_every == 0:
-                snapshots.append(state.physical())
-            if record.linf > controls.u_max:
-                outcome = diverged
-                break
-            if shell is not None and record.linf > 0:
-                if float(np.abs(state.u.values[shell]).max()) > 1e-6 * record.linf:
-                    outcome = Outcome.BOUNDARY_CONTAMINATED
+            taken += 1
+            ledger.pending.append((state, dt_step))
+            if len(ledger.pending) == block_rows:
+                outcome = ledger.flush()
+                if outcome is not None:
                     break
+        if outcome is None and ledger.pending:
+            outcome = ledger.flush()
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
-        estimate = _estimate_from_trace(trace, params, controls)
+        estimate = _estimate_from_trace(ledger.trace, params, controls)
     return RunReport(
         outcome=outcome,
-        t_stop=state.t,
-        energy_trace=trace,
+        t_stop=ledger.state.t,
+        energy_trace=ledger.trace,
         estimate=estimate,
-        snapshots=snapshots,
-        final_state=state.physical(),
-        accepted=accepted,
+        snapshots=ledger.snapshots,
+        final_state=ledger.state.physical(),
+        accepted=ledger.accepted,
         rejected=rejected,
-        dt_min=dt_lo if accepted else None,
-        dt_max=dt_hi if accepted else None,
+        dt_min=ledger.dt_lo if ledger.accepted else None,
+        dt_max=ledger.dt_hi if ledger.accepted else None,
     )
 
 

@@ -54,6 +54,7 @@ class SweepConfig:
 
     The box half-width defaults to 4 * (radius + t_end) so compactly
     supported data stays clear of the periodic wrap for the whole horizon.
+    tol = None marches every point with the fixed step dt0, as in Controls.
     """
 
     n_values: tuple = (1,)
@@ -67,7 +68,7 @@ class SweepConfig:
     t_end: float = 50.0
     dt0: float = 1e-2
     dt_min: float = 1e-12
-    tol: float = 1e-6
+    tol: float | None = 1e-6
     u_max: float = 1e8
     fit_points: int = 12
 

@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 
+from dataclasses import replace
+
 import pytest
 
 import blowuplab
 from blowuplab.cli import EXIT_CONFIG, EXIT_USAGE, main
 from blowuplab.grids import load_field_binary
+from blowuplab.sweep import SweepConfig, run_sweep, write_sweep_csv
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +197,32 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert lines[0].startswith("n,p,beta,b0,amplitude,mean_u1")
     assert len(lines) == 3
     assert "SurvivedHorizon" in lines[1]
+
+
+def test_sweep_with_zero_tol_marches_a_fixed_step(tmp_path, capsys):
+    # time.tol = 0 means a fixed step, in sweep as in simulate
+    code, _, _ = run_cli(
+        capsys,
+        "sweep",
+        "--sweep.amplitude", "0.5,4.0",
+        "--grid.points", "64",
+        "--grid.half_width", "8",
+        "--time.t_end", "1.0",
+        "--time.dt0", "0.01",
+        "--time.tol", "0",
+        "--output.dir", str(tmp_path / "sweep"),
+        "--workers", "1",
+    )
+    assert code == 0
+    config = SweepConfig(
+        amplitudes=(0.5, 4.0), points_per_axis=64, half_width=8.0, t_end=1.0,
+        dt0=0.01, tol=None,
+    )
+    write_sweep_csv(run_sweep(config), tmp_path / "fixed.csv")
+    write_sweep_csv(run_sweep(replace(config, tol=1e-6)), tmp_path / "adaptive.csv")
+    written = (tmp_path / "sweep" / "sweep.csv").read_text()
+    assert written == (tmp_path / "fixed.csv").read_text()
+    assert written != (tmp_path / "adaptive.csv").read_text()
 
 
 def test_slopes_subcommand(tmp_path, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -119,6 +122,30 @@ def test_trajectory_reports_divergence_without_a_finite_threshold():
     assert res.diverged
     assert np.all(np.isfinite(res.u)) and np.all(np.isfinite(res.v))
     assert res.t_last < math.sqrt(6.0)
+
+
+def test_trajectory_that_cannot_start_reports_the_initial_state():
+    # |u0|^p overflows, so the integrator fails on its first step
+    t_grid = np.linspace(0.0, 1.0, 5)
+    res = ode_trajectory(OdeProblem(1e200, 0.0, 2.0), t_grid)
+    assert res.diverged
+    assert res.t.tolist() == [0.0]
+    assert res.u.tolist() == [1e200] and res.v.tolist() == [0.0]
+    assert res.t_last == 0.0
+
+
+def test_package_import_leaves_scipy_unloaded():
+    import blowuplab
+
+    src = os.path.dirname(os.path.dirname(blowuplab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    probe = "import sys, blowuplab, blowuplab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_trajectory_grid_validation():

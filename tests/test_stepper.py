@@ -478,3 +478,117 @@ def test_step_statistics_of_a_fixed_run():
     report = simulate(params, zero_init(g), Controls(t_end=1.0, dt0=0.125, tol=None))
     assert (report.accepted, report.rejected) == (8, 0)
     assert report.dt_min == report.dt_max == 0.125
+
+
+def _rows(report):
+    return [
+        (r.t, r.kinetic, r.potential, r.dissipated_cum, r.work_cum, r.linf, r.l2)
+        for r in report.energy_trace
+    ]
+
+
+def _one_row_blocks(monkeypatch):
+    # a budget below one row: every step's ledger is computed on its own, as
+    # a per-step check would
+    monkeypatch.setattr(stepper, "LEDGER_BLOCK_BYTES", 1)
+
+
+def _block_cases():
+    g = Grid(1, 256, 100.0)
+    linear = make_initial_data(
+        constant_field(g, 0.0), bump_data(g, 1.0, 0.0, 5.0), compact_support=True
+    )
+    g1 = Grid(1, 128, 8.0)
+    bumps = make_initial_data(bump_data(g1, 0.5, 0.3, 2.0), bump_data(g1, 1.0, -0.2, 1.5))
+    return [
+        (Params(n=1, p=2.0, beta=1.0, nonlinear=False), linear,
+         Controls(t_end=0.25, dt0=5e-4, tol=None, snapshot_every=7)),
+        (Params(n=1, p=3.0, beta=0.5), bumps,
+         Controls(t_end=0.5, dt0=2e-3, tol=None, snapshot_every=7)),
+    ]
+
+
+@pytest.mark.parametrize("params, init, controls", _block_cases())
+def test_ledger_does_not_depend_on_the_block_size(monkeypatch, tmp_path, params, init, controls):
+    blocked = simulate(params, init, controls)
+    write_energy_csv(blocked, tmp_path / "blocked.csv")
+    _one_row_blocks(monkeypatch)
+    single = simulate(params, init, controls)
+    write_energy_csv(single, tmp_path / "single.csv")
+    assert blocked.outcome is single.outcome is Outcome.COMPLETED_HORIZON
+    assert _rows(blocked) == _rows(single)
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+    assert len(blocked.snapshots) == len(single.snapshots) > 2
+    kept = zip(blocked.snapshots + [blocked.final_state], single.snapshots + [single.final_state])
+    for a, b in kept:
+        assert a.t == b.t
+        assert np.array_equal(a.u.values, b.u.values) and np.array_equal(a.v.values, b.v.values)
+
+
+def _trip_cases():
+    # each run stops inside a block of the default size
+    g = Grid(1, 32, 1.0)
+    flat = make_initial_data(constant_data(g, 1.0), constant_data(g, math.sqrt(2.0 / 3.0)))
+    g_shell = Grid(1, 128, 2.5)
+    spreading = make_initial_data(
+        constant_field(g_shell, 0.0), bump_data(g_shell, 1.0, 0.0, 1.0), compact_support=True
+    )
+    g_wild = Grid(1, 256, 8.0)
+    unstable = make_initial_data(constant_field(g_wild, 0.0), bump_data(g_wild, 1.0))
+    return [
+        ("u_max", Params(n=1, p=2.0, beta=0.0), flat,
+         Controls(t_end=10.0, dt0=1e-3, tol=None, u_max=1e6, boundary_check=False),
+         Outcome.BLOWUP_DETECTED),
+        ("shell", Params(n=1, p=2.0, beta=0.0, nonlinear=False), spreading,
+         Controls(t_end=5.0, dt0=1e-3, tol=None), Outcome.BOUNDARY_CONTAMINATED),
+        ("non-finite", Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False), unstable,
+         Controls(t_end=1000.0, dt0=0.2, tol=None, boundary_check=False, u_max=math.inf,
+                  snapshot_every=7),
+         Outcome.NUMERICAL_INSTABILITY),
+    ]
+
+
+@pytest.mark.parametrize("trip, params, init, controls, outcome", _trip_cases())
+def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, outcome):
+    blocked = simulate(params, init, controls)
+    rows = stepper._block_rows(init.u0.grid)
+    assert blocked.accepted % rows not in (0, rows - 1)
+    _one_row_blocks(monkeypatch)
+    single = simulate(params, init, controls)
+    for report in (blocked, single):
+        assert report.outcome is outcome
+        assert len(report.energy_trace) == report.accepted + 1
+        assert report.t_stop == report.energy_trace[-1].t == report.final_state.t
+    assert blocked.t_stop == single.t_stop and blocked.accepted == single.accepted
+    assert (blocked.dt_min, blocked.dt_max) == (single.dt_min, single.dt_max)
+    assert _rows(blocked) == _rows(single)
+    assert [s.t for s in blocked.snapshots or ()] == [s.t for s in single.snapshots or ()]
+    assert np.array_equal(blocked.final_state.u.values, single.final_state.u.values)
+    assert np.array_equal(blocked.final_state.v.values, single.final_state.v.values)
+    last = blocked.energy_trace[-1]
+    if trip == "u_max":
+        # the tripping row is kept, and it is the first one above u_max
+        assert last.linf > controls.u_max
+        assert max(r.linf for r in blocked.energy_trace[:-1]) <= controls.u_max
+    elif trip == "shell":
+        u = blocked.final_state.u.values
+        shell = stepper.boundary_shell_mask(init.u0.grid)
+        assert np.abs(u[shell]).max() > 1e-6 * last.linf
+    else:
+        # the last finite state is final; the next step is the dropped row
+        assert blocked.final_state.is_finite()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not step(blocked.final_state, params, controls.dt0).is_finite()
+
+
+def test_ledger_of_a_criterion_2_run_matches_energy_of_the_final_state():
+    g = Grid(1, 256, 100.0)
+    init = make_initial_data(
+        constant_field(g, 0.0), bump_data(g, 1.0, 0.0, 5.0), compact_support=True
+    )
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0, nonlinear=False)
+    report = simulate(params, init, Controls(t_end=1.0, dt0=5e-4, tol=None))
+    last = report.energy_trace[-1]
+    again = energy(report.final_state, params, last.dissipated_cum, last.work_cum)
+    for name in ("t", "kinetic", "potential", "linf", "l2"):
+        assert getattr(last, name) == pytest.approx(getattr(again, name), rel=1e-12, abs=0.0)
