@@ -308,16 +308,15 @@ def _ledger_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
-def _ledger_rows(states: list | tuple, params: Params, shell: np.ndarray | None = None) -> dict:
-    """The ledger columns of a block of states, one row per state, in array
-    operations.
+def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tuple:
+    """The ledger of a block of states, computed with array operations.
 
-    Returns t, kinetic, potential, l2, linf, the dissipation rate
-    b int |grad v|^2 and the work rate int |u|^p v, whether each row's
-    coefficients are finite, the sup of |u| on the given shell mask (None
-    without one), and the samples of u, taken from the states when they
-    hold them and else from one stacked inverse transform.  A row's values
-    do not depend on the other rows of the block.
+    Returns one row per state, (t, kinetic, potential, linf, l2, dissipation
+    rate b int |grad v|^2, work rate int |u|^p v, whether the coefficients
+    are finite, sup of |u| on the shell mask or None without one), and the
+    samples of u, taken from the states when they hold them and else from
+    one stacked inverse transform.  A row's values do not depend on the
+    other rows of the block.
     """
     grid = states[0].grid
     rows = len(states)
@@ -332,39 +331,32 @@ def _ledger_rows(states: list | tuple, params: Params, shell: np.ndarray | None 
     products = pairs * pairs
     if params.nonlinear:
         products[:, 2] = pairs[:, 2] * pairs[:, 1]
-    sums = products @ _ledger_weights(grid)
+    sums = (products @ _ledger_weights(grid)).reshape(rows, -1).tolist()
     if all(s._u is not None for s in states):
         samples = np.array([s._u.values for s in states])
     else:
         samples = from_half_spectrum(coeffs[:, 0], grid)
-    b = np.array([damping_coeff(s.t, params) for s in states])
-    half = 0.5 * sums
-    return {
-        "t": [s.t for s in states],
-        "kinetic": half[:, 1, 0],
-        "potential": half[:, 0, 1],
-        "l2": np.sqrt(sums[:, 0, 0]),
-        "linf": np.abs(samples.reshape(rows, -1)).max(axis=1),
-        "dissipation_rate": b * sums[:, 1, 1],
-        "work_rate": sums[:, 2, 0] if params.nonlinear else np.zeros(rows),
-        "finite": np.isfinite(pairs[:, :2]).all(axis=(1, 2)),
-        "shell": None if shell is None else np.abs(samples[:, shell]).max(axis=1),
-        "samples": samples,
-    }
+    linf = np.abs(samples.reshape(rows, -1)).max(axis=1).tolist()
+    finite = np.isfinite(pairs[:, :2]).all(axis=(1, 2)).tolist()
+    if shell is None:
+        shell_sup = [None] * rows
+    else:
+        shell_sup = np.abs(samples[:, shell]).max(axis=1).tolist()
+    table = []
+    # int u^2, int |grad u|^2, int v^2, int |grad v|^2 and, with a source,
+    # int |u|^p v (and its unused |k|^2-weighted twin)
+    for s, (u2, du2, v2, dv2, *fv), top, ok, sup in zip(states, sums, linf, finite, shell_sup):
+        dissipation = damping_coeff(s.t, params) * dv2
+        work = fv[0] if fv else 0.0
+        table.append((s.t, 0.5 * v2, 0.5 * du2, top, math.sqrt(u2), dissipation, work, ok, sup))
+    return table, samples
 
 
 def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
     """Energy-ledger row for one state; the cumulative columns are passed in
     because they belong to the run, not to the snapshot."""
-    return _record(_ledger_rows([state], params), dissipated_cum, work_cum)
-
-
-def _record(row: dict, dissipated_cum: float, work_cum: float) -> EnergyRecord:
-    """The EnergyRecord of a one-row block."""
-    kinetic, potential, linf, l2 = (
-        float(row[name][0]) for name in ("kinetic", "potential", "linf", "l2")
-    )
-    return EnergyRecord(row["t"][0], kinetic, potential, dissipated_cum, work_cum, linf, l2)
+    t, kinetic, potential, linf, l2 = _ledger_rows([state], params)[0][0][:5]
+    return EnergyRecord(t, kinetic, potential, dissipated_cum, work_cum, linf, l2)
 
 
 class _Ledger:
@@ -383,9 +375,9 @@ class _Ledger:
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        row = _ledger_rows([state], params)
-        self.trace = [_record(row, 0.0, 0.0)]
-        self.rates = float(row["dissipation_rate"][0]), float(row["work_rate"][0])
+        t, kinetic, potential, linf, l2, g, w = _ledger_rows([state], params)[0][0][:7]
+        self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
+        self.rates = g, w
         self.state = state
         self.pending = []
         self.accepted = 0
@@ -397,16 +389,14 @@ class _Ledger:
         that trips a monitor, or None when every row passes."""
         states, dts = zip(*self.pending)
         self.pending = []
-        rows = _ledger_rows(states, self.params, self.shell)
-        shell_sup = None if self.shell is None else rows["shell"].tolist()
+        table, samples = _ledger_rows(states, self.params, self.shell)
         u_max, every = self.controls.u_max, self.controls.snapshot_every
         last = self.trace[-1]
         dissipated, work = last.dissipated_cum, last.work_cum
         g_prev, w_prev = self.rates
-        walked = ("kinetic", "potential", "linf", "l2", "dissipation_rate", "work_rate", "finite")
-        columns = zip(rows["t"], dts, *(rows[name].tolist() for name in walked))
         outcome = None
-        for j, (t, dt, kinetic, potential, linf, l2, g, w, finite) in enumerate(columns):
+        for j, (row, dt) in enumerate(zip(table, dts)):
+            t, kinetic, potential, linf, l2, g, w, finite, shell_sup = row
             if not finite:
                 outcome = self.diverged  # the non-finite row is dropped
                 break
@@ -419,12 +409,12 @@ class _Ledger:
             self.state = states[j]
             if every and self.accepted % every == 0:
                 if self.state._u is None:  # a copy, so the snapshot does not keep the block
-                    self.state._u = Field(self.state.grid, rows["samples"][j].copy())
+                    self.state._u = Field(self.state.grid, samples[j].copy())
                 self.snapshots.append(self.state.physical())
             if linf > u_max:
                 outcome = self.diverged
                 break
-            if shell_sup is not None and linf > 0 and shell_sup[j] > 1e-6 * linf:
+            if shell_sup is not None and linf > 0 and shell_sup > 1e-6 * linf:
                 outcome = Outcome.BOUNDARY_CONTAMINATED
                 break
         self.rates = g_prev, w_prev
