@@ -308,6 +308,11 @@ def _ledger_weights(grid: Grid) -> np.ndarray:
     return weights
 
 
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays along a new first axis; a single one is viewed, not copied."""
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.array(arrays)
+
+
 def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tuple:
     """The ledger of a block of states, computed with array operations.
 
@@ -325,19 +330,19 @@ def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tup
         fields = [(s.u_hat, s.v_hat, s.source_hat(params.p)) for s in states]
     else:
         fields = [(s.u_hat, s.v_hat) for s in states]
-    coeffs = np.array(fields, dtype=complex)
-    pairs = coeffs.reshape(rows, len(fields[0]), -1).view(np.float64)
-    # u u, v v and, with a source, F[|u|^p] v, against w and w |k|^2
-    products = pairs * pairs
-    if params.nonlinear:
-        products[:, 2] = pairs[:, 2] * pairs[:, 1]
-    sums = (products @ _ledger_weights(grid)).reshape(rows, -1).tolist()
-    if all(s._u is not None for s in states):
-        samples = np.array([s._u.values for s in states])
-    else:
-        samples = from_half_spectrum(coeffs[:, 0], grid)
-    linf = np.abs(samples.reshape(rows, -1)).max(axis=1).tolist()
+    pairs = np.array(fields, dtype=complex).reshape(rows, len(fields[0]), -1).view(np.float64)
     finite = np.isfinite(pairs[:, :2]).all(axis=(1, 2)).tolist()
+    # F[|u|^p] v, u u and v v in place, so that a large grid holds one copy
+    if params.nonlinear:
+        pairs[:, 2] *= pairs[:, 1]
+    pairs[:, :2] *= pairs[:, :2]
+    sums = (pairs @ _ledger_weights(grid)).reshape(rows, -1).tolist()
+    del pairs  # before the samples are built
+    if all(s._u is not None for s in states):
+        samples = _stack([s._u.values for s in states])
+    else:
+        samples = from_half_spectrum(_stack([s.u_hat for s in states]), grid)
+    linf = np.abs(samples.reshape(rows, -1)).max(axis=1).tolist()
     if shell is None:
         shell_sup = [None] * rows
     else:
