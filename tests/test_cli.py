@@ -249,6 +249,13 @@ def test_scaling_subcommand(capsys):
     assert float(err) < 0.05
 
 
+@pytest.mark.parametrize("lam", ["0.5", "0.75"])
+def test_scaling_rejects_lambda_below_one(capsys, lam):
+    code, _, err = run_cli(capsys, "scaling", "--lambda", lam, "--resolution", "64")
+    assert code == EXIT_CONFIG
+    assert "lambda" in err and "t_end" not in err and "pullback" not in err
+
+
 def test_weakcheck_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "weakcheck", "--points", "256", "--nt", "500", "--T", "4"

@@ -153,3 +153,73 @@ def test_rescaled_damping_factor_restores_invariance():
         finer = invariance_error(params, lam=lam, resolution=256, restart_params=corrected)
         assert fixed < raw / 20.0
         assert finer < 0.8 * fixed
+
+
+def test_invariance_error_rejects_lambda_below_one():
+    params = Params(n=1, p=2.0, beta=-1.0, nonlinear=False)
+    for lam in (0.5, 0.75, float("nan")):
+        with pytest.raises(ValueError, match="lam"):
+            invariance_error(params, lam=lam, resolution=64)
+
+
+def test_invariance_error_rejects_zero_half_width():
+    params = Params(n=1, p=2.0, beta=-1.0, nonlinear=False)
+    with pytest.raises(ValueError, match="half_width"):
+        invariance_error(params, lam=2.0, resolution=64, target_half_width=0.0)
+
+
+def _mode_sum(values, grid, points):
+    # the interpolant as a direct sum over every fftfreq mode, Nyquist included
+    spec = np.fft.fftn(values)
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    kk = np.meshgrid(*([k] * grid.dim), indexing="ij")
+    out = np.empty(len(points))
+    for i, x in enumerate(points):
+        phase = sum(ka * (xa + grid.half_width) for ka, xa in zip(kk, x))
+        out[i] = (spec * np.exp(1j * phase)).sum().real / grid.num_points
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_fourier_sample_matches_mode_sum(dim, n):
+    g = Grid(dim, n, 2.0)
+    rng = np.random.default_rng(7 + dim)
+    f = Field(g, rng.normal(size=g.shape))
+    coords = [rng.uniform(-2.0, 2.0, size=3 + a) for a in range(dim)]
+    sampled = fourier_sample(f, coords)
+    points = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1).reshape(-1, dim)
+    direct = _mode_sum(f.values, g, points).reshape(sampled.shape)
+    assert np.abs(sampled - direct).max() < 1e-12 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("dim,n_src,n_tgt", [(1, 256, 128), (2, 32, 16)])
+def test_rescale_many_times_matches_one_time_calls(dim, n_src, n_tgt):
+    source = Grid(dim, n_src, 4.0)
+    target = Grid(dim, n_tgt, 2.0)
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 4.0, 9)
+    u = [Field(source, rng.normal(size=source.shape)) for _ in times]
+    v = [Field(source, rng.normal(size=source.shape)) for _ in times]
+    traj = Trajectory(times, u, v)
+    mapping = ScaleMap(2.0)
+    targets = [0.1, 0.55, 1.0]
+    together = rescale_trajectory(traj, mapping, target, targets)
+    for j, t in enumerate(targets):
+        alone = rescale_trajectory(traj, mapping, target, [t])
+        for a, b in ((together.u[j], alone.u[0]), (together.v[j], alone.v[0])):
+            assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()
+
+
+def test_criterion_7_values_pinned():
+    # criterion 7's three runs at amplitude 1, as computed by the
+    # per-target-time rescale that preceded the shared evaluation matrix
+    invariant = Params(n=1, p=2.0, beta=-1.0, b0=1.0, nonlinear=False)
+    control = Params(n=1, p=2.0, beta=0.0, b0=1.0, nonlinear=False)
+    pins = [
+        (invariant, 512, 0.00021970369993223779),
+        (invariant, 1024, 0.00010991879471406521),
+        (control, 512, 0.06578662437529889),
+    ]
+    for params, res, expected in pins:
+        err = invariance_error(params, lam=2.0, resolution=res, amplitude=1.0)
+        assert err == pytest.approx(expected, rel=1e-10, abs=0.0)
