@@ -6,90 +6,18 @@ on periodic boxes: pseudo-spectral operators, an IMEX time stepper with an
 energy ledger and finite-time blow-up detection, closed-form critical-exponent
 calculators, weak-form power-law verification, scaling experiments, ODE
 oracles, and reproducible parameter sweeps.
+
+Each module's `__all__` is the list of its public names; all of them are
+re-exported here.
 """
 
 __version__ = "0.1.0"
 
-from .exponents import (
-    Threshold,
-    RegionVerdict,
-    conjugate_exponent,
-    strauss_exponent,
-    kato_threshold,
-    beta_threshold,
-    classify,
-    scaling_d,
-    local_existence_bound,
-)
-from .grids import (
-    Grid,
-    Field,
-    constant_field,
-    laplacian,
-    helmholtz_solve,
-    integrate,
-    grad_sq_integral,
-    gradient,
-    l2_norm,
-    linf_norm,
-    save_field_binary,
-    load_field_binary,
-    save_field_csv,
-)
-from .model import (
-    Params,
-    InitialData,
-    damping_coeff,
-    nonlinearity,
-    bump_data,
-    constant_data,
-    mode_data,
-    make_initial_data,
-)
-from .oracles import (
-    OdeProblem,
-    ode_blowup_time,
-    ode_trajectory,
-    linear_mode_trajectory,
-    blowup_time_from_trajectory,
-)
-from .stepper import (
-    State,
-    EnergyRecord,
-    BlowupEstimate,
-    Outcome,
-    RunReport,
-    Controls,
-    step,
-    simulate,
-    energy,
-    detect_blowup,
-)
-from .weakform import (
-    CutoffSpec,
-    TermBundle,
-    cutoff,
-    cutoff_d1,
-    cutoff_d2,
-    psi_parts,
-    weak_residual,
-    weak_identity_terms,
-    term_bundle,
-    slope_fit,
-    predicted_exponents,
-    measure_term_slopes,
-    manufactured_crosscheck,
-)
-from .scaling import (
-    ScaleKind,
-    ScaleMap,
-    Trajectory,
-    rescale_trajectory,
-    invariance_error,
-)
-from .sweep import (
-    SweepConfig,
-    SweepPoint,
-    run_sweep,
-    write_sweep_csv,
-)
+from .exponents import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .stepper import *  # noqa: F401,F403
+from .weakform import *  # noqa: F401,F403
+from .scaling import *  # noqa: F401,F403
+from .sweep import *  # noqa: F401,F403

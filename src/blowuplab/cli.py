@@ -15,6 +15,8 @@ import time
 from . import __version__
 from .config import (
     ConfigError,
+    _csv_floats,
+    _csv_ints,
     apply_overrides,
     build_controls,
     build_grid,
@@ -23,14 +25,13 @@ from .config import (
     config_hash,
     default_config,
     parse_config_text,
-    split_override_tokens,
 )
 from .exponents import beta_threshold, kato_threshold, strauss_exponent
 from .grids import save_field_binary
 from .model import Params
 from .oracles import OdeProblem, ode_blowup_time
 from .scaling import invariance_error
-from .stepper import ENERGY_CSV_COLUMNS, simulate, write_energy_csv
+from .stepper import simulate, write_energy_csv
 from .sweep import SweepConfig, format_cell, run_sweep, write_sweep_csv
 from .weakform import CutoffSpec, manufactured_crosscheck, measure_term_slopes
 
@@ -45,50 +46,64 @@ commands:
   weakcheck  manufactured-solution weak-form cross-check
   oracle     blow-up time of the space-free reduction (--u0 --v0 --p)
 
-Config keys can be overridden one to one: --model.p 2.5 --time.t_end 10.
+Flags take a value, as --name value or --name=value; --force (simulate,
+sweep) is the only bare flag.  In simulate and sweep, config keys can be
+overridden one to one: --model.p 2.5 --time.t_end 10.  A flag the command
+does not read is a config error.
 """
 
 EXIT_USAGE = 64
 EXIT_CONFIG = 2
 
 
-class _Flags:
-    """Tiny token-pair parser for per-command flags."""
+def _force(raw: str) -> bool:
+    return raw.lower() != "false"
 
-    def __init__(self, tokens):
-        self.values = {}
-        toks = list(tokens)
-        i = 0
-        while i < len(toks):
-            tok = toks[i]
-            if not tok.startswith("--"):
-                raise ConfigError(f"unexpected argument {tok!r}")
-            name = tok[2:]
-            if "=" in name:
-                name, raw = name.split("=", 1)
-                i += 1
-            elif name in ("force", "plots"):
-                raw = "true"
+
+def _parse_flags(tokens, spec, overrides=False):
+    """Walk `--name value`, `--name=value` and the bare `--force`.
+
+    spec maps each flag the command reads to (convert, default); returns the
+    converted flag values and, where `overrides` is set, the dotted config
+    overrides as (key, raw) pairs in command-line order.  Any other name is
+    a ConfigError.
+    """
+    raw, pairs = {}, []
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if not tok.startswith("--"):
+            raise ConfigError(f"unexpected argument {tok!r}")
+        name, eq, value = tok[2:].partition("=")
+        i += 1
+        if not eq:
+            if name == "force":
+                value = "true"
+            elif i < len(tokens):
+                value = tokens[i]
                 i += 1
             else:
-                if i + 1 >= len(toks):
-                    raise ConfigError(f"flag {tok} needs a value")
-                raw = toks[i + 1]
-                i += 2
-            self.values[name] = raw
+                raise ConfigError(f"flag {tok} needs a value")
+        if overrides and "." in name:
+            pairs.append((name, value))
+        elif name in spec:
+            raw[name] = value
+        else:
+            known = ", ".join(f"--{n}" for n in spec)
+            dotted = " and --section.key overrides" if overrides else ""
+            raise ConfigError(f"unknown flag --{name}; this command reads {known}{dotted}")
+    flags = {
+        name: convert(raw[name]) if name in raw else default
+        for name, (convert, default) in spec.items()
+    }
+    return flags, pairs
 
-    def get(self, name, default=None, convert=str):
-        if name not in self.values:
-            return default
-        return convert(self.values[name])
 
-
-def _load_config(argv):
+def _load_config(argv, spec):
     """Config file (if given) plus dotted-key overrides; returns the config
-    and the leftover plain flags."""
-    pairs, rest = split_override_tokens(argv)
-    flags = _Flags(rest)
-    path = flags.get("config")
+    and the command's flags, which are --config plus those of spec."""
+    flags, pairs = _parse_flags(argv, {"config": (str, None), **spec}, overrides=True)
+    path = flags["config"]
     if path:
         try:
             with open(path) as fh:
@@ -126,8 +141,7 @@ def _write_manifest(path: str, cfg_hash: str, wall: float, extra=None) -> None:
 
 
 def cmd_simulate(argv) -> int:
-    cfg, flags = _load_config(argv)
-    force = flags.get("force", False, lambda s: s.lower() != "false")
+    cfg, flags = _load_config(argv, {"force": (_force, False)})
 
     grid = build_grid(cfg)
     params = build_params(cfg)
@@ -135,7 +149,7 @@ def cmd_simulate(argv) -> int:
     controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
-    _prepare_output_dir(out_dir, force)
+    _prepare_output_dir(out_dir, flags["force"])
     t0 = time.monotonic()
     report = simulate(params, init, controls)
     wall = time.monotonic() - t0
@@ -181,9 +195,7 @@ def cmd_simulate(argv) -> int:
 
 
 def cmd_sweep(argv) -> int:
-    cfg, flags = _load_config(argv)
-    force = flags.get("force", False, lambda s: s.lower() != "false")
-    workers = flags.get("workers", 1, int)
+    cfg, flags = _load_config(argv, {"force": (_force, False), "workers": (int, 1)})
 
     sweep_cfg = SweepConfig(
         n_values=cfg["sweep.n"],
@@ -202,9 +214,9 @@ def cmd_sweep(argv) -> int:
         fit_points=cfg["blowup.fit_points"],
     )
     out_dir = cfg["output.dir"]
-    _prepare_output_dir(out_dir, force)
+    _prepare_output_dir(out_dir, flags["force"])
     t0 = time.monotonic()
-    results = run_sweep(sweep_cfg, workers=workers)
+    results = run_sweep(sweep_cfg, workers=flags["workers"])
     wall = time.monotonic() - t0
     write_sweep_csv(results, os.path.join(out_dir, "sweep.csv"))
     if cfg["output.plots"]:
@@ -217,18 +229,21 @@ def cmd_sweep(argv) -> int:
 
 
 def cmd_slopes(argv) -> int:
-    flags = _Flags(argv)
-    p = flags.get("p", 2.0, float)
-    n = flags.get("n", 1, int)
-    beta = flags.get("beta", 0.0, float)
-    d = flags.get("d", 1.0, float)
-    horizons = flags.get("Ts", "8,16,32,64,128,256,512", str)
-    horizons = [float(x) for x in horizons.split(",") if x.strip()]
-    params = Params(n=n, p=p, beta=beta)
-    ell = flags.get("ell", None, int)
-    eta = flags.get("eta", None, int)
-    table = measure_term_slopes(params, d, horizons, ell=ell, eta=eta)
-    out = flags.get("out")
+    flags, _ = _parse_flags(argv, {
+        "p": (float, 2.0),
+        "n": (int, 1),
+        "beta": (float, 0.0),
+        "d": (float, 1.0),
+        "Ts": (_csv_floats, (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)),
+        "ell": (int, None),
+        "eta": (int, None),
+        "out": (str, None),
+    })
+    params = Params(n=flags["n"], p=flags["p"], beta=flags["beta"])
+    table = measure_term_slopes(
+        params, flags["d"], flags["Ts"], ell=flags["ell"], eta=flags["eta"]
+    )
+    out = flags["out"]
     lines = ["term,T,value,fitted_slope,predicted_exponent,abs_error"]
     for name, row in table.items():
         for T, v in zip(row["horizons"], row["values"]):
@@ -244,26 +259,29 @@ def cmd_slopes(argv) -> int:
 
 
 def cmd_scaling(argv) -> int:
-    flags = _Flags(argv)
-    beta = flags.get("beta", -1.0, float)
-    lam = flags.get("lambda", 2.0, float)
-    resolutions = flags.get("resolution", "256", str)
-    resolutions = [int(x) for x in resolutions.split(",") if x.strip()]
-    params = Params(n=1, p=2.0, beta=beta, b0=1.0, nonlinear=False)
+    flags, _ = _parse_flags(argv, {
+        "beta": (float, -1.0),
+        "lambda": (float, 2.0),
+        "resolution": (_csv_ints, (256,)),
+    })
+    lam = flags["lambda"]
+    params = Params(n=1, p=2.0, beta=flags["beta"], b0=1.0, nonlinear=False)
+    # every resolution runs before the header, so rejected input prints nothing
+    errors = [invariance_error(params, lam=lam, resolution=res) for res in flags["resolution"]]
     print("lambda,resolution,error")
-    for res in resolutions:
-        err = invariance_error(params, lam=lam, resolution=res)
+    for res, err in zip(flags["resolution"], errors):
         print(f"{format_cell(lam)},{res},{format_cell(err)}")
     return 0
 
 
 def cmd_exponents(argv) -> int:
-    flags = _Flags(argv)
-    ns = [int(x) for x in flags.get("n", "1,2,3,4,5,6", str).split(",") if x.strip()]
-    betas = [float(x) for x in flags.get("beta", "0", str).split(",") if x.strip()]
+    flags, _ = _parse_flags(argv, {
+        "n": (_csv_ints, (1, 2, 3, 4, 5, 6)),
+        "beta": (_csv_floats, (0.0,)),
+    })
     print("n,beta,kato,strauss,beta_threshold")
-    for n in ns:
-        for beta in betas:
+    for n in flags["n"]:
+        for beta in flags["beta"]:
             kato = float(kato_threshold(n))
             strauss = strauss_exponent(n) if n >= 2 else math.nan
             thr = float(beta_threshold(n, beta))
@@ -274,31 +292,31 @@ def cmd_exponents(argv) -> int:
 def cmd_weakcheck(argv) -> int:
     from .grids import Grid
 
-    flags = _Flags(argv)
-    p = flags.get("p", 2.0, float)
-    beta = flags.get("beta", 0.0, float)
-    b0 = flags.get("b0", 1.0, float)
-    T = flags.get("T", 4.0, float)
-    nt = flags.get("nt", 2000, int)
-    points = flags.get("points", 256, int)
-    half = flags.get("half_width", 2.0 * T, float)
-    params = Params(n=1, p=p, beta=beta, b0=b0)
-    spec = CutoffSpec(
-        ell=flags.get("ell", 6, int), eta=flags.get("eta", 6, int), d=1.0, T=T
-    )
-    grid = Grid(1, points, half)
-    result = manufactured_crosscheck(grid, params, spec, nt)
+    flags, _ = _parse_flags(argv, {
+        "p": (float, 2.0),
+        "beta": (float, 0.0),
+        "b0": (float, 1.0),
+        "T": (float, 4.0),
+        "nt": (int, 2000),
+        "points": (int, 256),
+        "half_width": (float, None),
+        "ell": (int, 6),
+        "eta": (int, 6),
+    })
+    T = flags["T"]
+    half = 2.0 * T if flags["half_width"] is None else flags["half_width"]
+    params = Params(n=1, p=flags["p"], beta=flags["beta"], b0=flags["b0"])
+    spec = CutoffSpec(ell=flags["ell"], eta=flags["eta"], d=1.0, T=T)
+    grid = Grid(1, flags["points"], half)
+    result = manufactured_crosscheck(grid, params, spec, flags["nt"])
     print("weak_residual,strong_form,rel_diff")
     print(",".join(format_cell(result[key]) for key in ("weak", "strong", "rel_diff")))
     return 0
 
 
 def cmd_oracle(argv) -> int:
-    flags = _Flags(argv)
-    u0 = flags.get("u0", 1.0, float)
-    v0 = flags.get("v0", 0.0, float)
-    p = flags.get("p", 2.0, float)
-    t_star = ode_blowup_time(OdeProblem(u0, v0, p))
+    flags, _ = _parse_flags(argv, {"u0": (float, 1.0), "v0": (float, 0.0), "p": (float, 2.0)})
+    t_star = ode_blowup_time(OdeProblem(flags["u0"], flags["v0"], flags["p"]))
     print(f"t_star,{format_cell(t_star)}")
     return 0
 

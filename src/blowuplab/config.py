@@ -25,7 +25,6 @@ __all__ = [
     "SCHEMA",
     "default_config",
     "parse_config_text",
-    "split_override_tokens",
     "apply_overrides",
     "build_grid",
     "build_params",
@@ -154,33 +153,6 @@ def parse_config_text(text: str, where: str = "config") -> RunConfig:
         key, raw = body.split("=", 1)
         _apply(cfg.entries, key.strip(), raw.strip(), f"{where}:{lineno}")
     return cfg.validate()
-
-
-def split_override_tokens(tokens) -> tuple:
-    """Separate --section.key value (or --section.key=value) override pairs
-    from the remaining tokens."""
-    pairs = []
-    rest = []
-    i = 0
-    tokens = list(tokens)
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.startswith("--") and "." in tok:
-            body = tok[2:]
-            if "=" in body:
-                key, raw = body.split("=", 1)
-                i += 1
-            else:
-                key = body
-                if i + 1 >= len(tokens):
-                    raise ConfigError(f"flag {tok} needs a value")
-                raw = tokens[i + 1]
-                i += 2
-            pairs.append((key, raw))
-        else:
-            rest.append(tok)
-            i += 1
-    return pairs, rest
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:

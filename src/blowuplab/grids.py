@@ -2,8 +2,7 @@
 
 The box is [-L, L)^dim sampled on a uniform grid.  Differential operators act
 mode-wise on the discrete Fourier transform, so the Laplacian is exact for
-band-limited fields and the shifted-Laplacian solve (Id - a*Lap) w = rhs is a
-diagonal division.  The rectangle rule is the natural quadrature here and is
+band-limited fields.  The rectangle rule is the natural quadrature here and is
 spectrally accurate for smooth periodic integrands.
 
 Fields are real, so the transforms are numpy's real FFTs (`rfftn`): the last
@@ -25,10 +24,8 @@ __all__ = [
     "Field",
     "constant_field",
     "laplacian",
-    "helmholtz_solve",
     "integrate",
     "grad_sq_integral",
-    "gradient",
     "half_spectrum",
     "from_half_spectrum",
     "half_k_squared",
@@ -38,8 +35,6 @@ __all__ = [
     "boundary_shell_mask",
     "save_field_binary",
     "load_field_binary",
-    "save_field_csv",
-    "load_field_csv",
 ]
 
 _MAGIC = b"BLWP"
@@ -88,12 +83,6 @@ class Grid:
     def radii(self) -> np.ndarray:
         """Euclidean distance from the origin at every grid point."""
         return np.sqrt(sum(c**2 for c in self.coords()))
-
-
-@lru_cache(maxsize=64)
-def _wavenumbers(grid: Grid) -> tuple:
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    return tuple(np.meshgrid(*([k1] * grid.dim), indexing="ij"))
 
 
 @lru_cache(maxsize=64)
@@ -180,25 +169,9 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, from_half_spectrum(-half_k_squared(f.grid) * fhat, f.grid))
 
 
-def helmholtz_solve(rhs: Field, a: float) -> Field:
-    """Solve (Id - a*Lap) w = rhs mode-wise; uniformly invertible for a >= 0."""
-    if a < 0:
-        raise ValueError(f"helmholtz_solve needs a >= 0, got {a}")
-    fhat = half_spectrum(rhs.values, rhs.grid) / (1.0 + a * half_k_squared(rhs.grid))
-    return Field(rhs.grid, from_half_spectrum(fhat, rhs.grid))
-
-
 def integrate(f: Field) -> float:
     """Box integral by the rectangle rule (exact trapezoid on periodic grids)."""
     return float(f.grid.spacing**f.grid.dim * f.values.sum())
-
-
-def gradient(f: Field) -> list:
-    """Spectral gradient, one Field per axis."""
-    fhat = np.fft.fftn(f.values)
-    return [
-        Field(f.grid, np.fft.ifftn(1j * km * fhat).real) for km in _wavenumbers(f.grid)
-    ]
 
 
 def grad_sq_integral(f: Field) -> float:
@@ -256,26 +229,3 @@ def load_field_binary(path) -> Field:
         raise ValueError(f"field file {path} truncated")
     return Field(grid, data.reshape(grid.shape).copy())
 
-
-def save_field_csv(f: Field, path) -> None:
-    """Index coordinates plus value, one grid point per row."""
-    idx = np.indices(f.grid.shape).reshape(f.grid.dim, -1)
-    flat = f.values.reshape(-1)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"i{a}" for a in range(f.grid.dim)) + ",value\n")
-        for j in range(flat.size):
-            front = ",".join(str(idx[a, j]) for a in range(f.grid.dim))
-            fh.write(f"{front},{float(flat[j])!r}\n")
-
-
-def load_field_csv(path, grid: Grid) -> Field:
-    values = np.zeros(grid.shape)
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("i0"):
-            raise ValueError(f"unexpected CSV header in {path}")
-        for line in fh:
-            parts = line.strip().split(",")
-            ij = tuple(int(x) for x in parts[: grid.dim])
-            values[ij] = float(parts[grid.dim])
-    return Field(grid, values)

@@ -1,8 +1,9 @@
-"""Problem definition: damping coefficient, source term, initial data.
+"""Problem definition: parameters, damping coefficient, initial data.
 
-The source is the absolute power |u|^p, not the odd extension sign(u)|u|^p.
-Its pointwise nonnegativity is what drives the mean of u upward and makes the
-positive-mean velocity condition on the data meaningful.
+The source is the absolute power |u|^p (`stepper.State.source_hat`), not the
+odd extension sign(u)|u|^p.  Its pointwise nonnegativity is what drives the
+mean of u upward and makes the positive-mean velocity condition on the data
+meaningful.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ __all__ = [
     "Params",
     "InitialData",
     "damping_coeff",
-    "nonlinearity",
     "bump_data",
     "constant_data",
     "mode_data",
@@ -54,14 +54,6 @@ def damping_coeff(t: float, params: Params) -> float:
     if t < 0:
         raise ValueError(f"damping_coeff needs t >= 0, got {t}")
     return params.b0 * (1.0 + t) ** (-params.beta)
-
-
-def nonlinearity(u: Field, p: float) -> Field:
-    """Pointwise |u|^p.  Nonnegative everywhere; the absolute value is taken
-    first so non-integer p never sees a negative base."""
-    if not p > 1.0:
-        raise ValueError(f"nonlinearity needs p > 1, got {p}")
-    return Field(u.grid, np.abs(u.values) ** p)
 
 
 def bump_data(grid: Grid, amplitude: float, center=0.0, radius: float = 1.0) -> Field:

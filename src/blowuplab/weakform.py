@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exponents import conjugate_exponent
-from .grids import Field, Grid, integrate, laplacian
+from .grids import Field, Grid, laplacian
 from .model import Params, bump_data, damping_coeff
 
 __all__ = [

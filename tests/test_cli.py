@@ -69,6 +69,41 @@ def test_exponents_infinite_thresholds(capsys):
     assert row[4] == "inf"
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("oracle", "--u0", "1", "--vo", "0.8164965809", "--p", "2"), "--vo"),
+        (("exponents", "--n", "1", "--betta", "-2"), "--betta"),
+        (("scaling", "--resolution", "64", "--model.p", "3"), "--model.p"),
+    ],
+    ids=["oracle-vo", "exponents-betta", "scaling-dotted"],
+)
+def test_unread_flag_is_a_config_error(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error") and bad in err
+
+
+def test_simulate_rejects_plots_flag_before_the_run(tmp_path, capsys):
+    # plotting is the config key output.plots; --plots was never read
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(
+        capsys,
+        "simulate",
+        "--init.amplitude", "0",
+        "--time.t_end", "0.2",
+        "--grid.points", "32",
+        "--grid.half_width", "4",
+        "--output.dir", str(out_dir),
+        "--plots",
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "--plots" in err
+    assert not out_dir.exists()
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--u0", "1", "--v0", "0.816496580927726", "--p", "2")
     assert code == 0
@@ -251,8 +286,9 @@ def test_scaling_subcommand(capsys):
 
 @pytest.mark.parametrize("lam", ["0.5", "0.75"])
 def test_scaling_rejects_lambda_below_one(capsys, lam):
-    code, _, err = run_cli(capsys, "scaling", "--lambda", lam, "--resolution", "64")
+    code, out, err = run_cli(capsys, "scaling", "--lambda", lam, "--resolution", "64")
     assert code == EXIT_CONFIG
+    assert out == ""
     assert "lambda" in err and "t_end" not in err and "pullback" not in err
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from blowuplab.cli import _force, _parse_flags
 from blowuplab.config import (
     ConfigError,
     apply_overrides,
@@ -12,7 +13,6 @@ from blowuplab.config import (
     config_hash,
     default_config,
     parse_config_text,
-    split_override_tokens,
 )
 
 SAMPLE = """
@@ -62,11 +62,13 @@ def test_validation_rules():
 
 
 def test_override_tokens():
-    pairs, rest = split_override_tokens(
-        ["--config", "run.cfg", "--model.p", "2.5", "--force", "--time.t_end=3"]
+    flags, pairs = _parse_flags(
+        ["--config", "run.cfg", "--model.p", "2.5", "--force", "--time.t_end=3"],
+        {"config": (str, None), "force": (_force, False)},
+        overrides=True,
     )
     assert pairs == [("model.p", "2.5"), ("time.t_end", "3")]
-    assert rest == ["--config", "run.cfg", "--force"]
+    assert flags == {"config": "run.cfg", "force": True}
     cfg = default_config()
     apply_overrides(cfg, pairs)
     assert cfg["model.p"] == 2.5

@@ -10,15 +10,11 @@ from blowuplab.grids import (
     boundary_shell_mask,
     constant_field,
     grad_sq_integral,
-    gradient,
-    helmholtz_solve,
     integrate,
     laplacian,
     linf_norm,
     load_field_binary,
-    load_field_csv,
     save_field_binary,
-    save_field_csv,
 )
 from blowuplab.model import bump_data
 
@@ -84,42 +80,6 @@ def test_laplacian_integrates_to_zero():
     assert abs(integrate(laplacian(f))) < 1e-10
 
 
-def test_helmholtz_identity_at_zero_coefficient():
-    g = grid1d()
-    f = band_limited_noise(g, seed=3)
-    out = helmholtz_solve(f, 0.0)
-    assert np.abs(out.values - f.values).max() < 1e-12
-
-
-def test_helmholtz_single_mode():
-    g = grid1d()
-    f, k = cosine_mode(g)
-    out = helmholtz_solve(f, 1.0)
-    assert np.abs(out.values - f.values / (1.0 + k * k)).max() < 1e-12
-
-
-def test_helmholtz_preserves_constants():
-    g = grid1d()
-    c = constant_field(g, 2.5)
-    out = helmholtz_solve(c, 17.0)
-    assert np.abs(out.values - 2.5).max() < 1e-12
-
-
-def test_helmholtz_rejects_negative_coefficient():
-    g = grid1d()
-    with pytest.raises(ValueError):
-        helmholtz_solve(constant_field(g, 1.0), -0.1)
-
-
-@pytest.mark.parametrize("a", [0.0, 0.3, 2.0, 50.0])
-def test_helmholtz_residual_on_noise(a):
-    g = grid1d()
-    rhs = band_limited_noise(g, seed=11)
-    w = helmholtz_solve(rhs, a)
-    residual = w.values - a * laplacian(w).values - rhs.values
-    assert np.abs(residual).max() < 1e-10 * linf_norm(rhs)
-
-
 def test_integrate_constant():
     g = grid1d(half=5.0)
     assert integrate(constant_field(g, 1.5)) == pytest.approx(2 * 5.0 * 1.5)
@@ -165,14 +125,6 @@ def test_grad_sq_mode_orthogonality():
     assert total == pytest.approx(grad_sq_integral(f1) + grad_sq_integral(f2), rel=1e-12)
 
 
-def test_grad_sq_matches_gradient_route():
-    g = grid1d()
-    f = band_limited_noise(g, seed=5)
-    direct = grad_sq_integral(f)
-    via_gradient = sum(integrate(Field(g, gf.values**2)) for gf in gradient(f))
-    assert abs(direct - via_gradient) < 1e-10 * max(1.0, direct)
-
-
 def test_grad_sq_2d():
     g = Grid(2, 64, 4.0)
     k = np.pi / g.half_width
@@ -209,14 +161,3 @@ def test_binary_header_magic(tmp_path):
     with pytest.raises(ValueError, match="magic"):
         load_field_binary(path)
 
-
-def test_csv_roundtrip(tmp_path):
-    g = Grid(1, 32, 2.0)
-    rng = np.random.default_rng(9)
-    f = Field(g, rng.normal(size=g.shape))
-    path = tmp_path / "field.csv"
-    save_field_csv(f, path)
-    back = load_field_csv(path, g)
-    assert np.array_equal(back.values, f.values)
-    header = path.read_text().splitlines()[0]
-    assert header == "i0,value"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blowuplab.grids import Field, Grid, integrate, linf_norm
+from blowuplab.grids import Grid, integrate, linf_norm
 from blowuplab.model import (
     InitialData,
     Params,
@@ -10,7 +10,6 @@ from blowuplab.model import (
     damping_coeff,
     make_initial_data,
     mode_data,
-    nonlinearity,
 )
 
 
@@ -41,24 +40,6 @@ def test_damping_coeff_monotonicity():
     assert all(b > 0 for b in dec + grow)
     assert all(a > b for a, b in zip(dec, dec[1:]))
     assert all(a < b for a, b in zip(grow, grow[1:]))
-
-
-def test_nonlinearity_pointwise():
-    g = Grid(1, 32, 1.0)
-    assert np.all(nonlinearity(constant_data(g, 0.0), 2.0).values == 0.0)
-    cubed = nonlinearity(constant_data(g, -2.0), 3.0)
-    assert np.all(cubed.values == 8.0)
-    assert np.all(nonlinearity(constant_data(g, 1.0), 2.7).values == 1.0)
-
-
-def test_nonlinearity_nonnegative_for_any_sign_pattern():
-    g = Grid(1, 64, 1.0)
-    rng = np.random.default_rng(2)
-    f = Field(g, rng.normal(size=g.shape))
-    out = nonlinearity(f, 1.7)
-    assert np.all(out.values >= 0.0)
-    with pytest.raises(ValueError):
-        nonlinearity(f, 1.0)
 
 
 def test_bump_peak_and_support():

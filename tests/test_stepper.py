@@ -47,14 +47,16 @@ def test_zero_state_is_fixed_point():
 
 def test_constant_state_reduces_to_scalar_update():
     g = Grid(1, 64, 4.0)
-    params = Params(n=1, p=3.0, beta=0.5, b0=2.0)
     a, b, dt = -1.3, 0.4, 1e-2
-    out = step(State(0.0, constant_field(g, a), constant_field(g, b)), params, dt)
-    # flat fields kill every Laplacian, including the implicit solve
-    v_expect = b + dt * abs(a) ** 3.0
-    u_expect = a + dt * v_expect
-    assert np.abs(out.v.values - v_expect).max() < 1e-13
-    assert np.abs(out.u.values - u_expect).max() < 1e-13
+    # a negative base: without the absolute value, p = 1.7 would give NaN
+    for p in (3.0, 1.7):
+        params = Params(n=1, p=p, beta=0.5, b0=2.0)
+        out = step(State(0.0, constant_field(g, a), constant_field(g, b)), params, dt)
+        # flat fields kill every Laplacian, including the implicit solve
+        v_expect = b + dt * abs(a) ** p
+        u_expect = a + dt * v_expect
+        assert np.abs(out.v.values - v_expect).max() < 1e-13
+        assert np.abs(out.u.values - u_expect).max() < 1e-13
 
 
 def test_constant_data_stays_spatially_flat():
