@@ -6,6 +6,7 @@ configuration problems exit 2; an unknown subcommand prints usage and exits
 64.  `python -m blowuplab.cli` runs the same entry point as `blwp`.
 """
 
+import itertools
 import json
 import math
 import os
@@ -140,6 +141,20 @@ def _write_manifest(path: str, cfg_hash: str, wall: float, extra=None) -> None:
         fh.write("\n")
 
 
+def _snapshot_writer(snap_dir: str):
+    """A `Controls.on_snapshot` hook that writes the i-th snapshot as
+    u_<i>.blwp and v_<i>.blwp in snap_dir while the run goes on."""
+    os.makedirs(snap_dir, exist_ok=True)
+    count = itertools.count()
+
+    def write(state) -> None:
+        i = next(count)
+        save_field_binary(state.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
+        save_field_binary(state.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
+
+    return write
+
+
 def cmd_simulate(argv) -> int:
     cfg, flags = _load_config(argv, {"force": (_force, False)})
 
@@ -150,6 +165,8 @@ def cmd_simulate(argv) -> int:
 
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
+    if controls.snapshot_every:
+        controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
     t0 = time.monotonic()
     report = simulate(params, init, controls)
     wall = time.monotonic() - t0
@@ -158,12 +175,6 @@ def cmd_simulate(argv) -> int:
     if report.final_state is not None:
         save_field_binary(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
         save_field_binary(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
-    if report.snapshots:
-        snap_dir = os.path.join(out_dir, "snapshots")
-        os.makedirs(snap_dir, exist_ok=True)
-        for i, s in enumerate(report.snapshots):
-            save_field_binary(s.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
-            save_field_binary(s.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(
             {

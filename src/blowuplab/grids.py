@@ -212,7 +212,7 @@ def save_field_binary(f: Field, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
 
 
 def load_field_binary(path) -> Field:

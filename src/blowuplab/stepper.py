@@ -66,9 +66,19 @@ first row that trips one.  A non-finite row is dropped, a row above u_max
 or with a contaminated shell is kept, and later rows are discarded, so the
 outcome, the ledger and the final state are those of checking every step.
 An adaptive run, and `energy`, use blocks of one row.
+
+Snapshots (every `snapshot_every` accepted steps, and the initial state)
+pass through one function, `_Ledger.snapshot`.  Without a hook they are kept
+in `RunReport.snapshots`; with `Controls.on_snapshot` each is handed to the
+hook as the run goes and none is kept, so a run's memory does not grow with
+its history.  The hook's state is short-lived: its u is a view of the ledger
+block's samples, and its v is transformed only if the hook reads it.  Either
+way nothing is cached on the solver's own states, and the final state reuses
+the samples of the last snapshot when that snapshot is of the final state.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -247,6 +257,14 @@ class Controls:
     fails is retried smaller, and dt_min is the floor below which the run
     stops.  boundary_check = None means: monitor the boundary shell exactly
     when the initial data is compactly supported.
+
+    snapshot_every = k keeps the initial state and every k-th accepted
+    state in `RunReport.snapshots`.  With on_snapshot set, each of these
+    states is passed to on_snapshot(state) as soon as the ledger has
+    checked it, in order, and `RunReport.snapshots` is None; the state's u
+    views solver memory, so a hook that keeps a snapshot copies its u.
+    Neither sees a state after one that tripped a monitor, nor a
+    non-finite one.
     """
 
     t_end: float
@@ -259,6 +277,7 @@ class Controls:
     boundary_check: bool | None = None
     cfl: float = 0.5
     growth: float = 1.25
+    on_snapshot: Callable[[State], None] | None = None
 
     def __post_init__(self):
         if not self.t_end > 0:
@@ -275,6 +294,8 @@ class Controls:
             raise ValueError(f"tol must be positive or None, got {self.tol}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive stride or None")
+        if self.on_snapshot is not None and self.snapshot_every is None:
+            raise ValueError("on_snapshot needs a snapshot_every stride")
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -371,7 +392,8 @@ class _Ledger:
     computes them as one block with `_ledger_rows`, then walks the rows in
     order as a per-step check would: it extends the trapezoid sums, records
     the row, its step size and its snapshot, and stops at the first row
-    that trips a monitor.  `state` is the last state kept.
+    that trips a monitor.  `state` is the last state kept.  Every snapshot
+    goes through `snapshot`.
     """
 
     def __init__(self, state: State, params: Params, controls: Controls, shell):
@@ -380,14 +402,20 @@ class _Ledger:
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        t, kinetic, potential, linf, l2, g, w = _ledger_rows([state], params)[0][0][:7]
+        table, samples = _ledger_rows([state], params)
+        t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
         self.state = state
         self.pending = []
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
-        self.snapshots = [state.physical()] if controls.snapshot_every else None
+        self.hook = controls.on_snapshot
+        keep = controls.snapshot_every and self.hook is None
+        self.snapshots = [] if keep else None
+        self.last = None  # the snapshot of `state`, if it has one
+        if controls.snapshot_every:
+            self.snapshot(state, samples[0])
 
     def flush(self) -> "Outcome | None":
         """Compute and check the pending rows; the outcome of the first row
@@ -411,11 +439,9 @@ class _Ledger:
             self.trace.append(EnergyRecord(t, kinetic, potential, dissipated, work, linf, l2))
             self.accepted += 1
             self.dt_lo, self.dt_hi = min(self.dt_lo, dt), max(self.dt_hi, dt)
-            self.state = states[j]
+            self.state, self.last = states[j], None
             if every and self.accepted % every == 0:
-                if self.state._u is None:  # a copy, so the snapshot does not keep the block
-                    self.state._u = Field(self.state.grid, samples[j].copy())
-                self.snapshots.append(self.state.physical())
+                self.snapshot(self.state, samples[j])
             if linf > u_max:
                 outcome = self.diverged
                 break
@@ -424,6 +450,32 @@ class _Ledger:
                 break
         self.rates = g_prev, w_prev
         return outcome
+
+    def snapshot(self, state: State, u_samples: np.ndarray) -> None:
+        """Hand the snapshot of a checked state, whose u samples are
+        u_samples, to the hook, or keep it in the list.  The snapshot is a
+        new state sharing the coefficients, so nothing is cached on the
+        solver's state.  A hook's snapshot builds v only if the hook reads
+        it; a kept one holds samples only and owns its u, so that it does
+        not keep the ledger block alive."""
+        snap = State.from_spectrum(state.t, state.grid, state._u_hat, state._v_hat)
+        snap._u, snap._v = state._u, state._v
+        if snap._u is None:
+            snap._u = Field(state.grid, u_samples if self.hook else u_samples.copy())
+        self.last = snap
+        if self.hook:
+            self.hook(snap)
+        else:
+            self.snapshots.append(snap.physical())
+
+    def final_state(self) -> State:
+        """The last state kept, holding samples only; those of its snapshot
+        are reused when it has one."""
+        if self.last is None:
+            return self.state.physical()
+        u, v = self.last.u, self.last.v
+        # a hook's u views the ledger block
+        return State(self.state.t, u.copy() if self.hook else u, v)
 
 
 SUBSTEPS = (1, 2, 3)
@@ -575,7 +627,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         energy_trace=ledger.trace,
         estimate=estimate,
         snapshots=ledger.snapshots,
-        final_state=ledger.state.physical(),
+        final_state=ledger.final_state(),
         accepted=ledger.accepted,
         rejected=rejected,
         dt_min=ledger.dt_lo if ledger.accepted else None,

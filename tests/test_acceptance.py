@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from blowuplab.exponents import (
     beta_threshold,
@@ -17,7 +16,7 @@ from blowuplab.exponents import (
     strauss_exponent,
 )
 from blowuplab.grids import Field, Grid, constant_field
-from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
+from blowuplab.model import Params, bump_data, constant_data, make_initial_data
 from blowuplab.oracles import linear_mode_trajectory
 from blowuplab.stepper import Controls, Outcome, State, simulate, step
 from blowuplab.sweep import SweepConfig, run_sweep

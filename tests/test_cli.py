@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from dataclasses import replace
 
@@ -10,7 +11,16 @@ import pytest
 
 import blowuplab
 from blowuplab.cli import EXIT_CONFIG, EXIT_USAGE, main
-from blowuplab.grids import load_field_binary
+from blowuplab.config import (
+    apply_overrides,
+    build_controls,
+    build_grid,
+    build_initial_data,
+    build_params,
+    default_config,
+)
+from blowuplab.grids import load_field_binary, save_field_binary
+from blowuplab.stepper import simulate
 from blowuplab.sweep import SweepConfig, run_sweep, write_sweep_csv
 
 
@@ -321,3 +331,41 @@ def test_simulate_writes_snapshots(tmp_path, capsys):
     assert "u_000000.blwp" in snaps and "v_000000.blwp" in snaps
     u0 = load_field_binary(out_dir / "snapshots" / "u_000000.blwp")
     assert u0.values.max() == pytest.approx(0.0)  # bump rides on u1 by default
+
+    # the files written as the run goes are those of the kept snapshots
+    cfg = default_config()
+    apply_overrides(cfg, [
+        ("init.amplitude", "0.5"), ("time.t_end", "0.2"), ("time.tol", "0"),
+        ("time.dt0", "0.01"), ("grid.points", "256"), ("grid.half_width", "8"),
+        ("output.every", "5"),
+    ])
+    grid = build_grid(cfg)
+    report = simulate(build_params(cfg), build_initial_data(cfg, grid), build_controls(cfg))
+    assert len(snaps) == 2 * len(report.snapshots) == 2 * 5
+    kept = tmp_path / "kept.blwp"
+    for i, state in enumerate(report.snapshots):
+        for name, field in (("u", state.u), ("v", state.v)):
+            save_field_binary(field, kept)
+            streamed = out_dir / "snapshots" / f"{name}_{i:06d}.blwp"
+            assert streamed.read_bytes() == kept.read_bytes()
+    save_field_binary(report.final_state.v, kept)
+    assert (out_dir / "final_v.blwp").read_bytes() == kept.read_bytes()
+
+
+def test_simulate_does_not_hold_its_snapshots(tmp_path, capsys):
+    # 32^3 with a snapshot every step: the 41 (u, v) pairs take 20.5 MiB
+    argv = [
+        "simulate", "--grid.dim", "3", "--grid.points", "32", "--grid.half_width", "8",
+        "--model.nonlinear", "false", "--init.kind", "mode", "--time.tol", "0",
+        "--time.dt0", "0.025", "--time.t_end", "1", "--output.every", "1",
+        "--output.dir", str(tmp_path / "run"),
+    ]
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(os.listdir(tmp_path / "run" / "snapshots")) == 2 * 41
+    assert peak < 8 * 2**20

@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from blowuplab.cli import _force, _parse_flags

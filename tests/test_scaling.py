@@ -1,10 +1,10 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blowuplab.grids import Field, Grid, laplacian, linf_norm
-from blowuplab.model import Params
+from blowuplab.grids import Field, Grid, l2_norm, laplacian
+from blowuplab.model import Params, bump_data, make_initial_data
 from blowuplab.scaling import (
     ScaleKind,
     ScaleMap,
@@ -13,6 +13,7 @@ from blowuplab.scaling import (
     invariance_error,
     rescale_trajectory,
 )
+from blowuplab.stepper import Controls, simulate
 
 
 def test_scale_map_pullback():
@@ -223,3 +224,52 @@ def test_criterion_7_values_pinned():
     for params, res, expected in pins:
         err = invariance_error(params, lam=2.0, resolution=res, amplitude=1.0)
         assert err == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+def _invariance_error_from_every_step(params, lam, resolution):
+    """invariance_error's two routes at its defaults, with the source run
+    keeping every step in its report."""
+    mapping = ScaleMap.for_beta(lam, params.beta)
+    target = Grid(params.n, resolution, 8.0)
+    n_src = resolution
+    while n_src < lam * resolution:
+        n_src *= 2
+    src = Grid(params.n, n_src, lam * 8.0)
+    init = make_initial_data(
+        Field(src, np.zeros(src.shape)), bump_data(src, 1.0, radius=1.0), compact_support=True
+    )
+    t_src = mapping.pullback_time(1.0) * (1 + 1e-9)
+    controls = Controls(
+        t_end=t_src, dt0=0.1 * src.spacing, tol=None, snapshot_every=1, boundary_check=False
+    )
+    source = Trajectory.from_report(simulate(params, init, controls))
+    rescaled = rescale_trajectory(source, mapping, target, [0.0, 1.0])
+    restart = make_initial_data(rescaled.u[0], rescaled.v[0], compact_support=True)
+    controls = Controls(t_end=1.0, dt0=0.1 * target.spacing, tol=None, boundary_check=False)
+    evolved = simulate(params, restart, controls).final_state.u
+    a = rescaled.u[1]
+    return l2_norm(Field(target, a.values - evolved.values)) / l2_norm(a)
+
+
+@pytest.mark.parametrize("dim, resolution", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("beta", [-1.0, 0.0])
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 4.0])
+def test_invariance_error_matches_the_whole_source_trajectory(dim, resolution, beta, lam):
+    # the source run keeps only the snapshots near its two pullback times;
+    # every cubic stencil it reads must be the one the whole run gives
+    params = Params(n=dim, p=2.0, beta=beta, b0=1.0, nonlinear=False)
+    expected = _invariance_error_from_every_step(params, lam, resolution)
+    assert invariance_error(params, lam=lam, resolution=resolution) == expected
+
+
+def test_invariance_error_memory_does_not_grow_with_the_source_run():
+    # a source run of 1,921 steps on 2,048 points: its whole history of
+    # (u, v) pairs alone would take 60 MiB
+    params = Params(n=1, p=2.0, beta=-1.0, b0=1.0, nonlinear=False)
+    tracemalloc.start()
+    try:
+        invariance_error(params, lam=2.0, resolution=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,8 @@ def test_controls_validation():
         Controls(t_end=0.0)
     with pytest.raises(ValueError):
         Controls(t_end=1.0, tol=0.0)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        Controls(t_end=1.0, on_snapshot=print)
 
 
 def test_exit_codes():
@@ -539,10 +542,13 @@ def _trip_cases():
     unstable = make_initial_data(constant_field(g_wild, 0.0), bump_data(g_wild, 1.0))
     return [
         ("u_max", Params(n=1, p=2.0, beta=0.0), flat,
-         Controls(t_end=10.0, dt0=1e-3, tol=None, u_max=1e6, boundary_check=False),
+         Controls(t_end=10.0, dt0=1e-3, tol=None, u_max=1e6, boundary_check=False,
+                  snapshot_every=100),
          Outcome.BLOWUP_DETECTED),
+        # a stride of one snapshots the tripping row
         ("shell", Params(n=1, p=2.0, beta=0.0, nonlinear=False), spreading,
-         Controls(t_end=5.0, dt0=1e-3, tol=None), Outcome.BOUNDARY_CONTAMINATED),
+         Controls(t_end=5.0, dt0=1e-3, tol=None, snapshot_every=1),
+         Outcome.BOUNDARY_CONTAMINATED),
         ("non-finite", Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False), unstable,
          Controls(t_end=1000.0, dt0=0.2, tol=None, boundary_check=False, u_max=math.inf,
                   snapshot_every=7),
@@ -555,6 +561,11 @@ def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, 
     blocked = simulate(params, init, controls)
     rows = stepper._block_rows(init.u0.grid)
     assert blocked.accepted % rows not in (0, rows - 1)
+    streamed, seen = _streamed_run(params, init, controls)
+    _assert_same_run(streamed, blocked)
+    _assert_same_snapshots(seen, blocked.snapshots)
+    if controls.snapshot_every == 1:
+        assert seen[-1].t == blocked.t_stop  # the tripping row, and none after it
     _one_row_blocks(monkeypatch)
     single = simulate(params, init, controls)
     for report in (blocked, single):
@@ -581,6 +592,42 @@ def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, 
         assert blocked.final_state.is_finite()
         with np.errstate(over="ignore", invalid="ignore"):
             assert not step(blocked.final_state, params, controls.dt0).is_finite()
+
+
+def _streamed_run(params, init, controls):
+    """A run whose snapshots go to a hook, and the snapshots it was given."""
+    seen = []
+    report = simulate(params, init, replace(controls, on_snapshot=seen.append))
+    assert report.snapshots is None
+    return report, seen
+
+
+def _assert_same_run(a, b):
+    assert (a.outcome, a.t_stop, a.accepted, a.rejected) == (b.outcome, b.t_stop, b.accepted, b.rejected)
+    assert _rows(a) == _rows(b)
+    _assert_same_snapshots([a.final_state], [b.final_state])
+
+
+def _assert_same_snapshots(seen, kept):
+    assert len(seen) == len(kept)
+    for a, b in zip(seen, kept):
+        assert a.t == b.t
+        assert a.u.values.tobytes() == b.u.values.tobytes()
+        assert a.v.values.tobytes() == b.v.values.tobytes()
+
+
+def test_on_snapshot_hook_sees_the_snapshots_of_an_adaptive_run():
+    g = Grid(1, 64, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
+    init = make_initial_data(bump_data(g, 2.0, 0.0, 2.0), bump_data(g, 1.0, 0.5, 1.5))
+    controls = Controls(t_end=10.0, dt0=1e-2, tol=1e-6, u_max=1e5, snapshot_every=3)
+    kept = simulate(params, init, controls)
+    assert kept.outcome is Outcome.BLOWUP_DETECTED and kept.rejected > 0
+    assert len(kept.snapshots) > 10
+    streamed, seen = _streamed_run(params, init, controls)
+    _assert_same_run(streamed, kept)
+    _assert_same_snapshots(seen, kept.snapshots)
+    assert seen[0].t == 0.0
 
 
 def test_ledger_of_a_criterion_2_run_matches_energy_of_the_final_state():
