@@ -12,10 +12,21 @@ rescale versus rescale the state then evolve, compared in relative L2 at a
 common time.  In the invariant case the discrepancy is pure discretization
 error and shrinks at first order with the step size.
 
-Rescaling is one pass: `rescale_trajectory` builds one Fourier evaluation
-matrix and sends every target time's u and v through it together.  So
-`invariance_error` rescales its source run once, for both routes, and it
-keeps only the source snapshots near the two times it pulls back to.
+Rescaling is one pass: `rescale_trajectory` sends every target time's u and
+v through the same Fourier evaluation together.  So `invariance_error`
+rescales its source run once, for both routes, and it keeps only the source
+snapshots near the two times it pulls back to.
+
+The evaluation matrix of an axis has one row per target coordinate and one
+column per source mode, so at 1024 target points on 2048 source points it
+would take 32 MiB.  `_sample_stack` builds and applies it a chunk of rows at
+a time, about EVAL_CHUNK_BYTES each, and no target row needs another.  The
+chunk is a fixed constant: BLAS blocks a product by its shape, so another
+chunk size moves the samples by rounding (about 1e-12 relative), and a
+fixed one keeps reruns byte-identical.  The matrix keeps the full spectrum
+rather than the n/2 + 1 non-negative frequencies: that half is exact only in
+1-D, because in 2-D and 3-D the Nyquist rows of the other axes have no
+conjugate partner at off-grid points.
 """
 
 from dataclasses import dataclass
@@ -35,6 +46,9 @@ __all__ = [
     "rescale_trajectory",
     "invariance_error",
 ]
+
+# bytes of one row chunk of an evaluation matrix; see _sample_stack
+EVAL_CHUNK_BYTES = 2**21
 
 
 class ScaleKind(Enum):
@@ -109,18 +123,26 @@ def _axis_eval_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _sample_stack(grid: Grid, values: np.ndarray, mats) -> np.ndarray:
+def _sample_stack(grid: Grid, values: np.ndarray, coords) -> np.ndarray:
     """Interpolants of the fields stacked on the leading axes of `values`,
-    through one evaluation matrix per spatial axis.  Each field meets the
-    BLAS product a one-field call makes, so stacking changes no sample.  The
-    full spectrum is kept: in 2-D and 3-D the real interpolant's Nyquist
-    terms do not factor across axes."""
+    on the tensor grid of the per-axis target coordinates `coords`.  Each
+    axis's evaluation matrix is built and applied EVAL_CHUNK_BYTES of rows
+    at a time (64 rows at 2048 source points), and each field meets the
+    BLAS product a one-field call makes.  The matrix keeps the full
+    spectrum: a half spectrum is exact only in 1-D (see the module
+    docstring)."""
     lead = values.ndim - grid.dim
     out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim)))
-    for axis, mat in enumerate(mats, start=lead):
+    rows = max(1, EVAL_CHUNK_BYTES // (16 * grid.points_per_axis))
+    for axis, targets in enumerate(coords, start=lead):
         moved = np.moveaxis(out, axis, lead)
-        prod = np.matmul(mat, moved.reshape(moved.shape[: lead + 1] + (-1,)))
-        prod = prod.reshape(moved.shape[:lead] + (len(mat),) + moved.shape[lead + 1 :])
+        flat = moved.reshape(moved.shape[: lead + 1] + (-1,))
+        chunks = [
+            np.matmul(_axis_eval_matrix(grid, targets[i : i + rows]), flat)
+            for i in range(0, len(targets) or 1, rows)
+        ]
+        prod = np.concatenate(chunks, axis=lead)
+        prod = prod.reshape(moved.shape[:lead] + (len(targets),) + moved.shape[lead + 1 :])
         out = np.moveaxis(prod, lead, axis)
     return out.real / grid.num_points
 
@@ -131,8 +153,7 @@ def fourier_sample(field: Field, axes_coords) -> np.ndarray:
     grid = field.grid
     if len(axes_coords) != grid.dim:
         raise ValueError(f"need {grid.dim} coordinate arrays")
-    mats = [_axis_eval_matrix(grid, np.asarray(c, dtype=float)) for c in axes_coords]
-    return _sample_stack(grid, field.values, mats)
+    return _sample_stack(grid, field.values, [np.asarray(c, dtype=float) for c in axes_coords])
 
 
 def _time_interp(times: np.ndarray, snaps: list, s: float):
@@ -162,7 +183,7 @@ def rescale_trajectory(
     Space uses spectral interpolation, time a cubic stencil.  The chain rule
     multiplies the stored velocity by the time stretch factor.  The scaled
     target box lam*[-L, L) must sit inside the source box.  All target times
-    share one evaluation matrix.
+    go through one evaluation together.
     """
     lam = mapping.lam
     src = traj.grid
@@ -173,9 +194,7 @@ def rescale_trajectory(
     times = np.asarray(target_times, dtype=float)
     pulled = [mapping.pullback_time(t) for t in times]
     stack = np.stack([_time_interp(traj.times, fs, s) for fs in (traj.u, traj.v) for s in pulled])
-    # every axis samples the same coordinates, so one matrix serves them all
-    mat = _axis_eval_matrix(src, lam * target_grid.axis())
-    sampled = _sample_stack(src, stack, [mat] * src.dim)
+    sampled = _sample_stack(src, stack, [lam * target_grid.axis()] * src.dim)
     us = [Field(target_grid, a) for a in sampled[: len(times)]]
     vs = [Field(target_grid, mapping.time_factor * a) for a in sampled[len(times) :]]
     return Trajectory(times, us, vs)

@@ -55,14 +55,16 @@ are Parseval sums on the coefficients, and the cumulative terms use the
 trapezoid rule over accepted steps only.
 
 The ledger is columnar.  `_ledger_rows` computes the rows of a block of
-states with array operations: the quadratic sums row by row, finiteness,
-and the sup norm and boundary shell from one stacked inverse transform, or
-from the samples the states already hold (a nonlinear state builds them for
-its source, an adaptive one for its error estimate).  A fixed-step run
-keeps its new states until a block of about LEDGER_BLOCK_BYTES is full, or
-the run ends, and then computes the block; the rows are walked in order to
-extend the trapezoid sums and check the monitors, and the run ends at the
-first row that trips one.  A non-finite row is dropped, a row above u_max
+states with array operations: the quadratic sums row by row, finiteness
+from those sums, and the sup norm and boundary shell from one stacked
+inverse transform, or from the samples the states already hold (a nonlinear
+state builds them for its source, an adaptive one for its error estimate).
+A fixed-step run keeps its new states until a block of about
+LEDGER_BLOCK_BYTES is full, or the run ends, and then computes the block;
+a nonlinear run computes it at once when the samples a state built for its
+source pass u_max or are not finite, so that no step is taken past a trip.
+The rows are walked in order to extend the trapezoid sums and check the
+monitors, and the run ends at the first row that trips one.  A non-finite row is dropped, a row above u_max
 or with a contaminated shell is kept, and later rows are discarded, so the
 outcome, the ledger and the final state are those of checking every step.
 An adaptive run, and `energy`, use blocks of one row.
@@ -304,11 +306,16 @@ def step(state: State, params: Params, dt: float) -> State:
         raise ValueError(f"dt must be positive, got {dt}")
     k2 = half_k_squared(state.grid)
     b = damping_coeff(state.t + dt, params)
-    rhs = state.v_hat - dt * k2 * state.u_hat
+    # in place, so that a step holds at most two new arrays of the
+    # coefficients' size at once; v - x, not v + (-x), keeps signed zeros
+    v_hat = (dt * k2) * state.u_hat
+    np.subtract(state.v_hat, v_hat, out=v_hat)
     if params.nonlinear:
-        rhs += dt * state.source_hat(params.p)
-    v_hat = rhs / (1.0 + (dt * b) * k2)
-    return State.from_spectrum(state.t + dt, state.grid, state.u_hat + dt * v_hat, v_hat)
+        v_hat += dt * state.source_hat(params.p)
+    v_hat /= 1.0 + (dt * b) * k2
+    u_hat = dt * v_hat
+    u_hat += state.u_hat
+    return State.from_spectrum(state.t + dt, state.grid, u_hat, v_hat)
 
 
 def _block_rows(grid: Grid) -> int:
@@ -327,6 +334,12 @@ def _ledger_weights(grid: Grid) -> np.ndarray:
     weights = np.repeat(np.stack((w, w * half_k_squared(grid).ravel()), axis=1), 2, axis=0)
     weights.flags.writeable = False
     return weights
+
+
+def _sup(x: np.ndarray) -> np.ndarray:
+    """max |x| along the last axis, without a temporary |x|; the abs turns
+    the -0.0 of an all-zero row into 0.0."""
+    return np.abs(np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -352,7 +365,6 @@ def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tup
     else:
         fields = [(s.u_hat, s.v_hat) for s in states]
     pairs = np.array(fields, dtype=complex).reshape(rows, len(fields[0]), -1).view(np.float64)
-    finite = np.isfinite(pairs[:, :2]).all(axis=(1, 2)).tolist()
     # F[|u|^p] v, u u and v v in place, so that a large grid holds one copy
     if params.nonlinear:
         pairs[:, 2] *= pairs[:, 1]
@@ -363,15 +375,20 @@ def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tup
         samples = _stack([s._u.values for s in states])
     else:
         samples = from_half_spectrum(_stack([s.u_hat for s in states]), grid)
-    linf = np.abs(samples.reshape(rows, -1)).max(axis=1).tolist()
+    linf = _sup(samples.reshape(rows, -1)).tolist()
     if shell is None:
         shell_sup = [None] * rows
     else:
-        shell_sup = np.abs(samples[:, shell]).max(axis=1).tolist()
+        shell_sup = _sup(samples[:, shell]).tolist()
     table = []
     # int u^2, int |grad u|^2, int v^2, int |grad v|^2 and, with a source,
     # int |u|^p v (and its unused |k|^2-weighted twin)
-    for s, (u2, du2, v2, dv2, *fv), top, ok, sup in zip(states, sums, linf, finite, shell_sup):
+    for s, (u2, du2, v2, dv2, *fv), top, sup in zip(states, sums, linf, shell_sup):
+        # the weights of u2 and v2 are positive, so a non-finite coefficient
+        # makes its sum non-finite; a finite one can overflow its square
+        ok = math.isfinite(u2 + v2) or bool(
+            np.isfinite(s.u_hat).all() and np.isfinite(s.v_hat).all()
+        )
         dissipation = damping_coeff(s.t, params) * dv2
         work = fv[0] if fv else 0.0
         table.append((s.t, 0.5 * v2, 0.5 * du2, top, math.sqrt(u2), dissipation, work, ok, sup))
@@ -605,6 +622,13 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
             else:
                 t_new = t_end if taken + 1 == fixed_steps else (taken + 1) * controls.dt0
                 dt_step = t_new - state.t
+                # a nonlinear state builds its samples for the source; when
+                # they pass u_max, or are not finite, the block ends here
+                sup = _sup(state.u.values.ravel()) if params.nonlinear and ledger.pending else 0.0
+                if not sup <= controls.u_max:
+                    outcome = ledger.flush()
+                    if outcome is not None:
+                        break
                 new = step(state, params, dt_step)
                 new.t = t_new
             state = new

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blowuplab import scaling
 from blowuplab.grids import Field, Grid, l2_norm, laplacian
 from blowuplab.model import Params, bump_data, make_initial_data
 from blowuplab.scaling import (
@@ -211,6 +212,34 @@ def test_rescale_many_times_matches_one_time_calls(dim, n_src, n_tgt):
             assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()
 
 
+@pytest.mark.parametrize("dim,n", [(1, 2048), (2, 16)])
+def test_fourier_sample_does_not_depend_on_the_chunk(monkeypatch, dim, n):
+    g = Grid(dim, n, 2.0)
+    rng = np.random.default_rng(5 + dim)
+    f = Field(g, rng.normal(size=g.shape))
+    coords = [rng.uniform(-2.0, 2.0, size=100 + a) for a in range(dim)]
+    whole = fourier_sample(f, coords)
+    monkeypatch.setattr(scaling, "EVAL_CHUNK_BYTES", 1)  # one row per chunk
+    rows = fourier_sample(f, coords)
+    assert np.abs(rows - whole).max() <= 1e-11 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("dim,n_src,n_tgt", [(1, 2048, 1024), (2, 32, 16)])
+def test_rescale_does_not_depend_on_the_chunk(monkeypatch, dim, n_src, n_tgt):
+    source = Grid(dim, n_src, 4.0)
+    target = Grid(dim, n_tgt, 2.0)
+    rng = np.random.default_rng(13)
+    times = np.linspace(0.0, 4.0, 5)
+    u = [Field(source, rng.normal(size=source.shape)) for _ in times]
+    v = [Field(source, rng.normal(size=source.shape)) for _ in times]
+    traj = Trajectory(times, u, v)
+    whole = rescale_trajectory(traj, ScaleMap(2.0), target, [0.1, 0.55])
+    monkeypatch.setattr(scaling, "EVAL_CHUNK_BYTES", 1)
+    rows = rescale_trajectory(traj, ScaleMap(2.0), target, [0.1, 0.55])
+    for a, b in zip(rows.u + rows.v, whole.u + whole.v):
+        assert np.abs(a.values - b.values).max() <= 1e-11 * np.abs(b.values).max()
+
+
 def test_criterion_7_values_pinned():
     # criterion 7's three runs at amplitude 1, as computed by the
     # per-target-time rescale that preceded the shared evaluation matrix
@@ -264,7 +293,8 @@ def test_invariance_error_matches_the_whole_source_trajectory(dim, resolution, b
 
 def test_invariance_error_memory_does_not_grow_with_the_source_run():
     # a source run of 1,921 steps on 2,048 points: its whole history of
-    # (u, v) pairs alone would take 60 MiB
+    # (u, v) pairs alone would take 60 MiB, and the whole evaluation matrix
+    # of the rescale 32 MiB
     params = Params(n=1, p=2.0, beta=-1.0, b0=1.0, nonlinear=False)
     tracemalloc.start()
     try:
@@ -272,4 +302,4 @@ def test_invariance_error_memory_does_not_grow_with_the_source_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -366,6 +367,21 @@ def test_fixed_mode_calls_step_once_per_step(monkeypatch):
     assert len(calls) == len(report.energy_trace) - 1 == 100
 
 
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_a_step_holds_two_new_coefficient_arrays(nonlinear):
+    g = Grid(3, 32, 6.0)
+    params = Params(n=3, p=2.0, beta=0.0, nonlinear=nonlinear)
+    state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    step(state, params, 1e-2)  # the state's coefficients, its source and the k^2 cache
+    tracemalloc.start()
+    try:
+        step(state, params, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * state.u_hat.nbytes
+
+
 def _rejecting_case():
     # constant data does not see the box, so a wide box lifts the CFL cap
     # above dt0, and the first attempts fail the tight tolerance
@@ -558,7 +574,9 @@ def _trip_cases():
 
 @pytest.mark.parametrize("trip, params, init, controls, outcome", _trip_cases())
 def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, outcome):
+    calls = _count_step_calls(monkeypatch)
     blocked = simulate(params, init, controls)
+    taken = len(calls)
     rows = stepper._block_rows(init.u0.grid)
     assert blocked.accepted % rows not in (0, rows - 1)
     streamed, seen = _streamed_run(params, init, controls)
@@ -583,6 +601,8 @@ def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, 
         # the tripping row is kept, and it is the first one above u_max
         assert last.linf > controls.u_max
         assert max(r.linf for r in blocked.energy_trace[:-1]) <= controls.u_max
+        # the state's samples, built for its source, end the block at once
+        assert taken <= blocked.accepted + 1
     elif trip == "shell":
         u = blocked.final_state.u.values
         shell = stepper.boundary_shell_mask(init.u0.grid)
