@@ -230,6 +230,9 @@ def cmd_sweep(argv) -> int:
     results = run_sweep(sweep_cfg, workers=flags["workers"])
     wall = time.monotonic() - t0
     write_sweep_csv(results, os.path.join(out_dir, "sweep.csv"))
+    for r in (r for r in results if r.error is not None):
+        point = (r.n, r.p, r.beta, r.b0, r.amplitude)
+        sys.stderr.write(f"sweep point (n, p, beta, b0, amplitude) = {point}: {r.error}\n")
     if cfg["output.plots"]:
         from .plotting import plot_sweep
 

@@ -121,6 +121,10 @@ class RunConfig:
             raise ConfigError(
                 f"time.dt0 = {self['time.dt0']} is below time.dt_min = {self['time.dt_min']}"
             )
+        if self["blowup.fit_points"] < 2:
+            raise ConfigError(
+                f"blowup.fit_points must be at least 2, got {self['blowup.fit_points']}"
+            )
         if self["time.tol"] < 0:
             raise ConfigError("time.tol must be >= 0 (0 disables the step control)")
         return self

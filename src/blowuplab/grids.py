@@ -117,8 +117,9 @@ def _grid_axes(a: np.ndarray, grid: Grid) -> tuple:
     return tuple(range(a.ndim - grid.dim, a.ndim))
 
 
-def half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real-FFT coefficients (numpy.fft.rfftn) of samples on the grid.
+def half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Real-FFT coefficients (numpy.fft.rfftn) of samples on the grid,
+    written to out when it is given.
 
     The grid's axes are the trailing grid.dim axes of values; leading axes
     stack independent fields, which are transformed in one call.
@@ -126,16 +127,17 @@ def half_spectrum(values: np.ndarray, grid: Grid) -> np.ndarray:
     if grid.dim == 1:
         # the same coefficients as rfftn, without the n-D wrapper's per-call
         # axis handling, which at N = 256 costs as much as the transform
-        return np.fft.rfft(values)
-    return np.fft.rfftn(values, axes=_grid_axes(values, grid))
+        return np.fft.rfft(values, out=out)
+    return np.fft.rfftn(values, axes=_grid_axes(values, grid), out=out)
 
 
-def from_half_spectrum(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Samples on the grid from `half_spectrum` coefficients (irfftn); leading
-    axes stack independent fields as in `half_spectrum`."""
+def from_half_spectrum(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples on the grid from `half_spectrum` coefficients (irfftn), written
+    to out when it is given; leading axes stack independent fields as in
+    `half_spectrum`."""
     if grid.dim == 1:  # see half_spectrum
-        return np.fft.irfft(coeffs, grid.points_per_axis)
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(coeffs, grid))
+        return np.fft.irfft(coeffs, grid.points_per_axis, out=out)
+    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(coeffs, grid), out=out)
 
 
 @dataclass

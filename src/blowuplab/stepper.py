@@ -26,7 +26,9 @@ is needed: the source |u|^p, the sup norm, the boundary shell and the
 adaptive error.  A fixed linear step therefore costs one inverse transform
 for the sup norm, made for a block of steps at once (see below); a
 nonlinear one makes the inverse and the forward transform of |u|^p, which
-each state computes once and keeps for every step taken from it.
+each state computes once and keeps for every step taken from it.  `step`
+and the fixed-step marcher share one kernel, `_imex`, that does this
+arithmetic.
 
 An adaptive attempt of size H runs three chains of the step from the same
 state, 1 step of H, 2 of H/2 and 3 of H/3, and combines their coefficients by
@@ -54,29 +56,34 @@ run the discrete drift shrinks at first order in dt.  All of these integrals
 are Parseval sums on the coefficients, and the cumulative terms use the
 trapezoid rule over accepted steps only.
 
-The ledger is columnar.  `_ledger_rows` computes the rows of a block of
-states with array operations: the quadratic sums row by row, finiteness
-from those sums, and the sup norm and boundary shell from one stacked
-inverse transform, or from the samples the states already hold (a nonlinear
-state builds them for its source, an adaptive one for its error estimate).
-A fixed-step run keeps its new states until a block of about
-LEDGER_BLOCK_BYTES is full, or the run ends, and then computes the block;
-a nonlinear run computes it at once when the samples a state built for its
-source pass u_max or are not finite, so that no step is taken past a trip.
-The rows are walked in order to extend the trapezoid sums and check the
-monitors, and the run ends at the first row that trips one.  A non-finite row is dropped, a row above u_max
-or with a contaminated shell is kept, and later rows are discarded, so the
-outcome, the ledger and the final state are those of checking every step.
-An adaptive run, and `energy`, use blocks of one row.
+The ledger is columnar.  `_ledger_rows` computes the rows of a block with
+array operations: the quadratic sums row by row, finiteness from those
+sums, and the sup norm and boundary shell from one stacked inverse
+transform, or from samples already built (a nonlinear step builds them for
+its source, an adaptive one for its error estimate).  The rows are walked
+in order to extend the trapezoid sums and check the monitors, and the run
+ends at the first row that trips one.  A non-finite row is dropped, a row
+above u_max or with a contaminated shell is kept, and later rows are
+discarded, so the outcome, the ledger and the final state are those of
+checking every step.  An adaptive run, and `energy`, use blocks of one row.
+
+A fixed-step run makes no `State` per step: `_march` runs `_imex` through a
+ring of coefficient rows allocated once per run, a block of about
+LEDGER_BLOCK_BYTES at a time, and the ledger reads each block in place.  A
+nonlinear step builds its new state's samples and source at once, and
+samples that pass u_max, or are not finite, end the block there, so that
+no step is taken past a trip.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 pass through one function, `_Ledger.snapshot`.  Without a hook they are kept
 in `RunReport.snapshots`; with `Controls.on_snapshot` each is handed to the
 hook as the run goes and none is kept, so a run's memory does not grow with
-its history.  The hook's state is short-lived: its u is a view of the ledger
-block's samples, and its v is transformed only if the hook reads it.  Either
-way nothing is cached on the solver's own states, and the final state reuses
-the samples of the last snapshot when that snapshot is of the final state.
+its history.  A hook's snapshot may be kept: its u is a view of its block's
+samples, which no later step writes, and its v is built, only if the hook
+reads it, from v coefficients that view the ring while the hook runs and
+are copied when it returns with v unread.  Either way nothing is cached on
+the solver's own states, and the final state reuses the samples of the last
+snapshot when that snapshot is of the final state.
 """
 
 import math
@@ -263,10 +270,13 @@ class Controls:
     snapshot_every = k keeps the initial state and every k-th accepted
     state in `RunReport.snapshots`.  With on_snapshot set, each of these
     states is passed to on_snapshot(state) as soon as the ledger has
-    checked it, in order, and `RunReport.snapshots` is None; the state's u
-    views solver memory, so a hook that keeps a snapshot copies its u.
-    Neither sees a state after one that tripped a monitor, nor a
-    non-finite one.
+    checked it, in order, and `RunReport.snapshots` is None.  The hook may
+    keep the state: its u is a view of the samples of its ledger block,
+    which no later step writes (a hook that keeps many copies u, so as not
+    to keep whole blocks alive), and its v, built only if read, comes from
+    coefficients that view the solver's ring until the hook returns and are
+    then the state's own.  Neither sees a state after one that tripped a
+    monitor, nor a non-finite one.
     """
 
     t_end: float
@@ -294,10 +304,34 @@ class Controls:
             raise ValueError(f"u_max must be positive, got {self.u_max}")
         if self.tol is not None and not self.tol > 0:
             raise ValueError(f"tol must be positive or None, got {self.tol}")
+        # each of these would end or label a run for the wrong reason
+        if self.fit_points < 2:
+            raise ValueError(f"fit_points must be at least 2, got {self.fit_points}")
+        if not self.cfl > 0:
+            raise ValueError(f"cfl must be positive, got {self.cfl}")
+        if not self.growth >= 1:
+            raise ValueError(f"growth must be at least 1, got {self.growth}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive stride or None")
         if self.on_snapshot is not None and self.snapshot_every is None:
             raise ValueError("on_snapshot needs a snapshot_every stride")
+
+
+def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
+    """The step, mode by mode: v_out = (v - dtk2 u + dt src) / den and
+    u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
+    src = F[|u|^p] or None.  dtk2 and den are arrays, or functions that
+    build them when needed, so that `step`, which passes no outputs, holds
+    at most two new arrays at once.  v - x, not v + (-x), keeps signed zeros.
+    """
+    v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, out=v_out)
+    np.subtract(v, v_out, out=v_out)
+    if src is not None:
+        v_out += dt * src
+    v_out /= den() if callable(den) else den
+    u_out = np.multiply(dt, v_out, out=u_out)
+    u_out += u
+    return u_out, v_out
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -306,15 +340,10 @@ def step(state: State, params: Params, dt: float) -> State:
         raise ValueError(f"dt must be positive, got {dt}")
     k2 = half_k_squared(state.grid)
     b = damping_coeff(state.t + dt, params)
-    # in place, so that a step holds at most two new arrays of the
-    # coefficients' size at once; v - x, not v + (-x), keeps signed zeros
-    v_hat = (dt * k2) * state.u_hat
-    np.subtract(state.v_hat, v_hat, out=v_hat)
-    if params.nonlinear:
-        v_hat += dt * state.source_hat(params.p)
-    v_hat /= 1.0 + (dt * b) * k2
-    u_hat = dt * v_hat
-    u_hat += state.u_hat
+    src = state.source_hat(params.p) if params.nonlinear else None
+    u_hat, v_hat = _imex(
+        state.u_hat, state.v_hat, src, lambda: dt * k2, lambda: 1.0 + (dt * b) * k2, dt
+    )
     return State.from_spectrum(state.t + dt, state.grid, u_hat, v_hat)
 
 
@@ -342,39 +371,35 @@ def _sup(x: np.ndarray) -> np.ndarray:
     return np.abs(np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
-def _stack(arrays: list) -> np.ndarray:
-    """The arrays along a new first axis; a single one is viewed, not copied."""
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.array(arrays)
-
-
-def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tuple:
-    """The ledger of a block of states, computed with array operations.
-
-    Returns one row per state, (t, kinetic, potential, linf, l2, dissipation
-    rate b int |grad v|^2, work rate int |u|^p v, whether the coefficients
-    are finite, sup of |u| on the shell mask or None without one), and the
-    samples of u, taken from the states when they hold them and else from
-    one stacked inverse transform.  A row's values do not depend on the
-    other rows of the block.
-    """
-    grid = states[0].grid
-    rows = len(states)
+def _fields(state: State, params: Params) -> tuple:
+    """A state's coefficients as a ledger row holds them: (u_hat, v_hat),
+    and F[|u|^p] with a source."""
     if params.nonlinear:
-        # the source builds each state's samples, so the sup norm reuses them
-        fields = [(s.u_hat, s.v_hat, s.source_hat(params.p)) for s in states]
-    else:
-        fields = [(s.u_hat, s.v_hat) for s in states]
-    pairs = np.array(fields, dtype=complex).reshape(rows, len(fields[0]), -1).view(np.float64)
+        return state.u_hat, state.v_hat, state.source_hat(params.p)
+    return state.u_hat, state.v_hat
+
+
+def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None) -> tuple:
+    """The ledger of a block of rows, computed with array operations.
+
+    Row j is the state at time t[j] whose `_fields` are block[j] and whose u
+    samples are samples[j]; without samples, they come from one stacked
+    inverse transform of block[:, 0].  Returns one tuple per row, (t,
+    kinetic, potential, linf, l2, dissipation rate b int |grad v|^2, work
+    rate int |u|^p v, whether the coefficients are finite, sup of |u| on the
+    shell mask or None without one), and the samples.  A row's values do not
+    depend on the other rows of the block.
+    """
+    rows = len(t)
+    pairs = np.array(block, dtype=complex).reshape(rows, len(block[0]), -1).view(np.float64)
     # F[|u|^p] v, u u and v v in place, so that a large grid holds one copy
     if params.nonlinear:
         pairs[:, 2] *= pairs[:, 1]
     pairs[:, :2] *= pairs[:, :2]
     sums = (pairs @ _ledger_weights(grid)).reshape(rows, -1).tolist()
     del pairs  # before the samples are built
-    if all(s._u is not None for s in states):
-        samples = _stack([s._u.values for s in states])
-    else:
-        samples = from_half_spectrum(_stack([s.u_hat for s in states]), grid)
+    if samples is None:
+        samples = from_half_spectrum(block[:, 0], grid)
     linf = _sup(samples.reshape(rows, -1)).tolist()
     if shell is None:
         shell_sup = [None] * rows
@@ -383,48 +408,50 @@ def _ledger_rows(states, params: Params, shell: np.ndarray | None = None) -> tup
     table = []
     # int u^2, int |grad u|^2, int v^2, int |grad v|^2 and, with a source,
     # int |u|^p v (and its unused |k|^2-weighted twin)
-    for s, (u2, du2, v2, dv2, *fv), top, sup in zip(states, sums, linf, shell_sup):
+    for j, (tj, (u2, du2, v2, dv2, *fv), top, sup) in enumerate(zip(t, sums, linf, shell_sup)):
         # the weights of u2 and v2 are positive, so a non-finite coefficient
         # makes its sum non-finite; a finite one can overflow its square
         ok = math.isfinite(u2 + v2) or bool(
-            np.isfinite(s.u_hat).all() and np.isfinite(s.v_hat).all()
+            np.isfinite(block[j][0]).all() and np.isfinite(block[j][1]).all()
         )
-        dissipation = damping_coeff(s.t, params) * dv2
+        dissipation = damping_coeff(tj, params) * dv2
         work = fv[0] if fv else 0.0
-        table.append((s.t, 0.5 * v2, 0.5 * du2, top, math.sqrt(u2), dissipation, work, ok, sup))
+        table.append((tj, 0.5 * v2, 0.5 * du2, top, math.sqrt(u2), dissipation, work, ok, sup))
     return table, samples
 
 
 def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
     """Energy-ledger row for one state; the cumulative columns are passed in
     because they belong to the run, not to the snapshot."""
-    t, kinetic, potential, linf, l2 = _ledger_rows([state], params)[0][0][:5]
+    samples = state.u.values[np.newaxis]
+    table, _ = _ledger_rows([state.t], [_fields(state, params)], state.grid, params, samples)
+    t, kinetic, potential, linf, l2 = table[0][:5]
     return EnergyRecord(t, kinetic, potential, dissipated_cum, work_cum, linf, l2)
 
 
 class _Ledger:
     """The energy ledger and monitors of one run.
 
-    Accepted states wait in `pending` with their step sizes.  `flush`
-    computes them as one block with `_ledger_rows`, then walks the rows in
-    order as a per-step check would: it extends the trapezoid sums, records
-    the row, its step size and its snapshot, and stops at the first row
-    that trips a monitor.  `state` is the last state kept.  Every snapshot
-    goes through `snapshot`.
+    `flush` computes a block of accepted rows with `_ledger_rows`, then walks
+    them in order as a per-step check would: it extends the trapezoid sums,
+    records the row, its step size and its snapshot, and stops at the first
+    row that trips a monitor.  `state` is the last state kept.  Every
+    snapshot goes through `snapshot`.
     """
 
     def __init__(self, state: State, params: Params, controls: Controls, shell):
         self.params, self.controls, self.shell = params, controls, shell
+        self.grid = state.grid
         # a linear run cannot blow up, so its divergence is numerical
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        table, samples = _ledger_rows([state], params)
+        samples = state.u.values[np.newaxis]
+        table, _ = _ledger_rows([state.t], [_fields(state, params)], self.grid, params, samples)
         t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
         self.state = state
-        self.pending = []
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook = controls.on_snapshot
@@ -434,31 +461,35 @@ class _Ledger:
         if controls.snapshot_every:
             self.snapshot(state, samples[0])
 
-    def flush(self) -> "Outcome | None":
-        """Compute and check the pending rows; the outcome of the first row
-        that trips a monitor, or None when every row passes."""
-        states, dts = zip(*self.pending)
-        self.pending = []
-        table, samples = _ledger_rows(states, self.params, self.shell)
+    def flush(self, t, dts, block, samples=None, states=None) -> "Outcome | None":
+        """Compute and check the rows of a block, as `_ledger_rows` takes
+        them, reached by steps of sizes dts; the outcome of the first row
+        that trips a monitor, or None when every row passes.  The rows'
+        states are given, or are built from the block only where needed:
+        for a snapshot, and for the last kept row, whose state views the
+        block."""
+        grid = self.grid
+        table, samples = _ledger_rows(t, block, grid, self.params, samples, self.shell)
         u_max, every = self.controls.u_max, self.controls.snapshot_every
         last = self.trace[-1]
         dissipated, work = last.dissipated_cum, last.work_cum
         g_prev, w_prev = self.rates
-        outcome = None
+        outcome = kept = None
         for j, (row, dt) in enumerate(zip(table, dts)):
-            t, kinetic, potential, linf, l2, g, w, finite, shell_sup = row
+            t_j, kinetic, potential, linf, l2, g, w, finite, shell_sup = row
             if not finite:
                 outcome = self.diverged  # the non-finite row is dropped
                 break
             dissipated += 0.5 * dt * (g_prev + g)
             work += 0.5 * dt * (w_prev + w)
             g_prev, w_prev = g, w
-            self.trace.append(EnergyRecord(t, kinetic, potential, dissipated, work, linf, l2))
+            self.trace.append(EnergyRecord(t_j, kinetic, potential, dissipated, work, linf, l2))
             self.accepted += 1
             self.dt_lo, self.dt_hi = min(self.dt_lo, dt), max(self.dt_hi, dt)
-            self.state, self.last = states[j], None
+            kept, self.last = j, None
             if every and self.accepted % every == 0:
-                self.snapshot(self.state, samples[j])
+                snap = states[j] if states else State.from_spectrum(t_j, grid, None, block[j, 1])
+                self.snapshot(snap, samples[j])
             if linf > u_max:
                 outcome = self.diverged
                 break
@@ -466,12 +497,18 @@ class _Ledger:
                 outcome = Outcome.BOUNDARY_CONTAMINATED
                 break
         self.rates = g_prev, w_prev
+        if states and kept is not None:
+            self.state = states[kept]
+        elif kept is not None:
+            self.state = State.from_spectrum(t[kept], grid, block[kept, 0], block[kept, 1])
+            if self.params.nonlinear:
+                self.state._u = Field(grid, samples[kept])
         return outcome
 
     def snapshot(self, state: State, u_samples: np.ndarray) -> None:
         """Hand the snapshot of a checked state, whose u samples are
         u_samples, to the hook, or keep it in the list.  The snapshot is a
-        new state sharing the coefficients, so nothing is cached on the
+        new state sharing the state's fields, so nothing is cached on the
         solver's state.  A hook's snapshot builds v only if the hook reads
         it; a kept one holds samples only and owns its u, so that it does
         not keep the ledger block alive."""
@@ -482,17 +519,20 @@ class _Ledger:
         self.last = snap
         if self.hook:
             self.hook(snap)
+            # the solver recycles its coefficients: keep a copy of v's only
+            # while v is unread
+            snap._u_hat = None
+            snap._v_hat = None if snap._v is not None else snap._v_hat.copy()
         else:
             self.snapshots.append(snap.physical())
 
     def final_state(self) -> State:
         """The last state kept, holding samples only; those of its snapshot
-        are reused when it has one."""
-        if self.last is None:
-            return self.state.physical()
-        u, v = self.last.u, self.last.v
-        # a hook's u views the ledger block
-        return State(self.state.t, u.copy() if self.hook else u, v)
+        are reused when it has one.  Samples that view a ledger block are
+        copied, so that the result does not keep the block alive."""
+        state = self.last or self.state
+        u, v = state.u, state.v
+        return State(self.state.t, u if u.values.flags.owndata else u.copy(), v)
 
 
 SUBSTEPS = (1, 2, 3)
@@ -559,6 +599,83 @@ def _step_factor(err: float, controls: Controls) -> float:
     return min(controls.growth, max(0.2, 0.9 * ratio ** (1.0 / 3.0)))
 
 
+def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
+    """The adaptive run from the ledger's state (see `simulate`): its
+    outcome, or None at the horizon, and the number of rejected attempts."""
+    state = ledger.state
+    cfl_cap = controls.cfl * state.grid.spacing
+    k_top = math.sqrt(float(half_k_squared(state.grid).max()))
+    dt = min(controls.dt0, cfl_cap)
+    t_end = controls.t_end
+    rejected = 0
+    while state.t < t_end * (1.0 - 1e-14):
+        dt_step = min(dt, t_end - state.t)
+        dt_step = min(dt_step, _stable_step(state.t, dt_step, params, k_top))
+        if dt_step < controls.dt_min:
+            return Outcome.STEP_FLOOR_REACHED, rejected
+        new, err = _extrapolated_step(state, params, dt_step)
+        dt = min(dt_step * _step_factor(err, controls), cfl_cap)
+        if err > controls.tol:
+            rejected += 1
+            continue
+        state = new
+        row = [_fields(state, params)]
+        outcome = ledger.flush([state.t], [dt_step], row, state.u.values[np.newaxis], [state])
+        if outcome is not None:
+            return outcome, rejected
+    return None, rejected
+
+
+def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | None":
+    """The fixed-step run from the ledger's state: its outcome, or None at
+    the horizon.  The ring is two halves of `_block_rows` rows of `_fields`;
+    a block fills the half its start row is not in, so that the ledger
+    reads it as one array and a dropped first row leaves the last finite
+    state intact."""
+    grid = ledger.grid
+    k2 = half_k_squared(grid)
+    block_rows = _block_rows(grid)
+    shape = (block_rows, 3 if params.nonlinear else 2) + k2.shape
+    halves = [np.empty(shape, dtype=complex) for _ in range(2)]
+    halves[0][0] = _fields(ledger.state, params)
+    ledger.state = ledger.state.physical()  # its coefficients are in the ring now
+    # (u_hat, v_hat, source or None) of every row, as views made once
+    rows = [(*row, None)[:3] for half in halves for row in half]
+    t_end, dt0 = controls.t_end, controls.dt0
+    steps = max(1, math.ceil(t_end / dt0 - 1e-9))
+    taken = start = 0
+    t = 0.0
+    fill = 1  # the half that the next block fills
+    while taken < steps:
+        last = min(taken + block_rows, steps)
+        ts = [t_end if i == steps else i * dt0 for i in range(taken + 1, last + 1)]
+        dts = np.diff([t] + ts).tolist()
+        bs = [damping_coeff(t_prev + dt, params) for t_prev, dt in zip([t] + ts, dts)]
+        # complex, as the kernel's mixed products would cast them, but once
+        dtk2 = np.multiply.outer(dts, k2, out=np.empty((len(ts),) + k2.shape, complex))
+        den = np.multiply.outer(np.multiply(dts, bs), k2, out=np.empty_like(dtk2))
+        den += 1.0
+        samples = np.empty((len(ts),) + grid.shape) if params.nonlinear else None
+        n, prev = len(ts), start
+        for i in range(n):
+            u, v, src = rows[prev]
+            prev = fill * block_rows + i
+            _imex(u, v, src, dtk2[i], den[i], dts[i], *rows[prev][:2])
+            if params.nonlinear:
+                values = from_half_spectrum(rows[prev][0], grid, out=samples[i])
+                half_spectrum(np.abs(values) ** params.p, grid, out=rows[prev][2])
+                if not _sup(values.ravel()) <= controls.u_max:
+                    n = i + 1
+                    break
+        del dtk2, den  # before the ledger copies the block
+        block = halves[fill][:n]
+        outcome = ledger.flush(ts[:n], dts[:n], block, None if samples is None else samples[:n])
+        if outcome is not None:
+            return outcome
+        taken, start, t, fill = taken + n, prev, ts[n - 1], 1 - fill
+    return None
+
+
 def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport:
     """Advance the problem from the given data until the horizon, blow-up,
     a step-size floor, or boundary contamination.
@@ -574,9 +691,12 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
 
     Fixed mode takes the step dt0; the time after step n is n * dt0, except
     that the last step ends exactly at t_end, and a remainder below
-    1e-9 * dt0 is no step at all.  It computes the ledger and the monitors
-    a block of steps at a time (see the module docstring); the outcome, the
-    ledger and the final state are those of checking every step.
+    1e-9 * dt0 is no step at all.  It marches a block of steps at a time
+    through a coefficient ring allocated once per run, and computes the
+    ledger and the monitors on the block (see the module docstring); the
+    outcome, the ledger and the final state are those of checking every
+    step.  The returned final state and kept snapshots own their samples
+    and view neither the ring nor a block.
 
     A linear run cannot blow up: its energy never grows.  When one turns
     non-finite or exceeds u_max, the outcome is NumericalInstability.
@@ -593,53 +713,13 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         else init.compact_support
     )
     shell = boundary_shell_mask(grid) if check_boundary else None
-    adaptive = controls.tol is not None
-    cfl_cap = controls.cfl * grid.spacing
-    k_top = math.sqrt(float(half_k_squared(grid).max()))
-    dt = min(controls.dt0, cfl_cap) if adaptive else controls.dt0
-    t_end = controls.t_end
-    fixed_steps = max(1, math.ceil(t_end / controls.dt0 - 1e-9))
-    block_rows = 1 if adaptive else _block_rows(grid)
-
-    state = State(0.0, init.u0.copy(), init.u1.copy())
-    ledger = _Ledger(state, params, controls, shell)
-    outcome = None
-    taken = rejected = 0
+    ledger = _Ledger(State(0.0, init.u0.copy(), init.u1.copy()), params, controls, shell)
     # a diverging step overflows on its way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
-        while (state.t < t_end * (1.0 - 1e-14)) if adaptive else (taken < fixed_steps):
-            if adaptive:
-                dt_step = min(dt, t_end - state.t)
-                dt_step = min(dt_step, _stable_step(state.t, dt_step, params, k_top))
-                if dt_step < controls.dt_min:
-                    outcome = Outcome.STEP_FLOOR_REACHED
-                    break
-                new, err = _extrapolated_step(state, params, dt_step)
-                dt = min(dt_step * _step_factor(err, controls), cfl_cap)
-                if err > controls.tol:
-                    rejected += 1
-                    continue
-            else:
-                t_new = t_end if taken + 1 == fixed_steps else (taken + 1) * controls.dt0
-                dt_step = t_new - state.t
-                # a nonlinear state builds its samples for the source; when
-                # they pass u_max, or are not finite, the block ends here
-                sup = _sup(state.u.values.ravel()) if params.nonlinear and ledger.pending else 0.0
-                if not sup <= controls.u_max:
-                    outcome = ledger.flush()
-                    if outcome is not None:
-                        break
-                new = step(state, params, dt_step)
-                new.t = t_new
-            state = new
-            taken += 1
-            ledger.pending.append((state, dt_step))
-            if len(ledger.pending) == block_rows:
-                outcome = ledger.flush()
-                if outcome is not None:
-                    break
-        if outcome is None and ledger.pending:
-            outcome = ledger.flush()
+        if controls.tol is None:
+            outcome, rejected = _march(ledger, params, controls), 0
+        else:
+            outcome, rejected = _adapt(ledger, params, controls)
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
     estimate = None

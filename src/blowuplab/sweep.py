@@ -80,7 +80,8 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One sweep result row."""
+    """One sweep result row; error says why an Error row failed and is not
+    a CSV column."""
 
     n: int
     p: float
@@ -93,6 +94,7 @@ class SweepPoint:
     t_stop: float
     t_star_est: float | None
     fit_quality: float | None
+    error: str | None = None
 
 
 def sweep_points(config: SweepConfig) -> list:
@@ -129,7 +131,7 @@ def _run_point(config: SweepConfig, point) -> SweepPoint:
             fit_points=config.fit_points,
         )
         report = simulate(params, init, controls)
-    except Exception:
+    except Exception as exc:
         return SweepPoint(
             n, p, beta, b0, amplitude,
             mean_u1=math.nan,
@@ -138,6 +140,7 @@ def _run_point(config: SweepConfig, point) -> SweepPoint:
             t_stop=math.nan,
             t_star_est=None,
             fit_quality=None,
+            error=f"{type(exc).__name__}: {exc}",
         )
     outcome = report.outcome.value
     if report.outcome is Outcome.COMPLETED_HORIZON:

@@ -226,7 +226,7 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 
 def test_sweep_subcommand(tmp_path, capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "sweep",
         "--sweep.amplitude", "0.0,0.5",
@@ -242,6 +242,37 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert lines[0].startswith("n,p,beta,b0,amplitude,mean_u1")
     assert len(lines) == 3
     assert "SurvivedHorizon" in lines[1]
+    assert err == ""
+
+
+def test_sweep_says_why_a_point_failed(tmp_path, capsys):
+    # a box too small for the bump fails every point, each with one line
+    argv = [
+        "sweep",
+        "--sweep.amplitude", "0.0,0.5",
+        "--grid.points", "16",
+        "--grid.half_width", "1.5",
+        "--time.t_end", "0.1",
+        "--time.tol", "1e-5",
+        "--workers", "1",
+    ]
+    code, _, err = run_cli(capsys, *argv, "--output.dir", str(tmp_path / "sweep"))
+    assert code == 0
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert [line.split(",")[7] for line in lines[1:]] == ["Error", "Error"]
+    assert err.count("\n") == 2
+    assert err.splitlines()[0] == (
+        "sweep point (n, p, beta, b0, amplitude) = (1, 2.0, 0.0, 1.0, 0.0): "
+        "ValueError: bump radius 1.0 too large for box half-width 1.5"
+    )
+
+
+def test_simulate_rejects_fit_points_below_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--blowup.fit_points", "0", "--output.dir", str(out))
+    assert code == EXIT_CONFIG
+    assert "blowup.fit_points" in err
+    assert not out.exists()
 
 
 def test_sweep_with_zero_tol_marches_a_fixed_step(tmp_path, capsys):

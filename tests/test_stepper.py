@@ -200,6 +200,30 @@ def test_controls_validation():
         Controls(t_end=1.0, on_snapshot=print)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        # fit_points = 0 used to fit every eligible sample, as eligible[-0:]
+        # is the whole array, and fit_points = 1 never gave an estimate
+        {"fit_points": 0},
+        {"fit_points": 1},
+        # an adaptive run with cfl = 0 ended StepFloorReached after 0 steps
+        {"cfl": 0.0},
+        {"cfl": -0.5},
+        {"growth": 0.99},
+    ],
+    ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
+)
+def test_controls_reject_settings_that_mislabel_a_run(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        Controls(t_end=1.0, **setting)
+
+
+def test_controls_accept_the_edge_of_each_range():
+    Controls(t_end=1.0, fit_points=2, cfl=1e-9, growth=1.0)
+
+
 def test_exit_codes():
     g = Grid(1, 32, 1.0)
     params = Params(n=1, p=2.0, beta=0.0)
@@ -345,21 +369,24 @@ def test_spectral_ledger_matches_public_functions(params, init, controls):
     assert last.linf == linf_norm(final.u)
 
 
-def _count_step_calls(monkeypatch):
+def _count_calls(monkeypatch, name="step"):
+    """Record each call of stepper's function `name` as (first argument,
+    last positional argument, result); for `step` that is (state, dt, new)."""
     calls = []
-    real_step = stepper.step
+    real = getattr(stepper, name)
 
-    def counted(state, params, dt):
-        out = real_step(state, params, dt)
-        calls.append((state, dt, out))
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args[0], args[-1], out))
         return out
 
-    monkeypatch.setattr(stepper, "step", counted)
+    monkeypatch.setattr(stepper, name, counted)
     return calls
 
 
 def test_fixed_mode_calls_step_once_per_step(monkeypatch):
-    calls = _count_step_calls(monkeypatch)
+    # a fixed-step run marches its ring through the step kernel directly
+    calls = _count_calls(monkeypatch, "_imex")
     g = Grid(1, 64, 8.0)
     params = Params(n=1, p=2.0, beta=0.0)
     init = make_initial_data(bump_data(g, 1.0), constant_field(g, 0.0))
@@ -392,7 +419,7 @@ def _rejecting_case():
 
 
 def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
-    calls = _count_step_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     params, init, controls = _rejecting_case()
     report = simulate(params, init, controls)
     assert report.outcome is Outcome.COMPLETED_HORIZON
@@ -574,7 +601,7 @@ def _trip_cases():
 
 @pytest.mark.parametrize("trip, params, init, controls, outcome", _trip_cases())
 def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, outcome):
-    calls = _count_step_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "_imex")
     blocked = simulate(params, init, controls)
     taken = len(calls)
     rows = stepper._block_rows(init.u0.grid)
@@ -661,3 +688,70 @@ def test_ledger_of_a_criterion_2_run_matches_energy_of_the_final_state():
     again = energy(report.final_state, params, last.dissipated_cum, last.work_cum)
     for name in ("t", "kinetic", "potential", "linf", "l2"):
         assert getattr(last, name) == pytest.approx(getattr(again, name), rel=1e-12, abs=0.0)
+
+
+def _reference_states(params, init, controls):
+    """The states of a fixed-step run as a loop of public `step` calls on
+    the run's time grid: the initial state, then one per step."""
+    states = [State(0.0, init.u0.copy(), init.u1.copy())]
+    steps = max(1, math.ceil(controls.t_end / controls.dt0 - 1e-9))
+    for n in range(1, steps + 1):
+        t_new = controls.t_end if n == steps else n * controls.dt0
+        new = step(states[-1], params, t_new - states[-1].t)
+        new.t = t_new
+        states.append(new)
+    return states
+
+
+def _reference_cases():
+    g1 = Grid(1, 256, 100.0)
+    bump1 = make_initial_data(
+        bump_data(g1, 0.8, 0.0, 5.0), bump_data(g1, 1.0, 0.78125, 5.0), compact_support=True
+    )
+    g3 = Grid(3, 32, 6.0)
+    init3 = make_initial_data(bump_data(g3, 0.5, 0.0, 2.5), mode_data(g3, 0.3, 1))
+    cases = []
+    for nonlinear in (False, True):
+        # 100 steps: one full ledger block of 63 rows and a partial one
+        cases.append((Params(n=1, p=2.0, beta=0.5, nonlinear=nonlinear), bump1,
+                      Controls(t_end=0.1, dt0=1e-3, tol=None, snapshot_every=9)))
+        # one row per block, so the ring has two rows
+        cases.append((Params(n=3, p=2.0, beta=-1.0, nonlinear=nonlinear), init3,
+                      Controls(t_end=0.06, dt0=1e-2, tol=None, snapshot_every=2)))
+    return cases
+
+
+@pytest.mark.parametrize("params, init, controls", _reference_cases())
+def test_fixed_run_equals_a_loop_of_public_steps(params, init, controls):
+    grid = init.u0.grid
+    assert stepper._block_rows(grid) == (63 if grid.dim == 1 else 1)
+    # a hook that keeps every snapshot and reads its fields only after the run
+    report, seen = _streamed_run(params, init, controls)
+    states = _reference_states(params, init, controls)
+    assert report.outcome is Outcome.COMPLETED_HORIZON
+    assert len(report.energy_trace) == len(states) == report.accepted + 1
+    rates = []
+    for row, state in zip(report.energy_trace, states):
+        again = energy(state, params)
+        assert (row.t, row.kinetic, row.potential, row.linf, row.l2) == (
+            again.t, again.kinetic, again.potential, again.linf, again.l2
+        )
+        source = np.abs(state.u.values) ** params.p if params.nonlinear else 0.0
+        rates.append((
+            stepper.damping_coeff(state.t, params) * grad_sq_integral(state.v),
+            integrate(Field(grid, source * state.v.values)),
+        ))
+    # the cumulative columns are trapezoid sums of Parseval sums, which no
+    # public function returns; the sample-space quadratures agree closely
+    dissipated = work = 0.0
+    for row, state, prev, (g, w), (g0, w0) in zip(
+        report.energy_trace[1:], states[1:], states, rates[1:], rates
+    ):
+        dissipated += 0.5 * (state.t - prev.t) * (g0 + g)
+        work += 0.5 * (state.t - prev.t) * (w0 + w)
+        assert row.dissipated_cum == pytest.approx(dissipated, rel=1e-10, abs=1e-300)
+        assert row.work_cum == pytest.approx(work, rel=1e-10, abs=1e-300)
+    kept = states[:: controls.snapshot_every]
+    assert len(kept) > 2
+    _assert_same_snapshots(seen, kept)
+    _assert_same_snapshots([report.final_state], [states[-1]])

@@ -60,6 +60,10 @@ def test_failed_point_is_recorded_not_raised():
     results = run_sweep(cfg)
     assert results[0].outcome == "Error"
     assert math.isnan(results[0].t_stop)
+    # the row says why, and that stays out of the CSV columns
+    assert results[0].error == "ValueError: bump radius 1.0 too large for box half-width 1.5"
+    assert "error" not in SWEEP_CSV_COLUMNS
+    assert run_sweep(small_config(amplitudes=(0.5,)))[0].error is None
 
 
 def test_csv_deterministic_across_worker_counts(tmp_path):
