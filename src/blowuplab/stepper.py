@@ -324,13 +324,14 @@ def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     build them when needed, so that `step`, which passes no outputs, holds
     at most two new arrays at once.  v - x, not v + (-x), keeps signed zeros.
     """
-    v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, out=v_out)
-    np.subtract(v, v_out, out=v_out)
+    # outputs passed by position, which numpy parses faster than out=
+    v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, v_out)
+    np.subtract(v, v_out, v_out)
     if src is not None:
-        v_out += dt * src
-    v_out /= den() if callable(den) else den
-    u_out = np.multiply(dt, v_out, out=u_out)
-    u_out += u
+        np.add(v_out, dt * src, v_out)
+    np.divide(v_out, den() if callable(den) else den, v_out)
+    u_out = np.multiply(dt, v_out, u_out)
+    np.add(u_out, u, u_out)
     return u_out, v_out
 
 
@@ -471,9 +472,11 @@ class _Ledger:
         grid = self.grid
         table, samples = _ledger_rows(t, block, grid, self.params, samples, self.shell)
         u_max, every = self.controls.u_max, self.controls.snapshot_every
-        last = self.trace[-1]
+        last, trace = self.trace[-1], self.trace
         dissipated, work = last.dissipated_cum, last.work_cum
         g_prev, w_prev = self.rates
+        # the block's first row whose accepted-step count is a multiple of every
+        snap_row = every - 1 - self.accepted % every if every else -1
         outcome = kept = None
         for j, (row, dt) in enumerate(zip(table, dts)):
             t_j, kinetic, potential, linf, l2, g, w, finite, shell_sup = row
@@ -483,11 +486,10 @@ class _Ledger:
             dissipated += 0.5 * dt * (g_prev + g)
             work += 0.5 * dt * (w_prev + w)
             g_prev, w_prev = g, w
-            self.trace.append(EnergyRecord(t_j, kinetic, potential, dissipated, work, linf, l2))
-            self.accepted += 1
-            self.dt_lo, self.dt_hi = min(self.dt_lo, dt), max(self.dt_hi, dt)
+            trace.append(EnergyRecord(t_j, kinetic, potential, dissipated, work, linf, l2))
             kept, self.last = j, None
-            if every and self.accepted % every == 0:
+            if j == snap_row:
+                snap_row += every
                 snap = states[j] if states else State.from_spectrum(t_j, grid, None, block[j, 1])
                 self.snapshot(snap, samples[j])
             if linf > u_max:
@@ -496,10 +498,15 @@ class _Ledger:
             if shell_sup is not None and linf > 0 and shell_sup > 1e-6 * linf:
                 outcome = Outcome.BOUNDARY_CONTAMINATED
                 break
+        if kept is None:
+            return outcome
         self.rates = g_prev, w_prev
-        if states and kept is not None:
+        self.accepted += kept + 1
+        steps = dts[: kept + 1]
+        self.dt_lo, self.dt_hi = min(self.dt_lo, *steps), max(self.dt_hi, *steps)
+        if states:
             self.state = states[kept]
-        elif kept is not None:
+        else:
             self.state = State.from_spectrum(t[kept], grid, block[kept, 0], block[kept, 1])
             if self.params.nonlinear:
                 self.state._u = Field(grid, samples[kept])
@@ -649,11 +656,11 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
     while taken < steps:
         last = min(taken + block_rows, steps)
         ts = [t_end if i == steps else i * dt0 for i in range(taken + 1, last + 1)]
-        dts = np.diff([t] + ts).tolist()
-        bs = [damping_coeff(t_prev + dt, params) for t_prev, dt in zip([t] + ts, dts)]
+        dts = [b - a for a, b in zip([t] + ts, ts)]
+        dtb = [dt * damping_coeff(a + dt, params) for a, dt in zip([t] + ts, dts)]
         # complex, as the kernel's mixed products would cast them, but once
         dtk2 = np.multiply.outer(dts, k2, out=np.empty((len(ts),) + k2.shape, complex))
-        den = np.multiply.outer(np.multiply(dts, bs), k2, out=np.empty_like(dtk2))
+        den = np.multiply.outer(dtb, k2, out=np.empty_like(dtk2))
         den += 1.0
         samples = np.empty((len(ts),) + grid.shape) if params.nonlinear else None
         n, prev = len(ts), start
