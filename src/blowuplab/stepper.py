@@ -320,9 +320,11 @@ class Controls:
 def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     """The step, mode by mode: v_out = (v - dtk2 u + dt src) / den and
     u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
-    src = F[|u|^p] or None.  dtk2 and den are arrays, or functions that
-    build them when needed, so that `step`, which passes no outputs, holds
-    at most two new arrays at once.  v - x, not v + (-x), keeps signed zeros.
+    src = F[|u|^p] or None.  The marcher passes dtk2 and den as arrays of a
+    block built at once.  `step` passes functions that build them when
+    needed: it holds at most two new arrays at once, and dt * src takes the
+    second while the first holds v_out, so den cannot exist before it.
+    v - x, not v + (-x), keeps signed zeros.
     """
     # outputs passed by position, which numpy parses faster than out=
     v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, v_out)
@@ -421,12 +423,19 @@ def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None)
     return table, samples
 
 
+def _state_row(state: State, params: Params) -> tuple:
+    """`_ledger_rows` of the one-row block of a state.  u's samples are the
+    state's when it holds them, which F[|u|^p] builds, or else come from a
+    transform that is not cached on the state."""
+    block = [_fields(state, params)]
+    u = state._u.values if state._u is not None else from_half_spectrum(state.u_hat, state.grid)
+    return _ledger_rows([state.t], block, state.grid, params, u[np.newaxis])
+
+
 def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
     """Energy-ledger row for one state; the cumulative columns are passed in
     because they belong to the run, not to the snapshot."""
-    samples = state.u.values[np.newaxis]
-    table, _ = _ledger_rows([state.t], [_fields(state, params)], state.grid, params, samples)
-    t, kinetic, potential, linf, l2 = table[0][:5]
+    t, kinetic, potential, linf, l2 = _state_row(state, params)[0][0][:5]
     return EnergyRecord(t, kinetic, potential, dissipated_cum, work_cum, linf, l2)
 
 
@@ -447,8 +456,7 @@ class _Ledger:
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        samples = state.u.values[np.newaxis]
-        table, _ = _ledger_rows([state.t], [_fields(state, params)], self.grid, params, samples)
+        table, samples = _state_row(state, params)
         t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
@@ -462,13 +470,12 @@ class _Ledger:
         if controls.snapshot_every:
             self.snapshot(state, samples[0])
 
-    def flush(self, t, dts, block, samples=None, states=None) -> "Outcome | None":
+    def flush(self, t, dts, block, samples=None) -> "Outcome | None":
         """Compute and check the rows of a block, as `_ledger_rows` takes
         them, reached by steps of sizes dts; the outcome of the first row
-        that trips a monitor, or None when every row passes.  The rows'
-        states are given, or are built from the block only where needed:
-        for a snapshot, and for the last kept row, whose state views the
-        block."""
+        that trips a monitor, or None when every row passes.  A row's state
+        is built from the block only where needed: for a snapshot, and for
+        the last kept row, whose state views the block."""
         grid = self.grid
         table, samples = _ledger_rows(t, block, grid, self.params, samples, self.shell)
         u_max, every = self.controls.u_max, self.controls.snapshot_every
@@ -490,8 +497,7 @@ class _Ledger:
             kept, self.last = j, None
             if j == snap_row:
                 snap_row += every
-                snap = states[j] if states else State.from_spectrum(t_j, grid, None, block[j, 1])
-                self.snapshot(snap, samples[j])
+                self.snapshot(State.from_spectrum(t_j, grid, None, block[j][1]), samples[j])
             if linf > u_max:
                 outcome = self.diverged
                 break
@@ -504,12 +510,9 @@ class _Ledger:
         self.accepted += kept + 1
         steps = dts[: kept + 1]
         self.dt_lo, self.dt_hi = min(self.dt_lo, *steps), max(self.dt_hi, *steps)
-        if states:
-            self.state = states[kept]
-        else:
-            self.state = State.from_spectrum(t[kept], grid, block[kept, 0], block[kept, 1])
-            if self.params.nonlinear:
-                self.state._u = Field(grid, samples[kept])
+        self.state = State.from_spectrum(t[kept], grid, block[kept][0], block[kept][1])
+        if self.params.nonlinear:
+            self.state._u = Field(grid, samples[kept])
         return outcome
 
     def snapshot(self, state: State, u_samples: np.ndarray) -> None:
@@ -627,7 +630,8 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
             continue
         state = new
         row = [_fields(state, params)]
-        outcome = ledger.flush([state.t], [dt_step], row, state.u.values[np.newaxis], [state])
+        outcome = ledger.flush([state.t], [dt_step], row, state.u.values[np.newaxis])
+        ledger.state = state  # every row it flushes is finite, so kept
         if outcome is not None:
             return outcome, rejected
     return None, rejected

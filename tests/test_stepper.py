@@ -161,6 +161,15 @@ def test_energy_record_analytic_values():
     assert rec.linf == pytest.approx(1.0)
 
 
+def test_energy_caches_no_samples_on_a_linear_spectral_state():
+    g = Grid(1, 64, 8.0)
+    s = State(0.3, bump_data(g, 1.0), bump_data(g, 0.5))
+    spectral = State.from_spectrum(0.3, g, s.u_hat.copy(), s.v_hat.copy())
+    rec = energy(spectral, Params(n=1, p=2.0, beta=0.0, nonlinear=False))
+    assert spectral._u is None and spectral._v is None
+    assert rec.linf == np.abs(spectral.u.values).max()
+
+
 def test_step_floor_outcome():
     g = Grid(1, 64, 8.0)
     params = Params(n=1, p=2.0, beta=0.0)
