@@ -193,13 +193,6 @@ def cmd_simulate(argv) -> int:
             sort_keys=True,
         )
         fh.write("\n")
-    if cfg["output.plots"]:
-        from .plotting import plot_energy_trace
-
-        plot_energy_trace(
-            os.path.join(out_dir, "energy_trace.csv"),
-            os.path.join(out_dir, "energy_trace.png"),
-        )
     _write_manifest(out_dir, config_hash(cfg), wall)
     print(f"{report.outcome.value} t_stop={format_cell(report.t_stop)}")
     return report.exit_code
@@ -233,10 +226,6 @@ def cmd_sweep(argv) -> int:
     for r in (r for r in results if r.error is not None):
         point = (r.n, r.p, r.beta, r.b0, r.amplitude)
         sys.stderr.write(f"sweep point (n, p, beta, b0, amplitude) = {point}: {r.error}\n")
-    if cfg["output.plots"]:
-        from .plotting import plot_sweep
-
-        plot_sweep(os.path.join(out_dir, "sweep.csv"), os.path.join(out_dir, "sweep.png"))
     _write_manifest(out_dir, config_hash(cfg), wall, {"points": len(results)})
     print(f"sweep complete: {len(results)} points -> {out_dir}/sweep.csv")
     return 0

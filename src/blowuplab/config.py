@@ -85,7 +85,6 @@ SCHEMA = {
     "blowup.fit_points": (int, 12),
     "output.dir": (str, "out"),
     "output.every": (int, 0),
-    "output.plots": (_bool, False),
     "sweep.n": (_csv_ints, (1,)),
     "sweep.p": (_csv_floats, (2.0,)),
     "sweep.beta": (_csv_floats, (0.0,)),

@@ -26,9 +26,9 @@ is needed: the source |u|^p, the sup norm, the boundary shell and the
 adaptive error.  A fixed linear step therefore costs one inverse transform
 for the sup norm, made for a block of steps at once (see below); a
 nonlinear one makes the inverse and the forward transform of |u|^p, which
-each state computes once and keeps for every step taken from it.  `step`
-and the fixed-step marcher share one kernel, `_imex`, that does this
-arithmetic.
+each state computes once and keeps for every step taken from it.  `step`,
+the fixed-step marcher and the adaptive attempt share one kernel, `_imex`,
+that does this arithmetic.
 
 An adaptive attempt of size H runs three chains of the step from the same
 state, 1 step of H, 2 of H/2 and 3 of H/3, and combines their coefficients by
@@ -41,9 +41,16 @@ implicit-explicit time stepping", SIAM J. Sci. Comput. 31, 2010):
 T[3,3] is third order and is the accepted result; its relative sup-norm gap
 to the second-order T[3,2] is the error estimate.  Unlike the step itself,
 the extrapolation amplifies weakly damped high modes slightly, so with weak
-damping the adaptive step also stays below a mode-wise stability bound.  One stacked inverse
-transform brings both back to samples for that check, and the accepted state
-keeps its samples for the monitors.
+damping the adaptive step also stays below a mode-wise stability bound.
+
+The chains advance in lockstep as stacked rows, one kernel call per
+substep: all three chains, then the two longer, then the longest.  The
+sources of the chains that go on take one stacked transform each way per
+substep, four per attempt where separate chains of `step` would take six,
+and every row is bit for bit the chain of `step` calls it stands for.
+T[3,3] and T[3,2] share one stack, which one inverse transform brings back
+to samples for the error estimate; the accepted state keeps its samples for
+the monitors.
 
 The energy ledger tracks, per accepted step,
 
@@ -320,10 +327,11 @@ class Controls:
 def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     """The step, mode by mode: v_out = (v - dtk2 u + dt src) / den and
     u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
-    src = F[|u|^p] or None.  The marcher passes dtk2 and den as arrays of a
-    block built at once.  `step` passes functions that build them when
-    needed: it holds at most two new arrays at once, and dt * src takes the
-    second while the first holds v_out, so den cannot exist before it.
+    src = F[|u|^p] or None.  The marcher passes one row, and an adaptive
+    attempt the rows of its chains with dt as a column, of factors built
+    by `_factors`.  `step` passes functions that build them when needed:
+    it holds at most two new arrays at once, and dt * src takes the second
+    while the first holds v_out, so den cannot exist before it.
     v - x, not v + (-x), keeps signed zeros.
     """
     # outputs passed by position, which numpy parses faster than out=
@@ -335,6 +343,18 @@ def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     u_out = np.multiply(dt, v_out, u_out)
     np.add(u_out, u, u_out)
     return u_out, v_out
+
+
+def _factors(dts: list, dtb: list, k2: np.ndarray) -> tuple:
+    """The kernel's dtk2 for steps of sizes dts and den for steps whose
+    dt * b are dtb, one row per entry, built by one np.multiply.outer:
+    complex, as the kernel's mixed real-complex products would cast them,
+    but once."""
+    both = np.empty((len(dts) + len(dtb),) + k2.shape, complex)
+    np.multiply.outer(dts + dtb, k2, out=both)
+    den = both[len(dts):]
+    den += 1.0
+    return both[: len(dts)], den
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -550,22 +570,63 @@ SUBSTEPS = (1, 2, 3)
 
 def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
     """One adaptive attempt of size dt: the third-order extrapolation of
-    `step` over SUBSTEPS, and its error estimate (see the module docstring).
-    Returns the state at t + dt and the relative error, inf when the
-    attempt is not finite."""
-    table = []
-    for j, n in enumerate(SUBSTEPS):
-        end = state
-        for _ in range(n):
-            end = step(end, params, dt / n)
-        row = [np.stack((end.u_hat, end.v_hat))]
-        for k in range(1, j + 1):
-            ratio = n / SUBSTEPS[j - k]
-            row.append(row[k - 1] + (row[k - 1] - table[j - 1][k - 1]) / (ratio - 1.0))
-        table.append(row)
-    high, low = table[-1][-1], table[-1][-2]
-    new = State.from_spectrum(state.t + dt, state.grid, high[0], high[1])
-    return new, _step_error(new, np.concatenate((high, low)))
+    the step over SUBSTEPS, and its error estimate (see the module
+    docstring).  Returns the state at t + dt and the relative error, inf
+    when the attempt is not finite.
+
+    The factors of all three substeps are built at once.  Two buffers hold
+    the chains, so that an attempt holds little more than them, the factors
+    and one substep's temporaries: `first` the rows after substep 1, then
+    T[2,2] and the longest chain's end; `second` the rows after substep 2,
+    then T[3,3] and T[3,2], the stack that `_step_error` transforms.
+    """
+    grid = state.grid
+    k2 = half_k_squared(grid)
+    hs = [dt / n for n in SUBSTEPS]
+    # each substep's rows: the steps of the chains that take it and the
+    # times they end at, accumulated as (t + h) + h, where b is taken
+    ts = [state.t] * len(SUBSTEPS)
+    steps, ends = [], []
+    for i in range(len(SUBSTEPS)):
+        ts[i:] = [a + b for a, b in zip(ts[i:], hs[i:])]
+        steps += hs[i:]
+        ends += ts[i:]
+    dtk2, den = _factors(hs, [h * damping_coeff(t, params) for h, t in zip(steps, ends)], k2)
+    # a column of each chain's step, which broadcasts as step's scalar dt
+    cols = np.array(hs, complex).reshape((-1,) + (1,) * k2.ndim)
+    # all three chains from the state, then the two longer, then the longest
+    first = np.empty((3, 2) + k2.shape, complex)
+    src = state.source_hat(params.p) if params.nonlinear else None
+    _imex(state.u_hat, state.v_hat, src, dtk2, den[:3], cols, first[:, 0], first[:, 1])
+    src = _sources(first[1:, 0], grid, params)
+    second = np.empty((2, 2) + k2.shape, complex)
+    _imex(first[1:, 0], first[1:, 1], src, dtk2[1:], den[3:5], cols[1:],
+          second[:, 0], second[:, 1])
+    del src  # before the next source's transforms
+    src = _sources(second[1:, 0], grid, params)
+    _imex(second[1:, 0], second[1:, 1], src, dtk2[2:], den[5:], cols[2:],
+          first[2:, 0], first[2:, 1])
+    del dtk2, den, src
+    # Aitken-Neville in place, T[j,k] = a + (a - b) / (n_j / n_(j-k+1) - 1)
+    t11, t21, t31 = first[0], second[0], first[2]
+    t22, t32, t33 = first[0], second[1], second[0]
+    np.add(t21, np.divide(np.subtract(t21, t11, t22), 1.0, t22), t22)
+    np.add(t31, np.divide(np.subtract(t31, t21, t32), 0.5, t32), t32)
+    np.add(t32, np.divide(np.subtract(t32, t22, t33), 2.0, t33), t33)
+    stack = second.reshape((4,) + k2.shape)
+    new = State.from_spectrum(state.t + dt, grid, stack[0], stack[1])
+    return new, _step_error(new, stack)
+
+
+def _sources(u_hat: np.ndarray, grid: Grid, params: Params) -> "np.ndarray | None":
+    """F[|u|^p] of each row of u_hat, by one stacked transform each way, or
+    None without a source."""
+    if not params.nonlinear:
+        return None
+    samples = from_half_spectrum(u_hat, grid)
+    np.abs(samples, samples)
+    samples **= params.p
+    return half_spectrum(samples, grid)
 
 
 def _step_error(new: State, coeffs: np.ndarray) -> float:
@@ -574,15 +635,15 @@ def _step_error(new: State, coeffs: np.ndarray) -> float:
     when either is not finite.  One stacked inverse transform gives all four
     fields; new keeps its samples for the monitors."""
     stack = from_half_spectrum(coeffs, new.grid)
-    if not np.isfinite(stack).all():
+    high, low = stack[:2], stack[2:]
+    scale = float(np.abs(high).max())
+    # a sup over both fields; nan or inf in any field reaches scale or gap
+    gap = float(np.abs(np.subtract(high, low, low), low).max())
+    if not (math.isfinite(scale) and math.isfinite(gap)):
         return math.inf
-    hu, hv, lu, lv = stack
     # copies, so that a kept state does not hold on to the whole stack
-    new._u, new._v = Field(new.grid, hu.copy()), Field(new.grid, hv.copy())
-    scale = max(float(np.abs(hu).max()), float(np.abs(hv).max()), 1e-30)
-    du = float(np.abs(hu - lu).max())
-    dv = float(np.abs(hv - lv).max())
-    return max(du, dv) / scale
+    new._u, new._v = Field(new.grid, high[0].copy()), Field(new.grid, high[1].copy())
+    return gap / max(scale, 1e-30)
 
 
 def _stable_step(t: float, dt: float, params: Params, k_top: float) -> float:
@@ -662,10 +723,7 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
         ts = [t_end if i == steps else i * dt0 for i in range(taken + 1, last + 1)]
         dts = [b - a for a, b in zip([t] + ts, ts)]
         dtb = [dt * damping_coeff(a + dt, params) for a, dt in zip([t] + ts, dts)]
-        # complex, as the kernel's mixed products would cast them, but once
-        dtk2 = np.multiply.outer(dts, k2, out=np.empty((len(ts),) + k2.shape, complex))
-        den = np.multiply.outer(dtb, k2, out=np.empty_like(dtk2))
-        den += 1.0
+        dtk2, den = _factors(dts, dtb, k2)
         samples = np.empty((len(ts),) + grid.shape) if params.nonlinear else None
         n, prev = len(ts), start
         for i in range(n):
@@ -774,8 +832,11 @@ def detect_blowup(
     last fit_points samples (restricted to linf above rise_factor times the
     initial value) crosses zero at the estimate.  Returns None when w is not
     decreasing, i.e. no blow-up trend.  Raises ValueError with fewer than
-    min_samples qualifying samples.
+    min_samples qualifying samples, or with fit_points below 2, which fit no
+    line.
     """
+    if fit_points < 2:
+        raise ValueError(f"fit_points must be at least 2, got {fit_points}")
     times = np.asarray(times, dtype=float)
     linfs = np.asarray(linfs, dtype=float)
     if times.shape != linfs.shape or times.ndim != 1:

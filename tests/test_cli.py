@@ -96,22 +96,30 @@ def test_unread_flag_is_a_config_error(capsys, argv, bad):
 
 
 def test_simulate_rejects_plots_flag_before_the_run(tmp_path, capsys):
-    # plotting is the config key output.plots; --plots was never read
+    # plotting was removed: --plots was never read, and output.plots is no
+    # longer a config key, on the command line or in a config file
     out_dir = tmp_path / "run"
-    code, out, err = run_cli(
-        capsys,
-        "simulate",
-        "--init.amplitude", "0",
-        "--time.t_end", "0.2",
-        "--grid.points", "32",
-        "--grid.half_width", "4",
-        "--output.dir", str(out_dir),
-        "--plots",
-    )
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert "--plots" in err
-    assert not out_dir.exists()
+    cfg = tmp_path / "plots.cfg"
+    cfg.write_text("output.plots = true\n")
+    for extra, name in [
+        (("--plots",), "--plots"),
+        (("--output.plots", "true"), "output.plots"),
+        (("--config", str(cfg)), "output.plots"),
+    ]:
+        code, out, err = run_cli(
+            capsys,
+            "simulate",
+            *extra,
+            "--init.amplitude", "0",
+            "--time.t_end", "0.2",
+            "--grid.points", "32",
+            "--grid.half_width", "4",
+            "--output.dir", str(out_dir),
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error") and name in err
+        assert not out_dir.exists()
 
 
 def test_oracle_subcommand(capsys):

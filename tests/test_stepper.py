@@ -11,6 +11,7 @@ from blowuplab.grids import (
     Field,
     Grid,
     constant_field,
+    from_half_spectrum,
     grad_sq_integral,
     half_k_squared,
     half_spectrum,
@@ -270,6 +271,15 @@ def test_detect_blowup_insufficient_samples():
         detect_blowup(ts, linf, 2.0)
 
 
+@pytest.mark.parametrize("fit_points", [0, 1])
+def test_detect_blowup_rejects_fit_points_below_two(fit_points):
+    # eligible[-0:] would fit every sample, and one sample fits no line
+    ts, linf = synthetic_blowup_trace()
+    assert detect_blowup(ts, linf, 2.0, fit_points=2).samples_used == 2
+    with pytest.raises(ValueError, match="fit_points must be at least 2"):
+        detect_blowup(ts, linf, 2.0, fit_points=fit_points)
+
+
 def test_detect_blowup_handles_nonfinite_tail():
     ts, linf = synthetic_blowup_trace()
     ts = np.append(ts, [3.0, 3.001])
@@ -427,22 +437,71 @@ def _rejecting_case():
     return params, init, Controls(t_end=1.0, dt0=1.0, tol=1e-8, boundary_check=False)
 
 
+def _reference_attempt(state, params, dt):
+    """An adaptive attempt as the module docstring defines it: chains of 1,
+    2 and 3 public `step` calls from the state, Aitken-Neville on their
+    coefficients, and the relative sup-norm gap between T[3,3] and T[3,2].
+    Returns T[3,3] as (u_hat, v_hat) and the gap."""
+    table = []
+    for j, n in enumerate((1, 2, 3)):
+        end = state
+        for _ in range(n):
+            end = step(end, params, dt / n)
+        row = [np.stack((end.u_hat, end.v_hat))]
+        for k in range(1, j + 1):
+            row.append(row[k - 1] + (row[k - 1] - table[j - 1][k - 1]) / (n / (j - k + 1) - 1.0))
+        table.append(row)
+    high, low = table[2][2], table[2][1]
+    hu, hv, lu, lv = from_half_spectrum(np.concatenate((high, low)), state.grid)
+    scale = max(np.abs(hu).max(), np.abs(hv).max(), 1e-30)
+    return high, max(np.abs(hu - lu).max(), np.abs(hv - lv).max()) / scale
+
+
+def _assert_attempt_is_the_reference(state, params, dt, new, err):
+    high, gap = _reference_attempt(state, params, dt)
+    assert new.t == state.t + dt
+    assert new.u_hat.tobytes() == high[0].tobytes()
+    assert new.v_hat.tobytes() == high[1].tobytes()
+    assert err == gap
+    # the samples the monitors read are those of the coefficients
+    grid = state.grid
+    assert new.u.values.tobytes() == from_half_spectrum(high[0], grid).tobytes()
+    assert new.v.values.tobytes() == from_half_spectrum(high[1], grid).tobytes()
+
+
+def _attempt_cases():
+    cases = []
+    for dim, points, half in ((1, 64, 8.0), (2, 32, 6.0), (3, 16, 4.0)):
+        g = Grid(dim, points, half)
+        u0, u1 = bump_data(g, 1.5, 0.2, 1.5), mode_data(g, 0.4, 1)
+        for nonlinear in (False, True):
+            # beta = -1: b grows inside an attempt, so each substep's b counts
+            params = Params(n=dim, p=3.0 if dim == 2 else 2.0, beta=-1.0, b0=0.8,
+                            nonlinear=nonlinear)
+            cases.append(pytest.param(params, State(0.3, u0, u1), id=f"{dim}d-{nonlinear}"))
+    return cases
+
+
+@pytest.mark.parametrize("params, state", _attempt_cases())
+def test_attempt_equals_aitken_neville_of_public_step_chains(params, state):
+    for dt in (0.05, 1e-2 / 3):
+        new, err = stepper._extrapolated_step(state, params, dt)
+        _assert_attempt_is_the_reference(state, params, dt, new, err)
+    # and again from the accepted state, whose coefficients view its stack
+    again, err = stepper._extrapolated_step(new, params, 0.02)
+    _assert_attempt_is_the_reference(new, params, 0.02, again, err)
+
+
 def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
-    calls = _count_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "_extrapolated_step")
     params, init, controls = _rejecting_case()
     report = simulate(params, init, controls)
     assert report.outcome is Outcome.COMPLETED_HORIZON
-    assert len(calls) % 6 == 0
     starts = []
-    for i in range(0, len(calls), 6):
-        (s0, h, _), (s1, h2, m1), (s2, h2b, _), (s3, h3, m2), (s4, h3b, m3), (s5, h3c, _) = (
-            calls[i : i + 6]
-        )
-        # chains of 1 x H, 2 x H/2 and 3 x H/3, all from the attempt's state
-        assert s1 is s0 and s3 is s0
-        assert s2 is m1 and s4 is m2 and s5 is m3
-        assert h2 == h2b == h / 2 and h3 == h3b == h3c == h / 3
-        starts.append(s0)
+    for state, dt, (new, err) in calls:
+        # each attempt is Aitken-Neville over chains of public step calls
+        _assert_attempt_is_the_reference(state, params, dt, new, err)
+        starts.append(state)
     # a rejected attempt is retried from the same state and adds no ledger row
     rejected = sum(a is b for a, b in zip(starts, starts[1:]))
     assert rejected == report.rejected > 0
@@ -453,6 +512,21 @@ def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
     assert report.dt_min == pytest.approx(steps.min(), rel=1e-12)
     assert report.dt_max == pytest.approx(steps.max(), rel=1e-12)
     assert report.dt_min < report.dt_max < controls.dt0
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_an_adaptive_attempt_holds_at_most_26_coefficient_arrays(nonlinear):
+    g = Grid(3, 32, 6.0)
+    params = Params(n=3, p=2.0, beta=0.0, nonlinear=nonlinear)
+    state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    stepper._extrapolated_step(state, params, 1e-2)  # the state's source and caches
+    tracemalloc.start()
+    try:
+        stepper._extrapolated_step(state, params, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26.0 * state.u_hat.nbytes
 
 
 def test_extrapolated_attempt_is_third_order():
