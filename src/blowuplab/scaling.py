@@ -218,10 +218,12 @@ def _windowed_run(params: Params, init: InitialData, t_end: float, dt: float, ce
     for those times from the whole run, so interpolating on them gives the
     same numbers."""
     kept = []
+    reach = 4.0 * dt
 
     def keep(state):
-        if any(abs(state.t - c) <= 4.0 * dt for c in centres):
-            kept.append((state.t, state.u.copy(), state.v))
+        t = state.t
+        if any(abs(t - c) <= reach for c in centres):
+            kept.append((t, state.u.copy(), state.v))
 
     _fixed_run(params, init, t_end, dt, on_snapshot=keep)
     times, us, vs = zip(*kept)

@@ -82,15 +82,17 @@ samples that pass u_max, or are not finite, end the block there, so that
 no step is taken past a trip.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
-pass through one function, `_Ledger.snapshot`.  Without a hook they are kept
-in `RunReport.snapshots`; with `Controls.on_snapshot` each is handed to the
-hook as the run goes and none is kept, so a run's memory does not grow with
-its history.  A hook's snapshot may be kept: its u is a view of its block's
-samples, which no later step writes, and its v is built, only if the hook
-reads it, from v coefficients that view the ring while the hook runs and
-are copied when it returns with v unread.  Either way nothing is cached on
-the solver's own states, and the final state reuses the samples of the last
-snapshot when that snapshot is of the final state.
+pass through one function, `_Ledger.snapshot`, which makes one `State` of u
+samples and v coefficients for each; v is built only when read.  Without a
+hook they are kept in `RunReport.snapshots`, owning copies of both, so a
+run whose snapshots' v is never read makes no transform for it; with
+`Controls.on_snapshot` each is handed to the hook as the run goes and none
+is kept, so a run's memory does not grow with its history.  A hook's
+snapshot may be kept: its u is a view of its block's samples, which no
+later step writes, and its v coefficients view the ring while the hook runs
+and are copied when it returns with v unread.  Either way nothing is cached
+on the solver's own states, and the final state reuses the samples of the
+last snapshot when that snapshot is of the final state.
 """
 
 import math
@@ -226,6 +228,11 @@ class EnergyRecord:
 
 @dataclass
 class BlowupEstimate:
+    """A blow-up time from `detect_blowup`.  fit_quality is the R^2 of the
+    line fitted to linf^(-(p-1)/2) over the last fit_points eligible
+    samples: how straight that curve is, not how accurate t_star is (at
+    N = 512 t_star is 0.2-0.4 % low while fit_quality >= 1 - 8e-9)."""
+
     t_star: float
     fit_quality: float
     samples_used: int
@@ -275,15 +282,16 @@ class Controls:
     when the initial data is compactly supported.
 
     snapshot_every = k keeps the initial state and every k-th accepted
-    state in `RunReport.snapshots`.  With on_snapshot set, each of these
-    states is passed to on_snapshot(state) as soon as the ledger has
-    checked it, in order, and `RunReport.snapshots` is None.  The hook may
-    keep the state: its u is a view of the samples of its ledger block,
-    which no later step writes (a hook that keeps many copies u, so as not
-    to keep whole blocks alive), and its v, built only if read, comes from
-    coefficients that view the solver's ring until the hook returns and are
-    then the state's own.  Neither sees a state after one that tripped a
-    monitor, nor a non-finite one.
+    state in `RunReport.snapshots`, each building v when it is first read.
+    With on_snapshot set, each of these states is passed to
+    on_snapshot(state) as soon as the ledger has checked it, in order, and
+    `RunReport.snapshots` is None.  The hook may keep the state: its u is a
+    view of the samples of its ledger block, which no later step writes (a
+    hook that keeps many copies u, so as not to keep whole blocks alive),
+    and its v, built only if read, comes from coefficients that view the
+    solver's ring until the hook returns and are then the state's own.
+    Neither sees a state after one that tripped a monitor, nor a non-finite
+    one.
     """
 
     t_end: float
@@ -488,7 +496,7 @@ class _Ledger:
         self.snapshots = [] if keep else None
         self.last = None  # the snapshot of `state`, if it has one
         if controls.snapshot_every:
-            self.snapshot(state, samples[0])
+            self.snapshot(state.t, samples[0], v=state.v)
 
     def flush(self, t, dts, block, samples=None) -> "Outcome | None":
         """Compute and check the rows of a block, as `_ledger_rows` takes
@@ -517,7 +525,7 @@ class _Ledger:
             kept, self.last = j, None
             if j == snap_row:
                 snap_row += every
-                self.snapshot(State.from_spectrum(t_j, grid, None, block[j][1]), samples[j])
+                self.snapshot(t_j, samples[j], block[j][1])
             if linf > u_max:
                 outcome = self.diverged
                 break
@@ -535,26 +543,26 @@ class _Ledger:
             self.state._u = Field(grid, samples[kept])
         return outcome
 
-    def snapshot(self, state: State, u_samples: np.ndarray) -> None:
-        """Hand the snapshot of a checked state, whose u samples are
-        u_samples, to the hook, or keep it in the list.  The snapshot is a
-        new state sharing the state's fields, so nothing is cached on the
-        solver's state.  A hook's snapshot builds v only if the hook reads
-        it; a kept one holds samples only and owns its u, so that it does
-        not keep the ledger block alive."""
-        snap = State.from_spectrum(state.t, state.grid, state._u_hat, state._v_hat)
-        snap._u, snap._v = state._u, state._v
-        if snap._u is None:
-            snap._u = Field(state.grid, u_samples if self.hook else u_samples.copy())
+    def snapshot(self, t: float, u: np.ndarray, v_hat=None, v: Field | None = None) -> None:
+        """Hand the snapshot at time t of a checked state, with u samples u
+        and v coefficients v_hat or v samples v, to the hook, or keep it in
+        the list, as one new state that builds v when v is read.  A kept
+        snapshot owns u and a copy of v_hat, so that it keeps neither the
+        ledger block nor the ring alive; a hook's views them while the hook
+        runs, and v_hat is copied when the hook returns with v unread."""
+        grid, hook = self.grid, self.hook
+        if v_hat is not None and hook is None:
+            v_hat = v_hat.copy()
+        snap = State.from_spectrum(t, grid, None, v_hat)
+        snap._u, snap._v = Field(grid, u if hook else u.copy()), v
         self.last = snap
-        if self.hook:
-            self.hook(snap)
-            # the solver recycles its coefficients: keep a copy of v's only
-            # while v is unread
-            snap._u_hat = None
-            snap._v_hat = None if snap._v is not None else snap._v_hat.copy()
-        else:
-            self.snapshots.append(snap.physical())
+        if hook is None:
+            self.snapshots.append(snap)
+            return
+        hook(snap)
+        # the solver recycles its coefficients: keep a copy of v's only
+        # while v is unread
+        snap._v_hat = None if snap._v is not None else snap._v_hat.copy()
 
     def final_state(self) -> State:
         """The last state kept, holding samples only; those of its snapshot

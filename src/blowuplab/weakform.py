@@ -12,6 +12,11 @@ while the velocity-mean data term does not.
 The transition of the cutoff uses the standard smooth step built from
 exp(-1/s), so the window really is infinitely differentiable and no corner
 spikes pollute the slope fits.
+
+Sums over time samples run on stacks of samples, and the window integrals
+that share an interval are refined on shared points.  Each sample and each
+integrand still meets the operations of a per-sample loop and of its own
+refinement, so the numbers are theirs bit for bit.
 """
 
 import math
@@ -42,6 +47,10 @@ __all__ = [
     "manufactured_crosscheck",
 ]
 
+# bytes of one stack of time samples in the weak-form sums: a stack and its
+# temporaries stay in cache and add little to a trajectory held in memory
+STACK_BYTES = 2**16
+
 
 # ---------------------------------------------------------------------------
 # cutoff profile
@@ -60,38 +69,37 @@ def _pieces(r):
     return arr, mid, s, fs, f1
 
 
+def _profiles(r, order: int = 2) -> list:
+    """`cutoff` and its first `order` derivatives at r, from one `_pieces`."""
+    arr, mid, s, fs, f1 = _pieces(r)
+    g = fs + f1
+    out = [np.where(mid, fs / g, np.where(arr <= 0.5, 1.0, 0.0))]
+    if order > 0:
+        inv_s, inv_c, g2 = s**-2, (1.0 - s) ** -2, g**2
+        num = fs * f1 * (inv_s + inv_c)
+        out.append(np.where(mid, -2.0 * (num / g2), 0.0))
+    if order > 1:
+        inv4 = s**-4 + (1.0 - s) ** -4
+        gp = fs * inv_s - f1 * inv_c
+        nump = fs * f1 * (1.0 - 2.0 * s) * inv4
+        hpp = nump / g2 - 2.0 * num * gp / g**3
+        out.append(np.where(mid, 4.0 * hpp, 0.0))
+    return [float(o) for o in out] if np.isscalar(r) else out
+
+
 def cutoff(r):
     """Smooth non-increasing profile: 1 on [0, 1/2], 0 on [1, inf)."""
-    arr, mid, s, fs, f1 = _pieces(r)
-    out = np.where(arr <= 0.5, 1.0, 0.0)
-    h = fs / (fs + f1)
-    out = np.where(mid, h, out)
-    return float(out) if np.isscalar(r) else out
+    return _profiles(r, 0)[0]
 
 
 def cutoff_d1(r):
     """First derivative of `cutoff`; supported on (1/2, 1), nonpositive."""
-    arr, mid, s, fs, f1 = _pieces(r)
-    g = fs + f1
-    num = fs * f1 * (s**-2 + (1.0 - s) ** -2)
-    hp = num / g**2
-    out = np.where(mid, -2.0 * hp, 0.0)
-    return float(out) if np.isscalar(r) else out
+    return _profiles(r, 1)[1]
 
 
 def cutoff_d2(r):
     """Second derivative of `cutoff`; supported on (1/2, 1)."""
-    arr, mid, s, fs, f1 = _pieces(r)
-    g = fs + f1
-    inv2 = s**-2 + (1.0 - s) ** -2
-    inv4 = s**-4 + (1.0 - s) ** -4
-    num = fs * f1 * inv2
-    hp = num / g**2
-    gp = fs * s**-2 - f1 * (1.0 - s) ** -2
-    nump = fs * f1 * (1.0 - 2.0 * s) * inv4
-    hpp = nump / g**2 - 2.0 * num * gp / g**3
-    out = np.where(mid, 4.0 * hpp, 0.0)
-    return float(out) if np.isscalar(r) else out
+    return _profiles(r, 2)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -144,34 +152,41 @@ def _time_window(spec: CutoffSpec, t) -> tuple:
     """psi2^eta and its first two time derivatives at time t (scalar or
     array)."""
     T, eta = spec.T, spec.eta
-    tau = t / T
-    p2 = cutoff(tau)
-    d1 = cutoff_d1(tau) / T
-    d2 = cutoff_d2(tau) / T**2
+    p2, d1, d2 = _profiles(t / T)
+    d1, d2 = d1 / T, d2 / T**2
     val = p2**eta
     vel = eta * p2 ** (eta - 1) * d1
     acc = eta * p2 ** (eta - 1) * d2 + eta * (eta - 1) * p2 ** (eta - 2) * d1 * d1
     return val, vel, acc
 
 
-def _space_window(spec: CutoffSpec, n: int, r):
-    """psi1^ell and Lap(psi1^ell) at radii r, via the radial Laplacian
-    cutoff'' + (n-1) cutoff'/rho; the origin limit is 0 because the profile
-    is flat there."""
+def _radial(spec: CutoffSpec, n: int, r) -> tuple:
+    """psi1, Lap(psi1) and |grad psi1|^2 at radii r, via the radial
+    Laplacian cutoff'' + (n-1) cutoff'/rho; the origin limit is 0 because
+    the profile is flat there."""
     rr = np.asarray(r, dtype=float)
     td = spec.space_radius
     rho = rr / td
-    p1 = cutoff(rho)
-    d1 = cutoff_d1(rho)
-    d2 = cutoff_d2(rho)
+    p1, d1, d2 = _profiles(rho)
     grad_sq = (d1 / td) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rho > 0, d1 / np.where(rho > 0, rho, 1.0), 0.0)
     lap1 = (d2 + (n - 1) * ratio) / td**2
+    return p1, lap1, grad_sq
+
+
+def _space_window(spec: CutoffSpec, n: int, r) -> tuple:
+    """psi1^ell and Lap(psi1^ell) at radii r."""
+    p1, lap1, grad_sq = _radial(spec, n, r)
     ell = spec.ell
-    val = p1**ell
     lap = ell * p1 ** (ell - 1) * lap1 + ell * (ell - 1) * p1 ** (ell - 2) * grad_sq
-    return val, lap, p1, d1, lap1, grad_sq
+    return p1**ell, lap
+
+
+def _chunks(count: int, grid: Grid) -> list:
+    """Row slices that stack `count` fields on the grid STACK_BYTES at a time."""
+    rows = max(1, STACK_BYTES // (8 * grid.num_points))
+    return [slice(i, i + rows) for i in range(0, count, rows)]
 
 
 def psi_parts(spec: CutoffSpec, params: Params, t: float, r) -> dict:
@@ -180,7 +195,7 @@ def psi_parts(spec: CutoffSpec, params: Params, t: float, r) -> dict:
     Returns psi, psi_t, psi_tt, lap_psi, lap_psi_t as arrays shaped like r.
     """
     val_t, vel_t, acc_t = _time_window(spec, t)
-    val_x, lap_x = _space_window(spec, params.n, r)[:2]
+    val_x, lap_x = _space_window(spec, params.n, r)
     return {
         "psi": val_x * val_t,
         "psi_t": val_x * vel_t,
@@ -221,21 +236,20 @@ def weak_identity_terms(u_traj, u0: Field, u1: Field, spec: CutoffSpec, params: 
 
     times = np.linspace(0.0, T, len(u_traj))
     meas = grid.spacing**grid.dim
-    val_x, lap_x = _space_window(spec, params.n, grid.radii())[:2]
+    val_x, lap_x = _space_window(spec, params.n, grid.radii())
 
-    p = params.p
     b0 = params.b0
     beta = params.beta
-    n_t = len(times)
-    src = np.zeros(n_t)
-    m_win = np.zeros(n_t)
-    m_lap = np.zeros(n_t)
-    for j, f in enumerate(u_traj):
-        v = f.values
+    values = [f.values for f in u_traj]
+    weights = val_x.ravel(), lap_x.ravel()
+    sums = []
+    for rows in _chunks(len(values), grid):
+        block = np.stack(values[rows]).reshape(-1, grid.num_points)
+        sums.append([(block * w).sum(axis=1) for w in weights])
         if params.nonlinear:
-            src[j] = (np.abs(v) ** p * val_x).sum() * meas
-        m_win[j] = (v * val_x).sum() * meas
-        m_lap[j] = (v * lap_x).sum() * meas
+            sums[-1].append((np.abs(block) ** params.p * weights[0]).sum(axis=1))
+    m_win, m_lap, *src = (np.concatenate(col) * meas for col in zip(*sums))
+    src = src[0] if src else np.zeros(len(times))
 
     w_val, w_vel, w_acc = _time_window(spec, times)
 
@@ -302,21 +316,27 @@ class TermBundle:
         return {name: getattr(self, name) for name in TERM_NAMES}
 
 
-def _midpoint(fn, a: float, b: float, cells: int) -> float:
+def _midpoint(fn, a: float, b: float, cells: int) -> list:
     x = a + (np.arange(cells) + 0.5) * (b - a) / cells
-    return float((b - a) / cells * fn(x).sum())
+    return [float((b - a) / cells * f.sum()) for f in fn(x)]
 
 
-def _refine_midpoint(fn, a: float, b: float, start: int = 256, rtol: float = 1e-3) -> float:
+def _refine_midpoint(fn, a: float, b: float, start: int = 256, rtol: float = 1e-3) -> list:
+    """Midpoint sums on [a, b] of the integrands fn(x) returns as a tuple,
+    each from the first of the levels start, 2 start, ... up to 2^22 cells
+    that agrees with the level before it to rtol, else from the last.  The
+    integrands share each level's points and one call of fn."""
     prev = _midpoint(fn, a, b, start)
+    done = [None] * len(prev)
     cells = 2 * start
-    while cells <= (1 << 22):
+    while cells <= (1 << 22) and None in done:
         cur = _midpoint(fn, a, b, cells)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
-            return cur
+        for i, (c, q) in enumerate(zip(cur, prev)):
+            if done[i] is None and abs(c - q) <= rtol * max(abs(c), 1e-300):
+                done[i] = c
         prev = cur
         cells *= 2
-    return prev
+    return [q if d is None else d for d, q in zip(done, prev)]
 
 
 def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> TermBundle:
@@ -342,21 +362,19 @@ def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> Ter
     td = spec.space_radius
     sigma = _SURFACE[n]
 
-    def t_tt(t):
-        return cutoff(t / T) ** (eta - pp) * np.abs(cutoff_d2(t / T) / T**2) ** pp
-
-    def t_t2(t):
-        return cutoff(t / T) ** (eta - 2 * pp) * np.abs(cutoff_d1(t / T) / T) ** (2 * pp)
-
-    def t_eta(t):
-        return cutoff(t / T) ** eta
-
-    def t_mix(t):
-        return cutoff(t / T) ** (eta - pp) * np.abs(cutoff_d1(t / T) / T) ** pp
+    # the integrands that share an interval are refined together
+    def time_tail(t):
+        p2, d1, d2 = _profiles(t / T)
+        head = p2 ** (eta - pp)
+        return (
+            head * np.abs(d2 / T**2) ** pp,
+            p2 ** (eta - 2 * pp) * np.abs(d1 / T) ** (2 * pp),
+            head * np.abs(d1 / T) ** pp,
+        )
 
     decay = (beta + 1.0) * pp
 
-    def t_betaw(t):
+    def time_full(t):
         # When the weighted time integral grows (decay < 1) the +1 shift in
         # (1+t)^(-decay) pollutes finite-horizon slopes by a factor
         # ((1+T)/T)^(1-decay), so the growing case uses the large-time
@@ -368,36 +386,28 @@ def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> Ter
             w = np.where(t > 0, w, 0.0 if decay < 0 else 1.0)
         else:
             w = (1.0 + t) ** (-decay)
-        return w * cutoff(t / T) ** eta
+        window = _profiles(t / T, 0)[0] ** eta
+        return window, w * window
 
-    def _shell(r):
-        _, _, p1, _, lap1, grad_sq = _space_window(spec, n, r)
-        return p1, lap1, grad_sq
+    def shell(r):
+        p1, lap1, grad_sq = _radial(spec, n, r)
+        return (
+            p1 ** (ell - pp) * np.abs(lap1) ** pp * sigma * r ** (n - 1),
+            p1 ** (ell - 2 * pp) * grad_sq**pp * sigma * r ** (n - 1),
+        )
 
-    def s_lap(r):
-        p1, lap1, grad_sq = _shell(r)
-        return p1 ** (ell - pp) * np.abs(lap1) ** pp * sigma * r ** (n - 1)
+    def ball(r):
+        return (cutoff(r / td) ** ell * sigma * r ** (n - 1),)
 
-    def s_grad(r):
-        p1, _, grad_sq = _shell(r)
-        return p1 ** (ell - 2 * pp) * grad_sq**pp * sigma * r ** (n - 1)
-
-    def s_ell(r):
-        return cutoff(r / td) ** ell * sigma * r ** (n - 1)
-
-    i_tt = _refine_midpoint(t_tt, T / 2, T)
-    i_t2 = _refine_midpoint(t_t2, T / 2, T)
-    i_eta = _refine_midpoint(t_eta, 0.0, T)
-    i_mix = _refine_midpoint(t_mix, T / 2, T)
-    i_betaw = _refine_midpoint(t_betaw, 0.0, T)
-    s_ell_i = _refine_midpoint(s_ell, 0.0, td)
-    s_lap_i = _refine_midpoint(s_lap, td / 2, td)
-    s_grad_i = _refine_midpoint(s_grad, td / 2, td)
+    i_tt, i_t2, i_mix = _refine_midpoint(time_tail, T / 2, T)
+    i_eta, i_betaw = _refine_midpoint(time_full, 0.0, T)
+    (s_ell_i,) = _refine_midpoint(ball, 0.0, td)
+    s_lap_i, s_grad_i = _refine_midpoint(shell, td / 2, td)
 
     # data factor: sup-norm of the displacement-data bracket; the time piece
     # |d/dt cutoff(t/T)| at t = 0 vanishes identically for this profile
     rs = td / 2 + (np.arange(1 << 14) + 0.5) * (td / 2) / (1 << 14)
-    p1s, lap1s, gss = _shell(rs)
+    p1s, lap1s, gss = _radial(spec, n, rs)
     d_data = float(
         (p1s ** (ell - 1) * np.abs(lap1s)).max()
         + (p1s ** (ell - 2) * gss).max()
@@ -476,8 +486,8 @@ def measure_term_slopes(params: Params, d: float, horizons, ell=None, eta=None) 
     horizons = [float(T) for T in horizons]
     if ell is None or eta is None:
         base = default_cutoff_spec(params.p, d, horizons[0])
-        ell = ell or base.ell
-        eta = eta or base.eta
+        ell = base.ell if ell is None else ell
+        eta = base.eta if eta is None else eta
     bundles = []
     for T in horizons:
         spec = CutoffSpec(ell=ell, eta=eta, d=d, T=T)
@@ -528,23 +538,28 @@ def manufactured_crosscheck(
     u1 = Field(grid, np.zeros(grid.shape))
 
     weak = weak_residual(traj, u0, u1, spec, params, T)
+    del traj, u0  # before the strong side's stacks
 
     meas = grid.spacing**grid.dim
-    val_x = _space_window(spec, params.n, grid.radii())[0]
+    val_x = _space_window(spec, params.n, grid.radii())[0].ravel()
+    bump_x, lap_x = bump.values.ravel(), lap_bump.values.ravel()
     omega = np.pi / T
     w_val = _time_window(spec, times)[0]
-    vals = np.zeros(len(times))
-    for j, t in enumerate(times):
-        c = math.cos(omega * t)
-        s = math.sin(omega * t)
-        strong = (
-            -(omega**2) * c * bump.values
-            - c * lap_bump.values
-            + damping_coeff(t, params) * omega * s * lap_bump.values
-        )
+    # the defect -(omega^2) c bump - c lap + b(t) omega s lap, with each
+    # sample's factors taken as Python floats, then stacked
+    factors = []
+    for t in times:
+        c, s = math.cos(omega * t), math.sin(omega * t)
+        factors.append((-(omega**2) * c, c, damping_coeff(t, params) * omega * s))
+    factors = np.array(factors)
+    vals = []
+    for rows in _chunks(len(times), grid):
+        a, c, d = factors[rows].T[:, :, np.newaxis]
+        strong = a * bump_x - c * lap_x + d * lap_x
         if params.nonlinear:
-            strong = strong - np.abs(c * bump.values) ** params.p
-        vals[j] = (strong * val_x).sum() * meas * w_val[j]
+            strong = strong - np.abs(c * bump_x) ** params.p
+        vals.append((strong * val_x).sum(axis=1))
+    vals = np.concatenate(vals) * meas * w_val
     strong_integral = -float(np.trapezoid(vals, times))
     rel = abs(weak - strong_integral) / max(abs(weak), abs(strong_integral), 1e-300)
     return {"weak": weak, "strong": strong_integral, "rel_diff": rel}

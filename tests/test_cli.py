@@ -324,6 +324,15 @@ def test_slopes_subcommand(tmp_path, capsys):
     assert (tmp_path / "slopes" / "slopes.csv").read_text().splitlines()[0] == lines[0]
 
 
+@pytest.mark.parametrize("powers", [("--ell", "0"), ("--ell", "0", "--eta", "6"), ("--eta", "0")])
+def test_slopes_rejects_a_zero_window_power(capsys, powers):
+    # a 0 is a value, not a request for the default window
+    code, out, err = run_cli(capsys, "slopes", "--Ts", "8,16,32,64", *powers)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "ell and eta must be >= 3" in err
+
+
 def test_scaling_subcommand(capsys):
     code, out, _ = run_cli(capsys, "scaling", "--beta", "-1", "--lambda", "2", "--resolution", "64")
     assert code == 0

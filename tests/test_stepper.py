@@ -838,3 +838,27 @@ def test_fixed_run_equals_a_loop_of_public_steps(params, init, controls):
     assert len(kept) > 2
     _assert_same_snapshots(seen, kept)
     _assert_same_snapshots([report.final_state], [states[-1]])
+
+
+@pytest.mark.parametrize("tol, every", [(None, 1), (None, 7), (1e-6, 3)])
+def test_kept_snapshots_build_v_when_read(tol, every):
+    # fixed runs keep their snapshots' coefficients from the ring, adaptive
+    # ones from the attempt's stack; both are recycled or dropped
+    g = Grid(1, 128, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
+    init = make_initial_data(bump_data(g, 0.5, 0.0, 1.0), constant_data(g, 0.0), compact_support=True)
+    controls = Controls(t_end=1.0, dt0=1e-2, tol=tol, snapshot_every=every, boundary_check=False)
+    kept = simulate(params, init, controls).snapshots
+    assert len(kept) > 5
+    later = kept[1:-1]  # the initial state has v samples; the last is the final state's
+    assert all(s._v is None for s in later)
+    for s in kept:
+        assert s.u.values.flags.owndata
+        assert s._v_hat is None or s._v_hat.flags.owndata
+    handed = []  # v as a hook reads it while the solver runs
+    simulate(params, init, replace(controls, on_snapshot=lambda s: handed.append(s.v)))
+    assert [v.values.tobytes() for v in handed] == [s.v.values.tobytes() for s in kept]
+    assert all(s._v is not None for s in later)
+    # a hook that reads v only after the run gets the same bytes
+    _, seen = _streamed_run(params, init, controls)
+    _assert_same_snapshots(seen, kept)

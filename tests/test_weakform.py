@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from blowuplab.exponents import beta_threshold, conjugate_exponent, scaling_d
 from blowuplab.grids import Field, Grid, laplacian
-from blowuplab.model import Params, bump_data, constant_data
+from blowuplab.model import Params, bump_data, constant_data, damping_coeff
 from blowuplab.stepper import Controls, simulate
 from blowuplab.model import make_initial_data
 from blowuplab.weakform import (
@@ -23,6 +24,8 @@ from blowuplab.weakform import (
     term_bundle,
     weak_identity_terms,
     weak_residual,
+    _midpoint,
+    _refine_midpoint,
     _space_window,
     _time_window,
 )
@@ -67,6 +70,33 @@ def test_cutoff_derivatives_vanish_at_transition_edges():
     for r in (0.5 + 1e-9, 1.0 - 1e-9, 0.4, 1.1):
         assert abs(cutoff_d1(r)) < 1e-8
         assert abs(cutoff_d2(r)) < 1e-6
+
+
+def _separate_profiles(r):
+    """cutoff, cutoff' and cutoff'' as three separate closed forms."""
+    arr = np.asarray(r, dtype=float)
+    mid = (arr > 0.5) & (arr < 1.0)
+    s = np.where(mid, 2.0 * (1.0 - arr), 0.5)
+    fs = np.exp(-1.0 / s)
+    f1 = np.where(s >= 1.0, 0.0, np.exp(-1.0 / (1.0 - s + 1e-300)))
+    g = fs + f1
+    num = fs * f1 * (s**-2 + (1.0 - s) ** -2)
+    gp = fs * s**-2 - f1 * (1.0 - s) ** -2
+    hpp = fs * f1 * (1.0 - 2.0 * s) * (s**-4 + (1.0 - s) ** -4) / g**2 - 2.0 * num * gp / g**3
+    return (
+        np.where(mid, fs / (fs + f1), np.where(arr <= 0.5, 1.0, 0.0)),
+        np.where(mid, -2.0 * (num / g**2), 0.0),
+        np.where(mid, 4.0 * hpp, 0.0),
+    )
+
+
+def test_cutoff_profiles_equal_their_separate_closed_forms():
+    # the three profiles share one evaluation of the exponentials
+    r = np.concatenate([np.linspace(0.0, 1.2, 4801), 0.5 + np.geomspace(1e-9, 0.5, 200)])
+    for got, want in zip((cutoff(r), cutoff_d1(r), cutoff_d2(r)), _separate_profiles(r)):
+        assert got.tobytes() == want.tobytes()
+    for x in (0.0, 0.5, 0.61, 0.75, 0.999, 1.0, 1.5):
+        assert (cutoff(x), cutoff_d1(x), cutoff_d2(x)) == tuple(float(a) for a in _separate_profiles(x))
 
 
 def test_cutoff_rejects_negative_radius():
@@ -333,3 +363,249 @@ def test_measured_slopes_match_prediction_single_case():
     table = measure_term_slopes(params, 1.0, [8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0])
     for name in TERM_NAMES:
         assert table[name]["abs_error"] < 0.05, name
+
+
+def test_measure_term_slopes_refuses_a_zero_window_power():
+    params = Params(n=1, p=2.0, beta=0.0)
+    for powers in ({"ell": 0}, {"eta": 0}, {"ell": 0, "eta": 6}):
+        with pytest.raises(ValueError, match="ell and eta must be >= 3"):
+            measure_term_slopes(params, 1.0, [8.0, 16.0, 32.0, 64.0], **powers)
+
+
+# ---------------------------------------------------------------------------
+# the batched sums against per-sample and per-integrand references
+
+
+def _per_sample_terms(u_traj, u0, u1, spec, params, T):
+    """weak_identity_terms as one loop over the samples, three sums each."""
+    grid = u0.grid
+    times = np.linspace(0.0, T, len(u_traj))
+    meas = grid.spacing**grid.dim
+    val_x, lap_x = _space_window(spec, params.n, grid.radii())
+    b0, beta = params.b0, params.beta
+    src, m_win, m_lap = np.zeros(len(times)), np.zeros(len(times)), np.zeros(len(times))
+    for j, f in enumerate(u_traj):
+        v = f.values
+        if params.nonlinear:
+            src[j] = (np.abs(v) ** params.p * val_x).sum() * meas
+        m_win[j] = (v * val_x).sum() * meas
+        m_lap[j] = (v * lap_x).sum() * meas
+    w_val, w_vel, w_acc = _time_window(spec, times)
+    terms = {
+        "source": float(np.trapezoid(src * w_val, times)),
+        "data_u1": (u1.values * val_x).sum() * meas,
+        "data_u0_lap": b0 * (u0.values * lap_x).sum() * meas,
+        "data_u0_psit": (u0.values * val_x).sum() * meas * _time_window(spec, 0.0)[1],
+        "int_psitt": float(np.trapezoid(m_win * w_acc, times)),
+        "int_damping": float(np.trapezoid(b0 * (1.0 + times) ** (-beta) * m_lap * w_vel, times)),
+        "int_lap": float(np.trapezoid(m_lap * w_val, times)),
+        "int_beta": float(
+            np.trapezoid(b0 * beta * (1.0 + times) ** (-beta - 1.0) * m_lap * w_val, times)
+        ),
+    }
+    lhs = terms["source"] + terms["data_u1"] - terms["data_u0_lap"] - terms["data_u0_psit"]
+    rhs = terms["int_psitt"] + terms["int_damping"] - terms["int_lap"] - terms["int_beta"]
+    terms["residual"] = lhs - rhs
+    return terms
+
+
+def _trapezoid_inputs(monkeypatch, fn, *args):
+    """fn(*args) and the arrays it passes to np.trapezoid, which hold one
+    windowed sum per time sample."""
+    seen = []
+    trapezoid = np.trapezoid
+
+    def record(y, x):
+        seen.append(np.array(y, dtype=float).tobytes())
+        return trapezoid(y, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "trapezoid", record)
+        return fn(*args), seen
+
+
+@pytest.mark.parametrize("dim, points, samples, p, nonlinear", [
+    (1, 256, 2001, 2.0, True),
+    (1, 256, 101, 2.0, False),
+    (1, 64, 77, 3.0, True),
+    (2, 32, 61, 2.0, True),
+    (2, 64, 23, 2.5, True),
+    (2, 32, 41, 2.0, False),
+])
+def test_weak_identity_terms_equal_a_per_sample_loop(monkeypatch, dim, points, samples, p, nonlinear):
+    # several stacks, the last one partial; random fields of both signs
+    grid = Grid(dim, points, 8.0)
+    params = Params(n=dim, p=p, beta=0.4, b0=1.3, nonlinear=nonlinear)
+    spec = CutoffSpec(ell=7, eta=7, d=1.0, T=4.0)
+    rng = np.random.default_rng(dim * points + samples)
+    traj = [Field(grid, rng.standard_normal(grid.shape)) for _ in range(samples)]
+    u1 = Field(grid, rng.standard_normal(grid.shape))
+    args = (traj, traj[0], u1, spec, params, 4.0)
+    got = _trapezoid_inputs(monkeypatch, weak_identity_terms, *args)
+    assert got == _trapezoid_inputs(monkeypatch, _per_sample_terms, *args)
+
+
+@pytest.mark.parametrize("dim, points, nt, p, nonlinear", [
+    (1, 256, 2000, 2.0, True),
+    (1, 128, 300, 3.0, False),
+    (2, 32, 120, 3.0, True),
+])
+def test_manufactured_crosscheck_equals_a_per_sample_loop(monkeypatch, dim, points, nt, p, nonlinear):
+    grid = Grid(dim, points, 8.0)
+    params = Params(n=dim, p=p, beta=0.7, b0=0.9, nonlinear=nonlinear)
+    spec = CutoffSpec(ell=7, eta=7, d=1.0, T=4.0)
+    result, integrands = _trapezoid_inputs(
+        monkeypatch, manufactured_crosscheck, grid, params, spec, nt, 0.45
+    )
+    T = spec.T
+    bump = bump_data(grid, 0.45, radius=1.0)
+    lap_bump = laplacian(bump)
+    times = np.linspace(0.0, T, nt + 1)
+    traj = [Field(grid, c * bump.values) for c in np.cos(np.pi * times / T)]
+    zero = Field(grid, np.zeros(grid.shape))
+    weak, expected = _trapezoid_inputs(monkeypatch, _per_sample_terms, traj, traj[0], zero, spec, params, T)
+    assert result["weak"] == weak["residual"]
+    meas = grid.spacing**grid.dim
+    val_x = _space_window(spec, dim, grid.radii())[0]
+    omega = np.pi / T
+    w_val = _time_window(spec, times)[0]
+    vals = np.zeros(len(times))
+    for j, t in enumerate(times):
+        c = math.cos(omega * t)
+        s = math.sin(omega * t)
+        strong = (
+            -(omega**2) * c * bump.values
+            - c * lap_bump.values
+            + damping_coeff(t, params) * omega * s * lap_bump.values
+        )
+        if nonlinear:
+            strong = strong - np.abs(c * bump.values) ** p
+        vals[j] = (strong * val_x).sum() * meas * w_val[j]
+    assert result["strong"] == -float(np.trapezoid(vals, times))
+    assert integrands == expected + [vals.tobytes()]
+
+
+def _per_integrand_bundle(spec, params):
+    """term_bundle with each integrand refined on its own, from the public
+    cutoff functions."""
+    pp = conjugate_exponent(params.p)
+    eta, ell, n, beta, T = spec.eta, spec.ell, params.n, params.beta, spec.T
+    td = spec.space_radius
+    sigma = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[n]
+
+    def refine(f, a, b):
+        return _refine_midpoint(lambda x: (f(x),), a, b)[0]
+
+    def shell(r):
+        rho = r / td  # at least 1/2 on the shell
+        d1 = cutoff_d1(rho)
+        return cutoff(rho), (cutoff_d2(rho) + (n - 1) * (d1 / rho)) / td**2, (d1 / td) ** 2
+
+    decay = (beta + 1.0) * pp
+
+    def t_betaw(t):
+        if decay < 1.0:
+            with np.errstate(divide="ignore"):
+                w = np.where(t > 0, t, 1.0) ** (-decay)
+            w = np.where(t > 0, w, 0.0 if decay < 0 else 1.0)
+        else:
+            w = (1.0 + t) ** (-decay)
+        return w * cutoff(t / T) ** eta
+
+    def s_lap(r):
+        p1, lap1, _ = shell(r)
+        return p1 ** (ell - pp) * np.abs(lap1) ** pp * sigma * r ** (n - 1)
+
+    def s_grad(r):
+        p1, _, grad_sq = shell(r)
+        return p1 ** (ell - 2 * pp) * grad_sq**pp * sigma * r ** (n - 1)
+
+    i_tt = refine(lambda t: cutoff(t / T) ** (eta - pp) * np.abs(cutoff_d2(t / T) / T**2) ** pp, T / 2, T)
+    i_t2 = refine(lambda t: cutoff(t / T) ** (eta - 2 * pp) * np.abs(cutoff_d1(t / T) / T) ** (2 * pp), T / 2, T)
+    i_eta = refine(lambda t: cutoff(t / T) ** eta, 0.0, T)
+    i_mix = refine(lambda t: cutoff(t / T) ** (eta - pp) * np.abs(cutoff_d1(t / T) / T) ** pp, T / 2, T)
+    i_betaw = refine(t_betaw, 0.0, T)
+    s_ell_i = refine(lambda r: cutoff(r / td) ** ell * sigma * r ** (n - 1), 0.0, td)
+    s_lap_i = refine(s_lap, td / 2, td)
+    s_grad_i = refine(s_grad, td / 2, td)
+    rs = td / 2 + (np.arange(1 << 14) + 0.5) * (td / 2) / (1 << 14)
+    p1s, lap1s, gss = shell(rs)
+    d_data = float(
+        (p1s ** (ell - 1) * np.abs(lap1s)).max() + (p1s ** (ell - 2) * gss).max() + abs(cutoff_d1(0.0) / T)
+    )
+    return {
+        "B_tt": i_tt * s_ell_i,
+        "B_t2": i_t2 * s_ell_i,
+        "B_dx1": i_eta * s_lap_i,
+        "B_dx2": i_eta * s_grad_i,
+        "B_mix1": T ** (-beta * pp) * i_mix * s_lap_i,
+        "B_mix2": T ** (-beta * pp) * i_mix * s_grad_i,
+        "B_beta1": i_betaw * s_lap_i,
+        "B_beta2": i_betaw * s_grad_i,
+        "D_data": d_data,
+    }
+
+
+@pytest.mark.parametrize("p, n, beta, d", [
+    (2.0, 1, 0.0, 1.0),  # t_betaw refines further than the other time integrand
+    (2.0, 2, 0.0, 1.0),
+    (2.0, 1, -3.0, 2.0),  # the growing t_betaw weight
+    (1.5, 2, -3.0, 0.5),
+    (3.0, 3, 0.0, 1.0),
+    (2.0, 3, 0.5, 1.0),
+])
+@pytest.mark.parametrize("T", [8.0, 10.0, 37.3, 128.0])
+def test_term_bundle_equals_per_integrand_refinement(p, n, beta, d, T):
+    params = Params(n=n, p=p, beta=beta)
+    spec = default_cutoff_spec(p, d, T)
+    assert term_bundle(spec, params).as_dict() == _per_integrand_bundle(spec, params)
+
+
+def test_refine_midpoint_stops_each_integrand_at_its_own_level():
+    # x^2 agrees to rtol at 512 cells, exp(200 x) only at 4096, and the
+    # midpoint sums of x^2 differ between those levels
+    def square(x):
+        return (x * x,)
+
+    def steep(x):
+        return (np.exp(200.0 * x),)
+
+    mild, sharp = _refine_midpoint(lambda x: square(x) + steep(x), 0.0, 1.0)
+    assert mild == _refine_midpoint(square, 0.0, 1.0)[0] == _midpoint(square, 0.0, 1.0, 512)[0]
+    assert sharp == _refine_midpoint(steep, 0.0, 1.0)[0] == _midpoint(steep, 0.0, 1.0, 4096)[0]
+    assert mild != _midpoint(square, 0.0, 1.0, 4096)[0]
+
+
+# ---------------------------------------------------------------------------
+# memory of the batched sums
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_crosscheck_stacks_stay_small():
+    # the 2001-sample trajectory takes 4.7 MiB; the stacks add little to it
+    params = Params(n=1, p=2.0, beta=0.0)
+    spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
+    peak = _traced_peak(manufactured_crosscheck, Grid(1, 256, 8.0), params, spec, 2000)
+    assert peak <= 5.0 * 2**20
+
+
+def test_weak_residual_of_2001_snapshots_stays_small():
+    params = Params(n=1, p=2.0, beta=0.0)
+    spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
+    grid = Grid(1, 256, 8.0)
+    init = make_initial_data(
+        bump_data(grid, 0.5, 0.0, 1.0), constant_data(grid, 0.0), compact_support=True
+    )
+    controls = Controls(t_end=4.0, dt0=4.0 / 2000, tol=None, snapshot_every=1, boundary_check=False)
+    traj = [s.u for s in simulate(params, init, controls).snapshots]
+    assert len(traj) == 2001
+    peak = _traced_peak(weak_residual, traj, init.u0, init.u1, spec, params, 4.0)
+    assert peak <= 5.0 * 2**20
