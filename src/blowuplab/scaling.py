@@ -13,20 +13,22 @@ common time.  In the invariant case the discrepancy is pure discretization
 error and shrinks at first order with the step size.
 
 Rescaling is one pass: `rescale_trajectory` sends every target time's u and
-v through the same Fourier evaluation together.  So `invariance_error`
-rescales its source run once, for both routes, and it keeps only the source
-snapshots near the two times it pulls back to.
+v through one transform together, so `invariance_error` rescales its source
+run once, for both routes, and keeps only the source snapshots near the two
+times it pulls back to.  The source box is lam times the target box, so the
+scaled target nodes are a lattice of period 2L/resolution on the source box,
+where source mode j takes the values of target mode j modulo the resolution.
+Sampling there is a fold of the source spectrum onto the target's modes (a
+zero pad when the target is finer) and one inverse FFT of the target size.
 
-The evaluation matrix of an axis has one row per target coordinate and one
-column per source mode, so at 1024 target points on 2048 source points it
-would take 32 MiB.  `_sample_stack` builds and applies it a chunk of rows at
-a time, about EVAL_CHUNK_BYTES each, and no target row needs another.  The
-chunk is a fixed constant: BLAS blocks a product by its shape, so another
-chunk size moves the samples by rounding (about 1e-12 relative), and a
-fixed one keeps reruns byte-identical.  The matrix keeps the full spectrum
-rather than the n/2 + 1 non-negative frequencies: that half is exact only in
-1-D, because in 2-D and 3-D the Nyquist rows of the other axes have no
-conjugate partner at off-grid points.
+`fourier_sample` evaluates the interpolant at arbitrary points through
+per-axis evaluation matrices, one row per point and one column per source
+mode, built and applied about EVAL_CHUNK_BYTES of rows at a time.  The chunk
+is fixed: BLAS blocks a product by its shape, so another chunk size moves the
+samples by rounding (about 1e-12 relative).  The matrix keeps the full
+spectrum: the n/2 + 1 non-negative frequencies are exact only in 1-D, because
+in 2-D and 3-D the Nyquist rows of the other axes have no conjugate partner
+at off-grid points.
 """
 
 from dataclasses import dataclass
@@ -47,7 +49,7 @@ __all__ = [
     "invariance_error",
 ]
 
-# bytes of one row chunk of an evaluation matrix; see _sample_stack
+# bytes of one row chunk of an evaluation matrix; see fourier_sample
 EVAL_CHUNK_BYTES = 2**21
 
 
@@ -111,49 +113,37 @@ class Trajectory:
         return Trajectory(times, [s.u for s in report.snapshots], [s.v for s in report.snapshots])
 
 
-def _axis_eval_matrix(grid: Grid, targets: np.ndarray) -> np.ndarray:
-    """Fourier evaluation matrix for one axis at arbitrary coordinates."""
-    n = grid.points_per_axis
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
-    wrapped = np.mod(targets + grid.half_width, 2.0 * grid.half_width)
-    mat = np.empty((len(wrapped), n), dtype=complex)
-    # k[-j] = -k[j]: the negative frequencies' columns conjugate the positive ones
-    np.exp(np.multiply.outer(1j * wrapped, k[: n // 2 + 1]), out=mat[:, : n // 2 + 1])
-    np.conjugate(mat[:, n // 2 - 1 : 0 : -1], out=mat[:, n // 2 + 1 :])
-    return mat
-
-
-def _sample_stack(grid: Grid, values: np.ndarray, coords) -> np.ndarray:
-    """Interpolants of the fields stacked on the leading axes of `values`,
-    on the tensor grid of the per-axis target coordinates `coords`.  Each
-    axis's evaluation matrix is built and applied EVAL_CHUNK_BYTES of rows
-    at a time (64 rows at 2048 source points), and each field meets the
-    BLAS product a one-field call makes.  The matrix keeps the full
-    spectrum: a half spectrum is exact only in 1-D (see the module
-    docstring)."""
-    lead = values.ndim - grid.dim
-    out = np.fft.fftn(values, axes=tuple(range(lead, values.ndim)))
-    rows = max(1, EVAL_CHUNK_BYTES // (16 * grid.points_per_axis))
-    for axis, targets in enumerate(coords, start=lead):
-        moved = np.moveaxis(out, axis, lead)
-        flat = moved.reshape(moved.shape[: lead + 1] + (-1,))
-        chunks = [
-            np.matmul(_axis_eval_matrix(grid, targets[i : i + rows]), flat)
-            for i in range(0, len(targets) or 1, rows)
-        ]
-        prod = np.concatenate(chunks, axis=lead)
-        prod = prod.reshape(moved.shape[:lead] + (len(targets),) + moved.shape[lead + 1 :])
-        out = np.moveaxis(prod, lead, axis)
-    return out.real / grid.num_points
-
-
 def fourier_sample(field: Field, axes_coords) -> np.ndarray:
     """Evaluate the band-limited interpolant of a field on the tensor grid
-    spanned by the given per-axis coordinate arrays."""
+    spanned by the given per-axis coordinate arrays (see the module docstring)."""
     grid = field.grid
     if len(axes_coords) != grid.dim:
         raise ValueError(f"need {grid.dim} coordinate arrays")
-    return _sample_stack(grid, field.values, [np.asarray(c, dtype=float) for c in axes_coords])
+    k = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
+    rows = max(1, EVAL_CHUNK_BYTES // (16 * grid.points_per_axis))
+    out = np.fft.fftn(field.values)
+    for axis, targets in enumerate(axes_coords):
+        wrapped = np.mod(np.asarray(targets, dtype=float) + grid.half_width, 2.0 * grid.half_width)
+        moved = np.moveaxis(out, axis, 0)
+        chunks = [
+            np.tensordot(np.exp(1j * np.multiply.outer(wrapped[i : i + rows], k)), moved, axes=1)
+            for i in range(0, len(wrapped) or 1, rows)
+        ]
+        out = np.moveaxis(np.concatenate(chunks), 0, axis)
+    return out.real / grid.num_points
+
+
+def _fold(spec: np.ndarray, axis: int, res: int) -> np.ndarray:
+    """One axis of an FFT-ordered spectrum on `res` modes: the modes congruent
+    modulo res summed, or zero-padded when res is larger (both powers of two)."""
+    n = spec.shape[axis]
+    moved = np.moveaxis(spec, axis, 0)
+    if res <= n:
+        folded = moved.reshape((n // res, res) + moved.shape[1:]).sum(axis=0)
+    else:
+        folded = np.zeros((res,) + moved.shape[1:], dtype=complex)
+        folded[: n // 2], folded[res - n // 2 :] = moved[: n // 2], moved[n // 2 :]
+    return np.moveaxis(folded, 0, axis)
 
 
 def _time_interp(times: np.ndarray, snaps: list, s: float):
@@ -182,19 +172,27 @@ def rescale_trajectory(
 
     Space uses spectral interpolation, time a cubic stencil.  The chain rule
     multiplies the stored velocity by the time stretch factor.  The scaled
-    target box lam*[-L, L) must sit inside the source box.  All target times
-    go through one evaluation together.
+    target box lam*[-L, L) must be the source box, and the grids must share
+    their dimension.  All target times go through one fold of the source
+    spectrum together (see the module docstring).
     """
     lam = mapping.lam
     src = traj.grid
-    if lam * target_grid.half_width > src.half_width * (1 + 1e-12):
+    if target_grid.dim != src.dim:
+        raise ValueError(f"target grid is {target_grid.dim}-D but the source grid is {src.dim}-D")
+    if abs(lam * target_grid.half_width - src.half_width) > 1e-12 * src.half_width:
         raise ValueError(
-            f"scaled target box {lam * target_grid.half_width} exceeds source box {src.half_width}"
+            f"scaled target box {lam} * {target_grid.half_width} is not the source box {src.half_width}"
         )
     times = np.asarray(target_times, dtype=float)
     pulled = [mapping.pullback_time(t) for t in times]
     stack = np.stack([_time_interp(traj.times, fs, s) for fs in (traj.u, traj.v) for s in pulled])
-    sampled = _sample_stack(src, stack, [lam * target_grid.axis()] * src.dim)
+    axes = tuple(range(1, stack.ndim))
+    spec = np.fft.fftn(stack, axes=axes)
+    res = target_grid.points_per_axis
+    for axis in axes:
+        spec = _fold(spec, axis, res)
+    sampled = np.fft.ifftn(spec, axes=axes).real * (res / src.points_per_axis) ** src.dim
     us = [Field(target_grid, a) for a in sampled[: len(times)]]
     vs = [Field(target_grid, mapping.time_factor * a) for a in sampled[len(times) :]]
     return Trajectory(times, us, vs)

@@ -104,8 +104,12 @@ def test_rescale_requires_containment():
     target = Grid(1, 64, 4.0)
     source = Grid(1, 64, 4.0)
     traj = _identity_traj(source, [0.0, 1.0, 2.0, 3.0], np.zeros(source.shape))
-    with pytest.raises(ValueError, match="box"):
-        rescale_trajectory(traj, ScaleMap(2.0), target, [0.1])
+    # the scaled target box must be the source box, neither larger nor smaller
+    for lam in (2.0, 0.5):
+        with pytest.raises(ValueError, match=r"box .*4\.0.* source box 4\.0"):
+            rescale_trajectory(traj, ScaleMap(lam), target, [0.1])
+    with pytest.raises(ValueError, match="2-D but the source grid is 1-D"):
+        rescale_trajectory(traj, ScaleMap(1.0), Grid(2, 64, 4.0), [0.1])
     with pytest.raises(ValueError, match="outside"):
         rescale_trajectory(traj, ScaleMap(1.0), target, [5.0])
 
@@ -194,7 +198,7 @@ def test_fourier_sample_matches_mode_sum(dim, n):
     assert np.abs(sampled - direct).max() < 1e-12 * np.abs(direct).max()
 
 
-@pytest.mark.parametrize("dim,n_src,n_tgt", [(1, 256, 128), (2, 32, 16)])
+@pytest.mark.parametrize("dim,n_src,n_tgt", [(1, 256, 128), (2, 32, 16), (3, 16, 8)])
 def test_rescale_many_times_matches_one_time_calls(dim, n_src, n_tgt):
     source = Grid(dim, n_src, 4.0)
     target = Grid(dim, n_tgt, 2.0)
@@ -224,20 +228,25 @@ def test_fourier_sample_does_not_depend_on_the_chunk(monkeypatch, dim, n):
     assert np.abs(rows - whole).max() <= 1e-11 * np.abs(whole).max()
 
 
-@pytest.mark.parametrize("dim,n_src,n_tgt", [(1, 2048, 1024), (2, 32, 16)])
-def test_rescale_does_not_depend_on_the_chunk(monkeypatch, dim, n_src, n_tgt):
-    source = Grid(dim, n_src, 4.0)
+@pytest.mark.parametrize(
+    "dim,n_src,n_tgt", [(1, 256, 128), (2, 32, 16), (3, 16, 8), (1, 32, 128), (2, 8, 32), (3, 4, 8)]
+)
+@pytest.mark.parametrize("lam", [1.0, 1.5, 2.0, 4.0])
+def test_rescale_fold_matches_fourier_sample(dim, n_src, n_tgt, lam):
+    # the fold of the source spectrum samples the interpolant at lam times
+    # the target nodes, as the evaluation matrices do; the last three
+    # targets are finer than their sources
     target = Grid(dim, n_tgt, 2.0)
-    rng = np.random.default_rng(13)
-    times = np.linspace(0.0, 4.0, 5)
-    u = [Field(source, rng.normal(size=source.shape)) for _ in times]
-    v = [Field(source, rng.normal(size=source.shape)) for _ in times]
-    traj = Trajectory(times, u, v)
-    whole = rescale_trajectory(traj, ScaleMap(2.0), target, [0.1, 0.55])
-    monkeypatch.setattr(scaling, "EVAL_CHUNK_BYTES", 1)
-    rows = rescale_trajectory(traj, ScaleMap(2.0), target, [0.1, 0.55])
-    for a, b in zip(rows.u + rows.v, whole.u + whole.v):
-        assert np.abs(a.values - b.values).max() <= 1e-11 * np.abs(b.values).max()
+    source = Grid(dim, n_src, lam * 2.0)
+    rng = np.random.default_rng(17 + dim)
+    u, v = rng.normal(size=source.shape), rng.normal(size=source.shape)
+    traj = _identity_traj(source, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], u, v)
+    mapping = ScaleMap(lam)
+    out = rescale_trajectory(traj, mapping, target, [0.3])
+    points = [lam * target.axis()] * dim
+    for got, field, factor in ((out.u[0], u, 1.0), (out.v[0], v, mapping.time_factor)):
+        expected = factor * fourier_sample(Field(source, field), points)
+        assert np.abs(got.values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_criterion_7_values_pinned():
@@ -293,8 +302,7 @@ def test_invariance_error_matches_the_whole_source_trajectory(dim, resolution, b
 
 def test_invariance_error_memory_does_not_grow_with_the_source_run():
     # a source run of 1,921 steps on 2,048 points: its whole history of
-    # (u, v) pairs alone would take 60 MiB, and the whole evaluation matrix
-    # of the rescale 32 MiB
+    # (u, v) pairs alone would take 60 MiB
     params = Params(n=1, p=2.0, beta=-1.0, b0=1.0, nonlinear=False)
     tracemalloc.start()
     try:
@@ -302,4 +310,4 @@ def test_invariance_error_memory_does_not_grow_with_the_source_run():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 3 * 2**20
