@@ -15,6 +15,7 @@ import time
 
 from . import __version__
 from .config import (
+    SCHEMA,
     ConfigError,
     _csv_floats,
     _csv_ints,
@@ -33,7 +34,7 @@ from .model import Params
 from .oracles import OdeProblem, ode_blowup_time
 from .scaling import invariance_error
 from .stepper import simulate, write_energy_csv
-from .sweep import SweepConfig, format_cell, run_sweep, write_sweep_csv
+from .sweep import POINT_KEYS, SweepConfig, format_cell, run_sweep, sweep_points, write_sweep_csv
 from .weakform import CutoffSpec, manufactured_crosscheck, measure_term_slopes
 
 USAGE = """usage: blwp <command> [options]
@@ -100,9 +101,11 @@ def _parse_flags(tokens, spec, overrides=False):
     return flags, pairs
 
 
-def _load_config(argv, spec):
+def _load_config(argv, spec, unread):
     """Config file (if given) plus dotted-key overrides; returns the config
-    and the command's flags, which are --config plus those of spec."""
+    and the command's flags, which are --config plus those of spec.  A key
+    the command does not read is refused unless it holds its default; unread
+    maps each such key to what to use instead."""
     flags, pairs = _parse_flags(argv, {"config": (str, None), **spec}, overrides=True)
     path = flags["config"]
     if path:
@@ -115,6 +118,9 @@ def _load_config(argv, spec):
     else:
         cfg = default_config().validate()
     apply_overrides(cfg, pairs)
+    for key, instead in unread.items():
+        if cfg[key] != SCHEMA[key][1]:
+            raise ConfigError(f"this command does not read {key}; use {instead}")
     return cfg, flags
 
 
@@ -156,7 +162,7 @@ def _snapshot_writer(snap_dir: str):
 
 
 def cmd_simulate(argv) -> int:
-    cfg, flags = _load_config(argv, {"force": (_force, False)})
+    cfg, flags = _load_config(argv, {"force": (_force, False)}, POINT_KEYS)
 
     grid = build_grid(cfg)
     params = build_params(cfg)
@@ -199,24 +205,12 @@ def cmd_simulate(argv) -> int:
 
 
 def cmd_sweep(argv) -> int:
-    cfg, flags = _load_config(argv, {"force": (_force, False), "workers": (int, 1)})
-
-    sweep_cfg = SweepConfig(
-        n_values=cfg["sweep.n"],
-        p_values=cfg["sweep.p"],
-        beta_values=cfg["sweep.beta"],
-        b0_values=cfg["sweep.b0"],
-        amplitudes=cfg["sweep.amplitude"],
-        points_per_axis=cfg["grid.points"],
-        radius=cfg["init.radius"],
-        half_width=cfg["grid.half_width"],
-        t_end=cfg["time.t_end"],
-        dt0=cfg["time.dt0"],
-        dt_min=cfg["time.dt_min"],
-        tol=None if cfg["time.tol"] == 0 else cfg["time.tol"],
-        u_max=cfg["blowup.u_max"],
-        fit_points=cfg["blowup.fit_points"],
-    )
+    unread = {run: swept for swept, run in POINT_KEYS.items()}
+    unread["output.every"] = "blwp simulate, as a sweep keeps no snapshots"
+    cfg, flags = _load_config(argv, {"force": (_force, False), "workers": (int, 1)}, unread)
+    sweep_cfg = SweepConfig.from_config(cfg)
+    for point in sweep_points(sweep_cfg):
+        sweep_cfg.point_config(point).validate()
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
     t0 = time.monotonic()

@@ -204,16 +204,17 @@ def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
     on = cfg["init.on"]
     u0 = shape if on in ("u0", "both") else zero
     u1 = shape if on in ("u1", "both") else zero
-    return make_initial_data(u0, u1, compact_support=(kind == "bump"))
+    # a positive velocity bump is data of the paper's positive-mean hypothesis
+    theorem = kind == "bump" and on == "u1" and amp > 0
+    return make_initial_data(u0, u1, compact_support=(kind == "bump"), theorem_data=theorem)
 
 
 def build_controls(cfg: RunConfig) -> Controls:
-    tol = cfg["time.tol"]
     return Controls(
         t_end=cfg["time.t_end"],
         dt0=cfg["time.dt0"],
         dt_min=cfg["time.dt_min"],
-        tol=None if tol == 0 else tol,
+        tol=cfg["time.tol"] or None,
         u_max=cfg["blowup.u_max"],
         fit_points=cfg["blowup.fit_points"],
         snapshot_every=cfg["output.every"] or None,

@@ -123,10 +123,8 @@ def scaling_d(beta: float) -> float:
 
 def local_existence_bound(n) -> float:
     """Upper bound n / (n-2) on p for the energy-space local theory
-    (n >= 3); infinite in one and two dimensions.
-
-    Exposed for sweep configuration; `classify` deliberately does not
-    intersect with it.
+    (n >= 3); infinite in one and two dimensions.  `classify` deliberately
+    does not intersect with it.
     """
     n = _as_int(n)
     if n < 1:

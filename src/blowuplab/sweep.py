@@ -1,29 +1,30 @@
 """Parameter sweeps over (n, p, beta, b0, amplitude) with reproducible CSV
 output.
 
-Each point runs one simulation from theorem-style data (zero displacement,
-positive velocity bump) and records the observed outcome next to the
-closed-form region verdict.  A run that reaches the horizon is labeled
-SurvivedHorizon: nothing is proven above the threshold, so the label claims
-only what was observed.  Points are processed in input order and the report
-is a deterministic function of the configuration, whatever the worker count.
+A sweep point is the `blwp simulate` run config with the run keys of
+`POINT_KEYS` set to the point's values, built by the same `config` builders;
+by default its data are theorem-style (zero displacement, positive velocity
+bump).  Each point records the observed outcome next to the closed-form
+region verdict.  A run that reaches the horizon is labeled SurvivedHorizon:
+nothing is proven above the threshold, so the label claims only what was
+observed.  Points are processed in input order and the report is a
+deterministic function of the configuration, whatever the worker count.
 """
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
 
-import numpy as np
-
+from .config import SCHEMA, RunConfig, default_config
+from .config import build_controls, build_grid, build_initial_data, build_params
 from .exponents import classify
-from .grids import Field, Grid
-from .model import Params, bump_data, make_initial_data
-from .stepper import Controls, Outcome, simulate
+from .stepper import Outcome, simulate
 
 __all__ = [
+    "POINT_KEYS",
     "SweepConfig",
     "SweepPoint",
     "sweep_points",
@@ -48,34 +49,55 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+def _key(key: str, sets: str | None = None):
+    """A field spelled as config key `key`; a swept list's values set `sets`."""
+    return field(default=SCHEMA[key][1], metadata={"key": key, "sets": sets})
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of sweep points plus the shared run settings.
+    """The sweep's config keys by keyword, with the schema's defaults.
 
-    The box half-width defaults to 4 * (radius + t_end) so compactly
-    supported data stays clear of the periodic wrap for the whole horizon.
-    tol = None marches every point with the fixed step dt0, as in Controls.
+    The value lists span the points, in field order; every other field is a
+    run setting that all points share.  tol = None or 0 marches every point
+    with the fixed step dt0, as `time.tol = 0` does.
     """
 
-    n_values: tuple = (1,)
-    p_values: tuple = (2.0,)
-    beta_values: tuple = (0.0,)
-    b0_values: tuple = (1.0,)
-    amplitudes: tuple = (1.0,)
-    points_per_axis: int = 512
-    radius: float = 1.0
-    half_width: float | None = None
-    t_end: float = 50.0
-    dt0: float = 1e-2
-    dt_min: float = 1e-12
-    tol: float | None = 1e-6
-    u_max: float = 1e8
-    fit_points: int = 12
+    n_values: tuple = _key("sweep.n", sets="grid.dim")
+    p_values: tuple = _key("sweep.p", sets="model.p")
+    beta_values: tuple = _key("sweep.beta", sets="model.beta")
+    b0_values: tuple = _key("sweep.b0", sets="model.b0")
+    amplitudes: tuple = _key("sweep.amplitude", sets="init.amplitude")
+    points_per_axis: int = _key("grid.points")
+    half_width: float | None = _key("grid.half_width")
+    nonlinear: bool = _key("model.nonlinear")
+    kind: str = _key("init.kind")
+    center: float = _key("init.center")
+    radius: float = _key("init.radius")
+    on: str = _key("init.on")
+    mode: int = _key("init.mode")
+    t_end: float = _key("time.t_end")
+    dt0: float = _key("time.dt0")
+    dt_min: float = _key("time.dt_min")
+    tol: float | None = _key("time.tol")
+    u_max: float = _key("blowup.u_max")
+    fit_points: int = _key("blowup.fit_points")
 
-    def box_half_width(self) -> float:
-        if self.half_width is not None:
-            return self.half_width
-        return 4.0 * (self.radius + self.t_end)
+    @classmethod
+    def from_config(cls, cfg: RunConfig) -> "SweepConfig":
+        return cls(**{f.name: cfg[f.metadata["key"]] for f in fields(cls)})
+
+    def point_config(self, point) -> RunConfig:
+        """The run config of one point (n, p, beta, b0, amplitude)."""
+        cfg = default_config()
+        cfg.entries.update({f.metadata["key"]: getattr(self, f.name) for f in fields(self)})
+        cfg.entries.update(zip(POINT_KEYS.values(), point))
+        return cfg
+
+
+_SWEPT = [f for f in fields(SweepConfig) if f.metadata["sets"]]
+# each swept config key and the run key its values set, in point order
+POINT_KEYS = {f.metadata["key"]: f.metadata["sets"] for f in _SWEPT}
 
 
 @dataclass(frozen=True)
@@ -99,38 +121,16 @@ class SweepPoint:
 
 def sweep_points(config: SweepConfig) -> list:
     """Ordered cartesian product of the configured parameter values."""
-    return list(
-        product(
-            config.n_values,
-            config.p_values,
-            config.beta_values,
-            config.b0_values,
-            config.amplitudes,
-        )
-    )
+    return list(product(*(getattr(config, f.name) for f in _SWEPT)))
 
 
 def _run_point(config: SweepConfig, point) -> SweepPoint:
     n, p, beta, b0, amplitude = point
-    params = Params(n=n, p=p, beta=beta, b0=b0)
     verdict = classify(n, beta, p).value
     try:
-        grid = Grid(n, config.points_per_axis, config.box_half_width())
-        init = make_initial_data(
-            Field(grid, np.zeros(grid.shape)),
-            bump_data(grid, amplitude, radius=config.radius),
-            compact_support=True,
-            theorem_data=amplitude > 0,
-        )
-        controls = Controls(
-            t_end=config.t_end,
-            dt0=config.dt0,
-            dt_min=config.dt_min,
-            tol=config.tol,
-            u_max=config.u_max,
-            fit_points=config.fit_points,
-        )
-        report = simulate(params, init, controls)
+        cfg = config.point_config(point)
+        init = build_initial_data(cfg, build_grid(cfg))
+        report = simulate(build_params(cfg), init, build_controls(cfg))
     except Exception as exc:
         return SweepPoint(
             n, p, beta, b0, amplitude,

@@ -242,6 +242,9 @@ def test_sweep_subcommand(tmp_path, capsys):
         "--grid.half_width", "8",
         "--time.t_end", "1.0",
         "--time.tol", "1e-5",
+        # keys the sweep does not read are taken at their defaults
+        "--model.p", "2.0",
+        "--output.every", "0",
         "--output.dir", str(tmp_path / "sweep"),
         "--workers", "1",
     )
@@ -307,6 +310,81 @@ def test_sweep_with_zero_tol_marches_a_fixed_step(tmp_path, capsys):
     written = (tmp_path / "sweep" / "sweep.csv").read_text()
     assert written == (tmp_path / "fixed.csv").read_text()
     assert written != (tmp_path / "adaptive.csv").read_text()
+
+
+UNREAD = {
+    "simulate": {
+        "sweep.n": ("2", "grid.dim"),
+        "sweep.p": ("3", "model.p"),
+        "sweep.beta": ("1", "model.beta"),
+        "sweep.b0": ("2", "model.b0"),
+        "sweep.amplitude": ("0,2", "init.amplitude"),
+    },
+    "sweep": {
+        "grid.dim": ("2", "sweep.n"),
+        "model.p": ("3", "sweep.p"),
+        "model.beta": ("1", "sweep.beta"),
+        "model.b0": ("2", "sweep.b0"),
+        "init.amplitude": ("2", "sweep.amplitude"),
+        "output.every": ("5", "blwp simulate"),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, keys in UNREAD.items() for key in keys]
+)
+def test_command_refuses_a_key_it_does_not_read(tmp_path, capsys, command, key):
+    value, instead = UNREAD[command][key]
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, command, f"--{key}", value, "--output.dir", str(out))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err.startswith(f"config error: this command does not read {key}; use {instead}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sweep.p", "2.0,1.0", "model.p must exceed 1, got 1.0"),
+        ("--sweep.b0", "0", "model.b0 must be positive, got 0.0"),
+        ("--sweep.n", "1,4", "grid.dim must be 1, 2 or 3, got 4"),
+    ],
+)
+def test_sweep_refuses_a_bad_point_before_any_output(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "sweep"
+    code, stdout, err = run_cli(capsys, "sweep", flag, value, "--output.dir", str(out))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [(), ("--init.kind", "constant", "--init.on", "both")],
+    ids=["bump-on-u1", "constant-on-both"],
+)
+def test_sweep_row_is_the_simulate_run(tmp_path, capsys, data):
+    # a sweep point is the simulate run with the point's keys set, so its
+    # row holds simulate's numbers bit for bit, whatever the data; at 128
+    # points the bump's spectral tail trips the boundary monitor instead
+    run = ("--grid.points", "512", "--grid.half_width", "16", "--time.t_end", "5", *data)
+    code, _, _ = run_cli(
+        capsys, "simulate", "--init.amplitude", "10", *run, "--output.dir", str(tmp_path / "sim")
+    )
+    assert code == 10
+    code, _, _ = run_cli(
+        capsys, "sweep", "--sweep.amplitude", "10", *run, "--output.dir", str(tmp_path / "sweep")
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "sim" / "report.json").read_text())
+    header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["outcome"] == report["outcome"] == "BlowupDetected"
+    for key in ("t_stop", "t_star_est", "fit_quality"):
+        assert float(cells[key]) == report[key]
 
 
 def test_slopes_subcommand(tmp_path, capsys):

@@ -90,6 +90,8 @@ def test_build_grid_auto_half_width():
     cfg = parse_config_text("time.t_end = 10\ninit.radius = 2.0")
     grid = build_grid(cfg)
     assert grid.half_width == pytest.approx(4.0 * 12.0)
+    # the defaults, which a sweep point shares: radius 1 and t_end 50
+    assert build_grid(default_config()).half_width == pytest.approx(4.0 * 51.0)
     cfg2 = parse_config_text("grid.half_width = 5.0")
     assert build_grid(cfg2).half_width == 5.0
     cfg3 = parse_config_text("init.kind = constant")
@@ -118,3 +120,7 @@ def test_build_initial_data_placement():
     assert data2.u0.values.max() > 0.0
     assert data2.u1.values.max() > 0.0
     assert data2.compact_support
+    # only a positive bump on u1 is data of the paper's hypothesis
+    assert not data.theorem_data and not data2.theorem_data
+    cfg3 = parse_config_text("grid.points = 32\ntime.t_end = 1")
+    assert build_initial_data(cfg3, build_grid(cfg3)).theorem_data

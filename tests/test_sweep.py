@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
@@ -93,9 +91,3 @@ def test_worker_cap_env(monkeypatch):
     monkeypatch.delenv("BLWP_WORKERS")
     assert _worker_cap(8) == 8
     assert _worker_cap(0) == 1
-
-
-def test_auto_box_size():
-    cfg = SweepConfig(t_end=50.0, radius=1.0)
-    assert cfg.box_half_width() == pytest.approx(4.0 * 51.0)
-    assert SweepConfig(half_width=10.0).box_half_width() == 10.0
