@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from blowuplab.config import build_grid
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
@@ -91,3 +94,13 @@ def test_worker_cap_env(monkeypatch):
     monkeypatch.delenv("BLWP_WORKERS")
     assert _worker_cap(8) == 8
     assert _worker_cap(0) == 1
+
+
+def test_auto_box_size():
+    # a sweep point's box is the one build_grid gives its run config
+    cfg = SweepConfig(t_end=50.0, radius=1.0)
+    point = next(iter(sweep_points(cfg)))
+    assert build_grid(cfg.point_config(point)).half_width == pytest.approx(4.0 * 51.0)
+    fixed = SweepConfig(half_width=10.0)
+    point = next(iter(sweep_points(fixed)))
+    assert build_grid(fixed.point_config(point)).half_width == 10.0
