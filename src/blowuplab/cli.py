@@ -207,6 +207,8 @@ def cmd_simulate(argv) -> int:
 def cmd_sweep(argv) -> int:
     unread = {run: swept for swept, run in POINT_KEYS.items()}
     unread["output.every"] = "blwp simulate, as a sweep keeps no snapshots"
+    for key in ("model.nonlinear", "init.kind", "init.on", "init.center", "init.mode"):
+        unread[key] = "blwp simulate, as a sweep runs the theorem's velocity bump"
     cfg, flags = _load_config(argv, {"force": (_force, False), "workers": (int, 1)}, unread)
     sweep_cfg = SweepConfig.from_config(cfg)
     for point in sweep_points(sweep_cfg):

@@ -2,10 +2,11 @@
 output.
 
 A sweep point is the `blwp simulate` run config with the run keys of
-`POINT_KEYS` set to the point's values, built by the same `config` builders;
-by default its data are theorem-style (zero displacement, positive velocity
-bump).  Each point records the observed outcome next to the closed-form
-region verdict.  A run that reaches the horizon is labeled SurvivedHorizon:
+`POINT_KEYS` set to the point's values, built by the same `config` builders.
+`SweepConfig` has no field for the equation or the data, so each point runs
+the nonlinear equation from theorem-style data (zero displacement, a
+positive velocity bump at the origin) and records the observed outcome next
+to the closed-form region verdict, a claim about such data.  A run that reaches the horizon is labeled SurvivedHorizon:
 nothing is proven above the threshold, so the label claims only what was
 observed.  Points are processed in input order and the report is a
 deterministic function of the configuration, whatever the worker count.
@@ -49,33 +50,38 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _key(key: str, sets: str | None = None):
-    """A field spelled as config key `key`; a swept list's values set `sets`."""
-    return field(default=SCHEMA[key][1], metadata={"key": key, "sets": sets})
+# each swept config key and the run key its values set, in point order
+POINT_KEYS = {
+    "sweep.n": "grid.dim",
+    "sweep.p": "model.p",
+    "sweep.beta": "model.beta",
+    "sweep.b0": "model.b0",
+    "sweep.amplitude": "init.amplitude",
+}
+
+
+def _key(key: str):
+    """A field spelled as config key `key`, with the schema's default."""
+    return field(default=SCHEMA[key][1], metadata={"key": key})
 
 
 @dataclass(frozen=True)
 class SweepConfig:
     """The sweep's config keys by keyword, with the schema's defaults.
 
-    The value lists span the points, in field order; every other field is a
-    run setting that all points share.  tol = None or 0 marches every point
-    with the fixed step dt0, as `time.tol = 0` does.
+    The five value lists span the points; every other field is a run setting
+    that all points share.  tol = None or 0 marches every point with the
+    fixed step dt0, as `time.tol = 0` does.
     """
 
-    n_values: tuple = _key("sweep.n", sets="grid.dim")
-    p_values: tuple = _key("sweep.p", sets="model.p")
-    beta_values: tuple = _key("sweep.beta", sets="model.beta")
-    b0_values: tuple = _key("sweep.b0", sets="model.b0")
-    amplitudes: tuple = _key("sweep.amplitude", sets="init.amplitude")
+    n_values: tuple = _key("sweep.n")
+    p_values: tuple = _key("sweep.p")
+    beta_values: tuple = _key("sweep.beta")
+    b0_values: tuple = _key("sweep.b0")
+    amplitudes: tuple = _key("sweep.amplitude")
     points_per_axis: int = _key("grid.points")
-    half_width: float | None = _key("grid.half_width")
-    nonlinear: bool = _key("model.nonlinear")
-    kind: str = _key("init.kind")
-    center: float = _key("init.center")
     radius: float = _key("init.radius")
-    on: str = _key("init.on")
-    mode: int = _key("init.mode")
+    half_width: float | None = _key("grid.half_width")
     t_end: float = _key("time.t_end")
     dt0: float = _key("time.dt0")
     dt_min: float = _key("time.dt_min")
@@ -93,11 +99,6 @@ class SweepConfig:
         cfg.entries.update({f.metadata["key"]: getattr(self, f.name) for f in fields(self)})
         cfg.entries.update(zip(POINT_KEYS.values(), point))
         return cfg
-
-
-_SWEPT = [f for f in fields(SweepConfig) if f.metadata["sets"]]
-# each swept config key and the run key its values set, in point order
-POINT_KEYS = {f.metadata["key"]: f.metadata["sets"] for f in _SWEPT}
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,19 @@ class SweepPoint:
 
 def sweep_points(config: SweepConfig) -> list:
     """Ordered cartesian product of the configured parameter values."""
-    return list(product(*(getattr(config, f.name) for f in _SWEPT)))
+    return list(
+        product(
+            config.n_values,
+            config.p_values,
+            config.beta_values,
+            config.b0_values,
+            config.amplitudes,
+        )
+    )
 
 
 def _run_point(config: SweepConfig, point) -> SweepPoint:
-    n, p, beta, b0, amplitude = point
+    n, p, beta = point[:3]
     verdict = classify(n, beta, p).value
     try:
         cfg = config.point_config(point)
@@ -133,20 +142,15 @@ def _run_point(config: SweepConfig, point) -> SweepPoint:
         report = simulate(build_params(cfg), init, build_controls(cfg))
     except Exception as exc:
         return SweepPoint(
-            n, p, beta, b0, amplitude,
-            mean_u1=math.nan,
-            verdict_theory=verdict,
-            outcome="Error",
-            t_stop=math.nan,
-            t_star_est=None,
-            fit_quality=None,
+            *point, mean_u1=math.nan, verdict_theory=verdict, outcome="Error",
+            t_stop=math.nan, t_star_est=None, fit_quality=None,
             error=f"{type(exc).__name__}: {exc}",
         )
     outcome = report.outcome.value
     if report.outcome is Outcome.COMPLETED_HORIZON:
         outcome = "SurvivedHorizon"
     return SweepPoint(
-        n, p, beta, b0, amplitude,
+        *point,
         mean_u1=init.mean_u1,
         verdict_theory=verdict,
         outcome=outcome,
@@ -189,8 +193,5 @@ def write_sweep_csv(results, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
         for r in results:
-            row = (
-                r.n, r.p, r.beta, r.b0, r.amplitude, r.mean_u1, r.verdict_theory,
-                r.outcome, r.t_stop, r.t_star_est, r.fit_quality,
-            )
+            row = (getattr(r, column) for column in SWEEP_CSV_COLUMNS)
             fh.write(",".join(map(format_cell, row)) + "\n")
