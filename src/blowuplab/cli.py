@@ -33,8 +33,8 @@ from .grids import save_field_binary
 from .model import Params
 from .oracles import OdeProblem, ode_blowup_time
 from .scaling import invariance_error
-from .stepper import simulate, write_energy_csv
-from .sweep import POINT_KEYS, SweepConfig, format_cell, run_sweep, sweep_points, write_sweep_csv
+from .stepper import format_cell, simulate, write_energy_csv
+from .sweep import POINT_KEYS, SweepConfig, run_sweep, sweep_points, write_sweep_csv
 from .weakform import CutoffSpec, manufactured_crosscheck, measure_term_slopes
 
 USAGE = """usage: blwp <command> [options]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field, Grid
-from .model import InitialData, Params, bump_data, constant_data, make_initial_data, mode_data
+from .model import InitialData, Params, bump_box_half_width, bump_data, constant_data
+from .model import make_initial_data, mode_data
 from .stepper import Controls
 
 __all__ = [
@@ -106,6 +107,12 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self["grid.dim"] not in (1, 2, 3):
             raise ConfigError(f"grid.dim must be 1, 2 or 3, got {self['grid.dim']}")
+        points = self["grid.points"]
+        if points < 2 or points & (points - 1):
+            raise ConfigError(f"grid.points must be a power of two >= 2, got {points}")
+        half = self["grid.half_width"]
+        if half is not None and not half > 0:
+            raise ConfigError(f"grid.half_width must be positive or auto, got {half}")
         if self["init.kind"] not in _INIT_KINDS:
             raise ConfigError(f"init.kind must be one of {_INIT_KINDS}")
         if self["init.on"] not in _INIT_ON:
@@ -113,7 +120,7 @@ class RunConfig:
         for key in ("model.p",):
             if not self[key] > 1.0:
                 raise ConfigError(f"{key} must exceed 1, got {self[key]}")
-        for key in ("model.b0", "time.t_end", "time.dt0", "time.dt_min", "blowup.u_max"):
+        for key in ("model.b0", "init.radius", "time.t_end", "time.dt0", "time.dt_min", "blowup.u_max"):
             if not self[key] > 0:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
         if self["time.dt0"] < self["time.dt_min"]:
@@ -172,10 +179,8 @@ def config_hash(cfg: RunConfig) -> str:
 def build_grid(cfg: RunConfig) -> Grid:
     half = cfg["grid.half_width"]
     if half is None:
-        # compactly supported data must outrun neither the waves nor the
-        # parabolic tails over the horizon
         if cfg["init.kind"] == "bump":
-            half = 4.0 * (cfg["init.radius"] + cfg["time.t_end"])
+            half = bump_box_half_width(cfg["init.radius"], cfg["time.t_end"])
         else:
             half = max(8.0, 4.0 * cfg["init.radius"])
     return Grid(cfg["grid.dim"], cfg["grid.points"], half)

@@ -192,14 +192,14 @@ def linf_norm(f: Field) -> float:
 
 
 @lru_cache(maxsize=64)
-def boundary_shell_mask(grid: Grid, fraction: float = 0.9) -> np.ndarray:
-    """Mask of points whose sup-norm coordinate exceeds fraction*half_width.
+def boundary_shell_mask(grid: Grid) -> np.ndarray:
+    """Mask of points whose sup-norm coordinate exceeds 0.9 * half_width.
 
     Used to watch for energy leaking into the periodic wrap-around; the
     strong damping propagates at infinite speed, so truncation error shows
     up there first.
     """
-    limit = fraction * grid.half_width
+    limit = 0.9 * grid.half_width
     coords = grid.coords()
     mask = np.abs(coords[0]) > limit
     for c in coords[1:]:

@@ -17,6 +17,7 @@ __all__ = [
     "InitialData",
     "damping_coeff",
     "bump_data",
+    "bump_box_half_width",
     "constant_data",
     "mode_data",
     "make_initial_data",
@@ -80,6 +81,12 @@ def bump_data(grid: Grid, amplitude: float, center=0.0, radius: float = 1.0) -> 
     with np.errstate(divide="ignore"):
         values[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
     return Field(grid, values)
+
+
+def bump_box_half_width(radius: float, t_end: float) -> float:
+    """Half-width of a box that a bump of the given radius outruns neither
+    with its waves nor with its parabolic tails until t_end."""
+    return 4.0 * (radius + t_end)
 
 
 def constant_data(grid: Grid, value: float) -> Field:

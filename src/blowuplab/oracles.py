@@ -32,6 +32,10 @@ __all__ = [
 
 RTOL = 1e-13
 ATOL = 1e-14
+# relative tolerance of the escape-time quadrature in ode_blowup_time
+QUAD_RTOL = 1e-9
+# the horizon within which blowup_time_from_trajectory looks for the escape
+T_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ def ode_energy(u: float, v: float, p: float) -> float:
     return 0.5 * v * v - potential
 
 
-def ode_blowup_time(prob: OdeProblem, rtol: float = 1e-9) -> float:
+def ode_blowup_time(prob: OdeProblem) -> float:
     """Blow-up time of u'' = |u|^p by adaptive quadrature of the escape
     integral.
 
@@ -99,8 +103,8 @@ def ode_blowup_time(prob: OdeProblem, rtol: float = 1e-9) -> float:
         return 1.0 / np.sqrt(speed_sq(np.asarray(u)))
 
     split = u0 + 1.0
-    t_near, _ = quad(near, 0.0, 1.0, epsabs=0.0, epsrel=rtol / 4, limit=200)
-    t_far, _ = quad(far, split, np.inf, epsabs=0.0, epsrel=rtol / 4, limit=200)
+    t_near, _ = quad(near, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
+    t_far, _ = quad(far, split, np.inf, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
     return t_near + t_far
 
 
@@ -167,11 +171,7 @@ def linear_mode_trajectory(k, beta, b0, u0, v0, t_grid) -> OdeResult:
     return OdeResult(sol.t, sol.y[0], sol.y[1], diverged=False)
 
 
-def blowup_time_from_trajectory(
-    prob: OdeProblem,
-    thresholds=(1e8, 1e9, 1e10),
-    t_cap: float = 1e4,
-) -> float:
+def blowup_time_from_trajectory(prob: OdeProblem, thresholds=(1e8, 1e9, 1e10)) -> float:
     """Estimate the blow-up time from threshold-crossing times.
 
     The upward crossings of the two largest thresholds are integrator
@@ -194,12 +194,12 @@ def blowup_time_from_trajectory(
         return event
 
     sol = _solve(
-        _source_rhs(prob.p), [prob.u0, prob.v0], (0.0, t_cap),
+        _source_rhs(prob.p), [prob.u0, prob.v0], (0.0, T_CAP),
         events=[crossing(m1, False), crossing(m2, True)],
     )
     if any(len(times) == 0 for times in sol.t_events):
         raise RuntimeError(
-            f"no blow-up beyond {m2:g} before t = {t_cap:g}; "
+            f"no blow-up beyond {m2:g} before t = {T_CAP:g}; "
             "the trajectory does not escape on this horizon"
         )
     t1, t2 = sol.t_events[0][0], sol.t_events[1][0]

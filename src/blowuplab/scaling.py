@@ -5,12 +5,15 @@ problem with damping power beta to solutions of the same problem with the
 damping strength multiplied by lam^(-(beta+1)).  At beta = -1 the factor is 1
 and the equation is exactly invariant; for beta > -1 large lam weakens the
 damping toward the free wave equation.  For beta < -1 the relevant map
-stretches time by lam^(2/(1-beta)) instead.
+stretches time by lam^(2/(1-beta)) instead, so a `ScaleMap` is given lam and
+beta and works out its time factor from beta.
 
 `invariance_error` turns this into a commuting-diagram test: evolve then
 rescale versus rescale the state then evolve, compared in relative L2 at a
 common time.  In the invariant case the discrepancy is pure discretization
-error and shrinks at first order with the step size.
+error and shrinks at first order with the step size.  Its data is a velocity
+bump of radius 1, in the box that `model.bump_box_half_width` sizes for the
+comparison time, and both routes step at COURANT times their grid spacing.
 
 Rescaling is one pass: `rescale_trajectory` sends every target time's u and
 v through one transform together, so `invariance_error` rescales its source
@@ -32,16 +35,14 @@ at off-grid points.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .grids import Field, Grid, l2_norm
-from .model import InitialData, Params, bump_data, make_initial_data
+from .model import InitialData, Params, bump_box_half_width, bump_data, make_initial_data
 from .stepper import Controls, simulate
 
 __all__ = [
-    "ScaleKind",
     "ScaleMap",
     "Trajectory",
     "fourier_sample",
@@ -52,40 +53,31 @@ __all__ = [
 # bytes of one row chunk of an evaluation matrix; see fourier_sample
 EVAL_CHUNK_BYTES = 2**21
 
-
-class ScaleKind(Enum):
-    STANDARD = "standard"  # beta >= -1
-    SUB = "sub"  # beta < -1
+# the time step of invariance_error's runs, in units of their grid spacing
+COURANT = 0.1
 
 
 @dataclass(frozen=True)
 class ScaleMap:
+    """The rescaling by lam of the problem with damping power beta."""
+
     lam: float
-    kind: ScaleKind = ScaleKind.STANDARD
-    beta: float | None = None
+    beta: float
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.kind is ScaleKind.SUB:
-            if self.beta is None or self.beta >= -1:
-                raise ValueError("the sub map needs beta < -1")
 
     @property
     def time_factor(self) -> float:
-        if self.kind is ScaleKind.STANDARD:
+        """lam for beta >= -1, and lam^(2/(1-beta)) below."""
+        if self.beta >= -1:
             return self.lam
         return self.lam ** (2.0 / (1.0 - self.beta))
 
     def pullback_time(self, t: float) -> float:
         """Source time sampled by the rescaled solution at target time t."""
         return self.time_factor * (1.0 + t) - 1.0
-
-    @staticmethod
-    def for_beta(lam: float, beta: float) -> "ScaleMap":
-        if beta >= -1:
-            return ScaleMap(lam, ScaleKind.STANDARD)
-        return ScaleMap(lam, ScaleKind.SUB, beta)
 
 
 @dataclass
@@ -234,9 +226,6 @@ def invariance_error(
     resolution: int,
     t_compare: float = 1.0,
     amplitude: float = 1.0,
-    radius: float = 1.0,
-    target_half_width: float | None = None,
-    courant: float = 0.1,
     restart_params: Params | None = None,
 ) -> float:
     """Relative L2 distance between evolve-then-rescale and
@@ -258,20 +247,19 @@ def invariance_error(
         raise ValueError(f"lam must be >= 1, got {lam}: lambda < 1 pulls t = 0 before the run starts")
     if restart_params is None:
         restart_params = params
-    mapping = ScaleMap.for_beta(lam, params.beta)
+    mapping = ScaleMap(lam, params.beta)
 
-    if target_half_width is None:
-        target_half_width = 4.0 * (radius + t_compare)
+    target_half_width = bump_box_half_width(1.0, t_compare)
     target_grid = Grid(params.n, resolution, target_half_width)
     n_src = resolution
     while n_src < lam * resolution:
         n_src *= 2
     src_grid = Grid(params.n, n_src, lam * target_half_width)
 
-    dt_src = courant * src_grid.spacing
+    dt_src = COURANT * src_grid.spacing
     init = make_initial_data(
         Field(src_grid, np.zeros(src_grid.shape)),
-        bump_data(src_grid, amplitude, radius=radius),
+        bump_data(src_grid, amplitude, radius=1.0),
         compact_support=True,
     )
     pulled = [mapping.pullback_time(0.0), mapping.pullback_time(t_compare)]
@@ -281,7 +269,7 @@ def invariance_error(
     # two evolves the rescaled state at t = 0 up to it
     rescaled = rescale_trajectory(source, mapping, target_grid, [0.0, t_compare])
     restart = make_initial_data(rescaled.u[0], rescaled.v[0], compact_support=True)
-    dt_tgt = courant * target_grid.spacing
+    dt_tgt = COURANT * target_grid.spacing
     evolved = _fixed_run(restart_params, restart, t_compare, dt_tgt)
 
     a = rescaled.u[1]

@@ -10,7 +10,7 @@ else explicitly:
 
 The damping term has an unbounded stiffness b*k^2 in the mode number k, which
 is why it is implicit; the wave and source parts are cheap and stay explicit
-under a dt <= cfl * spacing cap.  This IMEX Euler step is first order, and it
+under a dt <= CFL * spacing cap.  This IMEX Euler step is first order, and it
 is the only stepping kernel: fixed-step runs march with it, and the adaptive
 driver extrapolates it to third order.
 
@@ -126,12 +126,23 @@ __all__ = [
     "simulate",
     "detect_blowup",
     "write_energy_csv",
+    "format_cell",
 ]
 
 ENERGY_CSV_COLUMNS = ("t", "kinetic", "potential", "dissipated_cum", "work_cum", "linf", "l2")
 
 # memory for one ledger block of a fixed-step run; see _block_rows
 LEDGER_BLOCK_BYTES = 2**20
+
+# the adaptive controller's caps: every step is at most CFL * spacing, and at
+# most GROWTH times the one before it
+CFL = 0.5
+GROWTH = 1.25
+
+# detect_blowup fits only samples above RISE_FACTOR times the initial sup
+# norm, and needs at least MIN_SAMPLES of them
+RISE_FACTOR = 10.0
+MIN_SAMPLES = 8
 
 # exit codes used by the command-line front end
 EXIT_CODES = {
@@ -275,8 +286,8 @@ class Controls:
     tol = None switches the error control off and marches with the fixed
     step dt0 (used by refinement and order studies).  With tol set, dt0 is
     the first trial step, tol bounds the relative sup-norm error estimate of
-    each accepted step, and growth caps the factor by which one step may
-    exceed the last; cfl * spacing caps every step.  An attempt that
+    each accepted step, and GROWTH caps the factor by which one step may
+    exceed the last; CFL * spacing caps every step.  An attempt that
     fails is retried smaller, and dt_min is the floor below which the run
     stops.  boundary_check = None means: monitor the boundary shell exactly
     when the initial data is compactly supported.
@@ -302,8 +313,6 @@ class Controls:
     snapshot_every: int | None = None
     fit_points: int = 12
     boundary_check: bool | None = None
-    cfl: float = 0.5
-    growth: float = 1.25
     on_snapshot: Callable[[State], None] | None = None
 
     def __post_init__(self):
@@ -322,10 +331,6 @@ class Controls:
         # each of these would end or label a run for the wrong reason
         if self.fit_points < 2:
             raise ValueError(f"fit_points must be at least 2, got {self.fit_points}")
-        if not self.cfl > 0:
-            raise ValueError(f"cfl must be positive, got {self.cfl}")
-        if not self.growth >= 1:
-            raise ValueError(f"growth must be at least 1, got {self.growth}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive stride or None")
         if self.on_snapshot is not None and self.snapshot_every is None:
@@ -675,14 +680,14 @@ def _step_factor(err: float, controls: Controls) -> float:
     if math.isinf(err):
         return 0.5
     ratio = controls.tol / err if err > 0 else math.inf
-    return min(controls.growth, max(0.2, 0.9 * ratio ** (1.0 / 3.0)))
+    return min(GROWTH, max(0.2, 0.9 * ratio ** (1.0 / 3.0)))
 
 
 def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
     """The adaptive run from the ledger's state (see `simulate`): its
     outcome, or None at the horizon, and the number of rejected attempts."""
     state = ledger.state
-    cfl_cap = controls.cfl * state.grid.spacing
+    cfl_cap = CFL * state.grid.spacing
     k_top = math.sqrt(float(half_k_squared(state.grid).max()))
     dt = min(controls.dt0, cfl_cap)
     t_end = controls.t_end
@@ -760,8 +765,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     Adaptive mode (tol set) makes each attempt by extrapolating the step
     to third order (see the module docstring) and accepts it when its error
     estimate err is at most tol.  Accepted or not, the next attempt has the
-    size dt * min(growth, max(0.2, 0.9 (tol/err)^(1/3))), capped at
-    cfl * spacing; an attempt that turned non-finite is retried at half the
+    size dt * min(GROWTH, max(0.2, 0.9 (tol/err)^(1/3))), capped at
+    CFL * spacing; an attempt that turned non-finite is retried at half the
     size.  Where the damping is too weak to hold the top modes of the
     extrapolated wave step, a second cap keeps every mode from growing (see
     `_stable_step`).  Rejected attempts never touch the energy ledger.
@@ -825,23 +830,17 @@ def _estimate_from_trace(trace, params: Params, controls: Controls):
         return None
 
 
-def detect_blowup(
-    times,
-    linfs,
-    p: float,
-    fit_points: int = 12,
-    rise_factor: float = 10.0,
-    min_samples: int = 8,
-):
+def detect_blowup(times, linfs, p: float, fit_points: int = 12):
     """Extrapolate a blow-up time from a sup-norm history.
 
     Near blow-up the source equation forces u ~ C (t* - t)^(-2/(p-1)), so
     w = linf^(-(p-1)/2) decays linearly; a least-squares line through the
-    last fit_points samples (restricted to linf above rise_factor times the
+    last fit_points samples (restricted to linf above RISE_FACTOR times the
     initial value) crosses zero at the estimate.  Returns None when w is not
     decreasing, i.e. no blow-up trend.  Raises ValueError with fewer than
-    min_samples qualifying samples, or with fit_points below 2, which fit no
-    line.
+    MIN_SAMPLES qualifying samples, or with fit_points below 2, which fit no
+    line.  A history that turns non-finite has diverged, so where it gives
+    no estimate its last finite time is returned, with fit_quality 0.
     """
     if fit_points < 2:
         raise ValueError(f"fit_points must be at least 2, got {fit_points}")
@@ -856,25 +855,22 @@ def detect_blowup(
     if len(times) == 0:
         raise ValueError("no finite samples to fit")
     base = max(linfs[0], 1e-300)
-    eligible = np.nonzero(linfs > rise_factor * base)[0]
-    if len(eligible) < min_samples:
-        if diverged:
-            return BlowupEstimate(t_star=float(times[-1]), fit_quality=0.0, samples_used=0)
-        raise ValueError(
-            f"need at least {min_samples} samples above {rise_factor} times the "
-            f"initial amplitude, found {len(eligible)}"
-        )
-    sel = eligible[-fit_points:]
-    t_fit = times[sel]
-    w = linfs[sel] ** (-0.5 * (p - 1.0))
-    if w[-1] >= w[0]:
-        if diverged:
-            return BlowupEstimate(t_star=float(times[-1]), fit_quality=0.0, samples_used=0)
-        return None
-    slope, intercept = np.polyfit(t_fit, w, 1)
+    eligible = np.nonzero(linfs > RISE_FACTOR * base)[0]
+    slope = 0.0  # too few samples, or a w that does not fall: no blow-up trend
+    if len(eligible) >= MIN_SAMPLES:
+        sel = eligible[-fit_points:]
+        t_fit = times[sel]
+        w = linfs[sel] ** (-0.5 * (p - 1.0))
+        if w[-1] < w[0]:
+            slope, intercept = np.polyfit(t_fit, w, 1)
     if slope >= 0:
         if diverged:
             return BlowupEstimate(t_star=float(times[-1]), fit_quality=0.0, samples_used=0)
+        if len(eligible) < MIN_SAMPLES:
+            raise ValueError(
+                f"need at least {MIN_SAMPLES} samples above {RISE_FACTOR} times the "
+                f"initial amplitude, found {len(eligible)}"
+            )
         return None
     fitted = slope * t_fit + intercept
     ss_res = float(((w - fitted) ** 2).sum())
@@ -887,11 +883,19 @@ def detect_blowup(
     )
 
 
+def format_cell(value) -> str:
+    """The one number formatter of CSV cells and CLI output: repr for
+    floats (so inf, -inf and nan read back), empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
 def write_energy_csv(report: RunReport, path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(ENERGY_CSV_COLUMNS) + "\n")
         for r in report.energy_trace:
-            fh.write(
-                f"{r.t!r},{r.kinetic!r},{r.potential!r},{r.dissipated_cum!r},"
-                f"{r.work_cum!r},{r.linf!r},{r.l2!r}\n"
-            )
+            row = (getattr(r, column) for column in ENERGY_CSV_COLUMNS)
+            fh.write(",".join(map(format_cell, row)) + "\n")

@@ -22,7 +22,7 @@ from itertools import product
 from .config import SCHEMA, RunConfig, default_config
 from .config import build_controls, build_grid, build_initial_data, build_params
 from .exponents import classify
-from .stepper import Outcome, simulate
+from .stepper import Outcome, format_cell, simulate
 
 __all__ = [
     "POINT_KEYS",
@@ -31,7 +31,6 @@ __all__ = [
     "sweep_points",
     "run_sweep",
     "write_sweep_csv",
-    "format_cell",
     "SWEEP_CSV_COLUMNS",
 ]
 
@@ -177,16 +176,6 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list:
         return [_run_point(config, pt) for pt in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_run_point, config), points))
-
-
-def format_cell(value) -> str:
-    """The one number formatter of CSV cells and CLI output: repr for
-    floats (so inf, -inf and nan read back), empty for None."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def write_sweep_csv(results, path) -> None:

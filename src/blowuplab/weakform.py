@@ -20,7 +20,7 @@ refinement, so the numbers are theirs bit for bit.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -339,7 +339,7 @@ def _refine_midpoint(fn, a: float, b: float, start: int = 256, rtol: float = 1e-
     return [q if d is None else d for d, q in zip(done, prev)]
 
 
-def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> TermBundle:
+def term_bundle(spec: CutoffSpec, params: Params) -> TermBundle:
     """Evaluate the window integrals at horizon T by tensor-product midpoint
     quadrature over the exact supports.
 
@@ -351,8 +351,6 @@ def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> Ter
     (see the inline note), which keeps finite-horizon slopes comparable to
     the asymptotic exponents.
     """
-    if T is not None:
-        spec = replace(spec, T=float(T))
     spec.check_exponents(params.p)
     p = params.p
     pp = conjugate_exponent(p)
@@ -404,15 +402,12 @@ def term_bundle(spec: CutoffSpec, params: Params, T: float | None = None) -> Ter
     (s_ell_i,) = _refine_midpoint(ball, 0.0, td)
     s_lap_i, s_grad_i = _refine_midpoint(shell, td / 2, td)
 
-    # data factor: sup-norm of the displacement-data bracket; the time piece
-    # |d/dt cutoff(t/T)| at t = 0 vanishes identically for this profile
+    # data factor: sup-norm of the displacement-data bracket; it has no time
+    # piece, because |d/dt cutoff(t/T)| at t = 0 vanishes identically for
+    # this profile
     rs = td / 2 + (np.arange(1 << 14) + 0.5) * (td / 2) / (1 << 14)
     p1s, lap1s, gss = _radial(spec, n, rs)
-    d_data = float(
-        (p1s ** (ell - 1) * np.abs(lap1s)).max()
-        + (p1s ** (ell - 2) * gss).max()
-        + abs(cutoff_d1(0.0) / T)
-    )
+    d_data = float((p1s ** (ell - 1) * np.abs(lap1s)).max() + (p1s ** (ell - 2) * gss).max())
 
     return TermBundle(
         B_tt=i_tt * s_ell_i,
@@ -518,18 +513,17 @@ def manufactured_crosscheck(
     spec: CutoffSpec,
     nt: int,
     amplitude: float = 0.5,
-    radius: float = 1.0,
 ) -> dict:
     """Compare the weak-form residual of the manufactured non-solution
-    u(t, x) = cos(pi t / T) * bump(x) against the directly quadratured
-    windowed strong-form defect.
+    u(t, x) = cos(pi t / T) * bump(x), with a bump of radius 1, against the
+    directly quadratured windowed strong-form defect.
 
     The two routes share only the basic quadrature rules: the weak side
     never differentiates u, the strong side uses the analytic time
     derivatives and the spectral Laplacian of the bump.
     """
     T = spec.T
-    bump = bump_data(grid, amplitude, radius=radius)
+    bump = bump_data(grid, amplitude)
     lap_bump = laplacian(bump)
     times = np.linspace(0.0, T, nt + 1)
     cos_t = np.cos(np.pi * times / T)

@@ -355,6 +355,9 @@ def test_command_refuses_a_key_it_does_not_read(tmp_path, capsys, command, key):
         ("--sweep.p", "2.0,1.0", "model.p must exceed 1, got 1.0"),
         ("--sweep.b0", "0", "model.b0 must be positive, got 0.0"),
         ("--sweep.n", "1,4", "grid.dim must be 1, 2 or 3, got 4"),
+        ("--grid.points", "100", "grid.points must be a power of two >= 2, got 100"),
+        ("--grid.half_width", "0", "grid.half_width must be positive or auto, got 0.0"),
+        ("--init.radius", "0", "init.radius must be positive, got 0.0"),
     ],
 )
 def test_sweep_refuses_a_bad_point_before_any_output(tmp_path, capsys, flag, value, message):

@@ -33,12 +33,14 @@ EXPORTED = {
         "predicted_exponents", "measure_term_slopes", "manufactured_crosscheck",
     ),
     "scaling": (
-        "ScaleKind", "ScaleMap", "Trajectory", "rescale_trajectory", "invariance_error",
+        "ScaleMap", "Trajectory", "rescale_trajectory", "invariance_error",
     ),
     "sweep": ("SweepConfig", "SweepPoint", "run_sweep", "write_sweep_csv"),
 }
 
-REMOVED = ("helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity")
+REMOVED = (
+    "helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity", "ScaleKind",
+)
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTED))

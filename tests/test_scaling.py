@@ -7,7 +7,6 @@ from blowuplab import scaling
 from blowuplab.grids import Field, Grid, l2_norm, laplacian
 from blowuplab.model import Params, bump_data, make_initial_data
 from blowuplab.scaling import (
-    ScaleKind,
     ScaleMap,
     Trajectory,
     fourier_sample,
@@ -18,21 +17,18 @@ from blowuplab.stepper import Controls, simulate
 
 
 def test_scale_map_pullback():
-    std = ScaleMap(2.0)
+    std = ScaleMap(2.0, -1.0)
     assert std.pullback_time(0.0) == 1.0
     assert std.pullback_time(1.0) == 3.0
-    sub = ScaleMap.for_beta(4.0, -3.0)
-    assert sub.kind is ScaleKind.SUB
+    sub = ScaleMap(4.0, -3.0)
     # time stretch lam^(2 / (1 - beta)) = 4^(1/2) = 2
     assert sub.time_factor == pytest.approx(2.0)
-    assert ScaleMap.for_beta(2.0, 0.0).kind is ScaleKind.STANDARD
+    assert ScaleMap(2.0, 0.0).time_factor == 2.0
 
 
 def test_scale_map_validation():
     with pytest.raises(ValueError):
-        ScaleMap(0.0)
-    with pytest.raises(ValueError):
-        ScaleMap(2.0, ScaleKind.SUB, beta=0.0)
+        ScaleMap(0.0, -1.0)
 
 
 def test_fourier_sample_reproduces_grid_nodes():
@@ -63,7 +59,7 @@ def test_rescale_identity_map():
     rng = np.random.default_rng(3)
     profile = rng.normal(size=g.shape)
     traj = _identity_traj(g, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5], profile)
-    out = rescale_trajectory(traj, ScaleMap(1.0), g, [0.4])
+    out = rescale_trajectory(traj, ScaleMap(1.0, -1.0), g, [0.4])
     assert np.abs(out.u[0].values - profile).max() < 1e-10
 
 
@@ -75,7 +71,7 @@ def test_rescale_linear_profile_doubles():
     source = Grid(1, 64, 4.0)
     x_src = source.axis()
     traj = _identity_traj(source, [0.0, 1.0, 2.0, 3.0, 4.0], x_src)
-    out = rescale_trajectory(traj, ScaleMap(lam), target, [0.5])
+    out = rescale_trajectory(traj, ScaleMap(lam, -1.0), target, [0.5])
     assert np.abs(out.u[0].values - lam * target.axis()).max() < 1e-10
 
 
@@ -94,7 +90,7 @@ def test_rescale_traveling_wave_still_solves_wave_equation():
     traj = Trajectory(times, u, v)
 
     delta = 0.02
-    out = rescale_trajectory(traj, ScaleMap(lam), target, [1.0 - delta, 1.0, 1.0 + delta])
+    out = rescale_trajectory(traj, ScaleMap(lam, -1.0), target, [1.0 - delta, 1.0, 1.0 + delta])
     u_tt = (out.u[2].values - 2.0 * out.u[1].values + out.u[0].values) / delta**2
     residual = u_tt - laplacian(out.u[1]).values
     assert np.abs(residual).max() < 5e-3 * (lam * k) ** 2 * 1.0
@@ -107,11 +103,11 @@ def test_rescale_requires_containment():
     # the scaled target box must be the source box, neither larger nor smaller
     for lam in (2.0, 0.5):
         with pytest.raises(ValueError, match=r"box .*4\.0.* source box 4\.0"):
-            rescale_trajectory(traj, ScaleMap(lam), target, [0.1])
+            rescale_trajectory(traj, ScaleMap(lam, -1.0), target, [0.1])
     with pytest.raises(ValueError, match="2-D but the source grid is 1-D"):
-        rescale_trajectory(traj, ScaleMap(1.0), Grid(2, 64, 4.0), [0.1])
+        rescale_trajectory(traj, ScaleMap(1.0, -1.0), Grid(2, 64, 4.0), [0.1])
     with pytest.raises(ValueError, match="outside"):
-        rescale_trajectory(traj, ScaleMap(1.0), target, [5.0])
+        rescale_trajectory(traj, ScaleMap(1.0, -1.0), target, [5.0])
 
 
 def test_invariance_error_identity_scale():
@@ -168,12 +164,6 @@ def test_invariance_error_rejects_lambda_below_one():
             invariance_error(params, lam=lam, resolution=64)
 
 
-def test_invariance_error_rejects_zero_half_width():
-    params = Params(n=1, p=2.0, beta=-1.0, nonlinear=False)
-    with pytest.raises(ValueError, match="half_width"):
-        invariance_error(params, lam=2.0, resolution=64, target_half_width=0.0)
-
-
 def _mode_sum(values, grid, points):
     # the interpolant as a direct sum over every fftfreq mode, Nyquist included
     spec = np.fft.fftn(values)
@@ -207,7 +197,7 @@ def test_rescale_many_times_matches_one_time_calls(dim, n_src, n_tgt):
     u = [Field(source, rng.normal(size=source.shape)) for _ in times]
     v = [Field(source, rng.normal(size=source.shape)) for _ in times]
     traj = Trajectory(times, u, v)
-    mapping = ScaleMap(2.0)
+    mapping = ScaleMap(2.0, -1.0)
     targets = [0.1, 0.55, 1.0]
     together = rescale_trajectory(traj, mapping, target, targets)
     for j, t in enumerate(targets):
@@ -241,7 +231,7 @@ def test_rescale_fold_matches_fourier_sample(dim, n_src, n_tgt, lam):
     rng = np.random.default_rng(17 + dim)
     u, v = rng.normal(size=source.shape), rng.normal(size=source.shape)
     traj = _identity_traj(source, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0], u, v)
-    mapping = ScaleMap(lam)
+    mapping = ScaleMap(lam, -1.0)
     out = rescale_trajectory(traj, mapping, target, [0.3])
     points = [lam * target.axis()] * dim
     for got, field, factor in ((out.u[0], u, 1.0), (out.v[0], v, mapping.time_factor)):
@@ -267,7 +257,7 @@ def test_criterion_7_values_pinned():
 def _invariance_error_from_every_step(params, lam, resolution):
     """invariance_error's two routes at its defaults, with the source run
     keeping every step in its report."""
-    mapping = ScaleMap.for_beta(lam, params.beta)
+    mapping = ScaleMap(lam, params.beta)
     target = Grid(params.n, resolution, 8.0)
     n_src = resolution
     while n_src < lam * resolution:
