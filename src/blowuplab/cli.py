@@ -17,6 +17,7 @@ from . import __version__
 from .config import (
     SCHEMA,
     ConfigError,
+    _bool,
     _csv_floats,
     _csv_ints,
     apply_overrides,
@@ -49,17 +50,13 @@ commands:
   oracle     blow-up time of the space-free reduction (--u0 --v0 --p)
 
 Flags take a value, as --name value or --name=value; --force (simulate,
-sweep) is the only bare flag.  In simulate and sweep, config keys can be
+sweep) is the only bare flag, and --force=VALUE takes a config boolean.  In simulate and sweep, config keys can be
 overridden one to one: --model.p 2.5 --time.t_end 10.  A flag the command
 does not read is a config error.
 """
 
 EXIT_USAGE = 64
 EXIT_CONFIG = 2
-
-
-def _force(raw: str) -> bool:
-    return raw.lower() != "false"
 
 
 def _parse_flags(tokens, spec, overrides=False):
@@ -162,7 +159,7 @@ def _snapshot_writer(snap_dir: str):
 
 
 def cmd_simulate(argv) -> int:
-    cfg, flags = _load_config(argv, {"force": (_force, False)}, POINT_KEYS)
+    cfg, flags = _load_config(argv, {"force": (_bool, False)}, POINT_KEYS)
 
     grid = build_grid(cfg)
     params = build_params(cfg)
@@ -209,7 +206,7 @@ def cmd_sweep(argv) -> int:
     unread["output.every"] = "blwp simulate, as a sweep keeps no snapshots"
     for key in ("model.nonlinear", "init.kind", "init.on", "init.center", "init.mode"):
         unread[key] = "blwp simulate, as a sweep runs the theorem's velocity bump"
-    cfg, flags = _load_config(argv, {"force": (_force, False), "workers": (int, 1)}, unread)
+    cfg, flags = _load_config(argv, {"force": (_bool, False), "workers": (int, 1)}, unread)
     sweep_cfg = SweepConfig.from_config(cfg)
     for point in sweep_points(sweep_cfg):
         sweep_cfg.point_config(point).validate()

@@ -49,7 +49,7 @@ sources of the chains that go on take one stacked transform each way per
 substep, four per attempt where separate chains of `step` would take six,
 and every row is bit for bit the chain of `step` calls it stands for.
 T[3,3] and T[3,2] share one stack, which one inverse transform brings back
-to samples for the error estimate; the accepted state keeps its samples for
+to samples for the error estimate; the accepted row keeps its u samples for
 the monitors.
 
 The energy ledger tracks, per accepted step,
@@ -74,12 +74,14 @@ above u_max or with a contaminated shell is kept, and later rows are
 discarded, so the outcome, the ledger and the final state are those of
 checking every step.  An adaptive run, and `energy`, use blocks of one row.
 
-A fixed-step run makes no `State` per step: `_march` runs `_imex` through a
-ring of coefficient rows allocated once per run, a block of about
-LEDGER_BLOCK_BYTES at a time, and the ledger reads each block in place.  A
-nonlinear step builds its new state's samples and source at once, and
-samples that pass u_max, or are not finite, end the block there, so that
-no step is taken past a trip.
+No run makes a `State` per step: the state between steps is one ledger
+row, (u_hat, v_hat) and F[|u|^p] with a source, plus its u samples, and
+both drivers continue from the last row `_Ledger` kept.  `_march` runs
+`_imex` through a ring of coefficient rows allocated once per run, a block
+of about LEDGER_BLOCK_BYTES at a time, and the ledger reads each block in
+place.  A nonlinear step builds its new row's samples and source at once,
+and samples that pass u_max, or are not finite, end the block there, so
+that no step is taken past a trip.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 pass through one function, `_Ledger.snapshot`, which makes one `State` of u
@@ -91,8 +93,8 @@ is kept, so a run's memory does not grow with its history.  A hook's
 snapshot may be kept: its u is a view of its block's samples, which no
 later step writes, and its v coefficients view the ring while the hook runs
 and are copied when it returns with v unread.  Either way nothing is cached
-on the solver's own states, and the final state reuses the samples of the
-last snapshot when that snapshot is of the final state.
+on the solver's rows, and the final state reuses the samples of the last
+snapshot when that snapshot is of the final state.
 """
 
 import math
@@ -211,15 +213,6 @@ class State:
         if self._source is None or self._source[0] != p:
             self._source = (p, half_spectrum(np.abs(self.u.values) ** p, self.grid))
         return self._source[1]
-
-    def physical(self) -> "State":
-        """The same state holding samples only, for results kept after the run."""
-        return State(self.t, self.u, self.v)
-
-    def is_finite(self) -> bool:
-        u = self._u.values if self._u is not None else self._u_hat
-        v = self._v.values if self._v is not None else self._v_hat
-        return bool(np.isfinite(u).all() and np.isfinite(v).all())
 
 
 @dataclass
@@ -478,8 +471,10 @@ class _Ledger:
     `flush` computes a block of accepted rows with `_ledger_rows`, then walks
     them in order as a per-step check would: it extends the trapezoid sums,
     records the row, its step size and its snapshot, and stops at the first
-    row that trips a monitor.  `state` is the last state kept.  Every
-    snapshot goes through `snapshot`.
+    row that trips a monitor.  The run continues from the last row kept: its
+    time `t`, its `_fields` `row`, and its u samples `u` where the driver
+    built them, else None; `v` holds the initial v samples until a step is
+    kept.  Every snapshot goes through `snapshot`.
     """
 
     def __init__(self, state: State, params: Params, controls: Controls, shell):
@@ -493,24 +488,22 @@ class _Ledger:
         t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
-        self.state = state
+        self.t, self.row, self.u, self.v = t, _fields(state, params), state.u.values, state.v.values
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook = controls.on_snapshot
         keep = controls.snapshot_every and self.hook is None
         self.snapshots = [] if keep else None
-        self.last = None  # the snapshot of `state`, if it has one
+        self.last = None  # the snapshot of the last row kept, if it has one
         if controls.snapshot_every:
-            self.snapshot(state.t, samples[0], v=state.v)
+            self.snapshot(t, samples[0], v=state.v)
 
     def flush(self, t, dts, block, samples=None) -> "Outcome | None":
         """Compute and check the rows of a block, as `_ledger_rows` takes
         them, reached by steps of sizes dts; the outcome of the first row
-        that trips a monitor, or None when every row passes.  A row's state
-        is built from the block only where needed: for a snapshot, and for
-        the last kept row, whose state views the block."""
-        grid = self.grid
-        table, samples = _ledger_rows(t, block, grid, self.params, samples, self.shell)
+        that trips a monitor, or None when every row passes.  The last kept
+        row views the block, and so do its samples when they were passed."""
+        table, built = _ledger_rows(t, block, self.grid, self.params, samples, self.shell)
         u_max, every = self.controls.u_max, self.controls.snapshot_every
         last, trace = self.trace[-1], self.trace
         dissipated, work = last.dissipated_cum, last.work_cum
@@ -530,7 +523,7 @@ class _Ledger:
             kept, self.last = j, None
             if j == snap_row:
                 snap_row += every
-                self.snapshot(t_j, samples[j], block[j][1])
+                self.snapshot(t_j, built[j], block[j][1])
             if linf > u_max:
                 outcome = self.diverged
                 break
@@ -543,9 +536,9 @@ class _Ledger:
         self.accepted += kept + 1
         steps = dts[: kept + 1]
         self.dt_lo, self.dt_hi = min(self.dt_lo, *steps), max(self.dt_hi, *steps)
-        self.state = State.from_spectrum(t[kept], grid, block[kept][0], block[kept][1])
-        if self.params.nonlinear:
-            self.state._u = Field(grid, samples[kept])
+        # samples built here for a linear block would keep the block alive
+        self.t, self.row, self.v = t[kept], block[kept], None
+        self.u = None if samples is None else samples[kept]
         return outcome
 
     def snapshot(self, t: float, u: np.ndarray, v_hat=None, v: Field | None = None) -> None:
@@ -570,22 +563,29 @@ class _Ledger:
         snap._v_hat = None if snap._v is not None else snap._v_hat.copy()
 
     def final_state(self) -> State:
-        """The last state kept, holding samples only; those of its snapshot
-        are reused when it has one.  Samples that view a ledger block are
-        copied, so that the result does not keep the block alive."""
-        state = self.last or self.state
-        u, v = state.u, state.v
-        return State(self.state.t, u if u.values.flags.owndata else u.copy(), v)
+        """The last row kept as a state of samples: those of its snapshot
+        when it has one, else those the ledger holds or, failing them, ones
+        built from the row.  Samples that view a ledger block are copied,
+        so that the result does not keep the block alive."""
+        if self.last is not None:
+            u, v = self.last.u, self.last.v
+        else:
+            grid = self.grid
+            u = Field(grid, from_half_spectrum(self.row[0], grid) if self.u is None else self.u)
+            v = Field(grid, from_half_spectrum(self.row[1], grid) if self.v is None else self.v)
+        return State(self.t, u if u.values.flags.owndata else u.copy(), v)
 
 
 SUBSTEPS = (1, 2, 3)
 
 
-def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
-    """One adaptive attempt of size dt: the third-order extrapolation of
-    the step over SUBSTEPS, and its error estimate (see the module
-    docstring).  Returns the state at t + dt and the relative error, inf
-    when the attempt is not finite.
+def _extrapolated_step(t: float, row, grid: Grid, params: Params, dt: float) -> tuple:
+    """One adaptive attempt of size dt from the state at time t whose
+    `_fields` are row: the third-order extrapolation of the step over
+    SUBSTEPS, and its error estimate (see the module docstring).  Returns
+    the (u_hat, v_hat) stack at t + dt, its u samples and the relative
+    error; the samples are None and the error inf when the attempt is not
+    finite.
 
     The factors of all three substeps are built at once.  Two buffers hold
     the chains, so that an attempt holds little more than them, the factors
@@ -593,12 +593,11 @@ def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
     T[2,2] and the longest chain's end; `second` the rows after substep 2,
     then T[3,3] and T[3,2], the stack that `_step_error` transforms.
     """
-    grid = state.grid
     k2 = half_k_squared(grid)
     hs = [dt / n for n in SUBSTEPS]
     # each substep's rows: the steps of the chains that take it and the
     # times they end at, accumulated as (t + h) + h, where b is taken
-    ts = [state.t] * len(SUBSTEPS)
+    ts = [t] * len(SUBSTEPS)
     steps, ends = [], []
     for i in range(len(SUBSTEPS)):
         ts[i:] = [a + b for a, b in zip(ts[i:], hs[i:])]
@@ -609,8 +608,8 @@ def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
     cols = np.array(hs, complex).reshape((-1,) + (1,) * k2.ndim)
     # all three chains from the state, then the two longer, then the longest
     first = np.empty((3, 2) + k2.shape, complex)
-    src = state.source_hat(params.p) if params.nonlinear else None
-    _imex(state.u_hat, state.v_hat, src, dtk2, den[:3], cols, first[:, 0], first[:, 1])
+    src = row[2] if params.nonlinear else None
+    _imex(row[0], row[1], src, dtk2, den[:3], cols, first[:, 0], first[:, 1])
     src = _sources(first[1:, 0], grid, params)
     second = np.empty((2, 2) + k2.shape, complex)
     _imex(first[1:, 0], first[1:, 1], src, dtk2[1:], den[3:5], cols[1:],
@@ -626,9 +625,7 @@ def _extrapolated_step(state: State, params: Params, dt: float) -> tuple:
     np.add(t21, np.divide(np.subtract(t21, t11, t22), 1.0, t22), t22)
     np.add(t31, np.divide(np.subtract(t31, t21, t32), 0.5, t32), t32)
     np.add(t32, np.divide(np.subtract(t32, t22, t33), 2.0, t33), t33)
-    stack = second.reshape((4,) + k2.shape)
-    new = State.from_spectrum(state.t + dt, grid, stack[0], stack[1])
-    return new, _step_error(new, stack)
+    return second[0], *_step_error(second.reshape((4,) + k2.shape), grid)
 
 
 def _sources(u_hat: np.ndarray, grid: Grid, params: Params) -> "np.ndarray | None":
@@ -642,21 +639,20 @@ def _sources(u_hat: np.ndarray, grid: Grid, params: Params) -> "np.ndarray | Non
     return half_spectrum(samples, grid)
 
 
-def _step_error(new: State, coeffs: np.ndarray) -> float:
-    """Relative sup-norm gap between new and a lower-order result, given
-    coeffs = (u_hat, v_hat) of new followed by those of the other, or inf
-    when either is not finite.  One stacked inverse transform gives all four
-    fields; new keeps its samples for the monitors."""
-    stack = from_half_spectrum(coeffs, new.grid)
+def _step_error(coeffs: np.ndarray, grid: Grid) -> tuple:
+    """The u samples of a result and its relative sup-norm gap to a
+    lower-order one, given coeffs = (u_hat, v_hat) of the result followed
+    by those of the other; None and inf when either is not finite.  One
+    stacked inverse transform gives all four fields."""
+    stack = from_half_spectrum(coeffs, grid)
     high, low = stack[:2], stack[2:]
     scale = float(np.abs(high).max())
     # a sup over both fields; nan or inf in any field reaches scale or gap
     gap = float(np.abs(np.subtract(high, low, low), low).max())
     if not (math.isfinite(scale) and math.isfinite(gap)):
-        return math.inf
-    # copies, so that a kept state does not hold on to the whole stack
-    new._u, new._v = Field(new.grid, high[0].copy()), Field(new.grid, high[1].copy())
-    return gap / max(scale, 1e-30)
+        return None, math.inf
+    # a copy, so that the kept samples do not hold on to the whole stack
+    return high[0].copy(), gap / max(scale, 1e-30)
 
 
 def _stable_step(t: float, dt: float, params: Params, k_top: float) -> float:
@@ -684,46 +680,47 @@ def _step_factor(err: float, controls: Controls) -> float:
 
 
 def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
-    """The adaptive run from the ledger's state (see `simulate`): its
-    outcome, or None at the horizon, and the number of rejected attempts."""
-    state = ledger.state
-    cfl_cap = CFL * state.grid.spacing
-    k_top = math.sqrt(float(half_k_squared(state.grid).max()))
+    """The adaptive run from the ledger's last row (see `simulate`): its
+    outcome, or None at the horizon, and the number of rejected attempts.
+    Every row it flushes is finite, so the ledger keeps it."""
+    grid = ledger.grid
+    cfl_cap = CFL * grid.spacing
+    k_top = math.sqrt(float(half_k_squared(grid).max()))
     dt = min(controls.dt0, cfl_cap)
     t_end = controls.t_end
     rejected = 0
-    while state.t < t_end * (1.0 - 1e-14):
-        dt_step = min(dt, t_end - state.t)
-        dt_step = min(dt_step, _stable_step(state.t, dt_step, params, k_top))
+    while ledger.t < t_end * (1.0 - 1e-14):
+        t = ledger.t
+        dt_step = min(dt, t_end - t)
+        dt_step = min(dt_step, _stable_step(t, dt_step, params, k_top))
         if dt_step < controls.dt_min:
             return Outcome.STEP_FLOOR_REACHED, rejected
-        new, err = _extrapolated_step(state, params, dt_step)
+        new, u, err = _extrapolated_step(t, ledger.row, grid, params, dt_step)
         dt = min(dt_step * _step_factor(err, controls), cfl_cap)
         if err > controls.tol:
             rejected += 1
             continue
-        state = new
-        row = [_fields(state, params)]
-        outcome = ledger.flush([state.t], [dt_step], row, state.u.values[np.newaxis])
-        ledger.state = state  # every row it flushes is finite, so kept
+        if params.nonlinear:
+            new = (*new, half_spectrum(np.abs(u) ** params.p, grid))
+        outcome = ledger.flush([t + dt_step], [dt_step], [new], u[np.newaxis])
         if outcome is not None:
             return outcome, rejected
     return None, rejected
 
 
 def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | None":
-    """The fixed-step run from the ledger's state: its outcome, or None at
-    the horizon.  The ring is two halves of `_block_rows` rows of `_fields`;
-    a block fills the half its start row is not in, so that the ledger
-    reads it as one array and a dropped first row leaves the last finite
-    state intact."""
+    """The fixed-step run from the ledger's last row: its outcome, or None
+    at the horizon.  The ring is two halves of `_block_rows` rows of
+    `_fields`; a block fills the half its start row is not in, so that the
+    ledger reads it as one array and a dropped first row leaves the last
+    row kept intact."""
     grid = ledger.grid
     k2 = half_k_squared(grid)
     block_rows = _block_rows(grid)
     shape = (block_rows, 3 if params.nonlinear else 2) + k2.shape
     halves = [np.empty(shape, dtype=complex) for _ in range(2)]
-    halves[0][0] = _fields(ledger.state, params)
-    ledger.state = ledger.state.physical()  # its coefficients are in the ring now
+    halves[0][0] = ledger.row
+    ledger.row = halves[0][0]  # so that the initial coefficients are freed
     # (u_hat, v_hat, source or None) of every row, as views made once
     rows = [(*row, None)[:3] for half in halves for row in half]
     t_end, dt0 = controls.t_end, controls.dt0
@@ -795,9 +792,9 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         else init.compact_support
     )
     shell = boundary_shell_mask(grid) if check_boundary else None
-    ledger = _Ledger(State(0.0, init.u0.copy(), init.u1.copy()), params, controls, shell)
-    # a diverging step overflows on its way to the outcome below
+    # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
+        ledger = _Ledger(State(0.0, init.u0.copy(), init.u1.copy()), params, controls, shell)
         if controls.tol is None:
             outcome, rejected = _march(ledger, params, controls), 0
         else:
@@ -809,7 +806,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         estimate = _estimate_from_trace(ledger.trace, params, controls)
     return RunReport(
         outcome=outcome,
-        t_stop=ledger.state.t,
+        t_stop=ledger.t,
         energy_trace=ledger.trace,
         estimate=estimate,
         snapshots=ledger.snapshots,

@@ -30,7 +30,6 @@ from .model import Params, bump_data, damping_coeff
 
 __all__ = [
     "CutoffSpec",
-    "TermBundle",
     "TERM_NAMES",
     "SlopeFit",
     "cutoff",
@@ -296,26 +295,6 @@ TERM_NAMES = (
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
-@dataclass(frozen=True)
-class TermBundle:
-    """The eight window integrals bounding the source integral, plus the
-    displacement data factor.  All entries are nonnegative because every
-    integrand is an absolute power."""
-
-    B_tt: float
-    B_t2: float
-    B_dx1: float
-    B_dx2: float
-    B_mix1: float
-    B_mix2: float
-    B_beta1: float
-    B_beta2: float
-    D_data: float
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in TERM_NAMES}
-
-
 def _midpoint(fn, a: float, b: float, cells: int) -> list:
     x = a + (np.arange(cells) + 0.5) * (b - a) / cells
     return [float((b - a) / cells * f.sum()) for f in fn(x)]
@@ -339,9 +318,11 @@ def _refine_midpoint(fn, a: float, b: float, start: int = 256, rtol: float = 1e-
     return [q if d is None else d for d, q in zip(done, prev)]
 
 
-def term_bundle(spec: CutoffSpec, params: Params) -> TermBundle:
-    """Evaluate the window integrals at horizon T by tensor-product midpoint
-    quadrature over the exact supports.
+def term_bundle(spec: CutoffSpec, params: Params) -> dict:
+    """The eight window integrals bounding the source integral, plus the
+    displacement data factor, keyed by TERM_NAMES: all nonnegative, because
+    every integrand is an absolute power.  They are evaluated at horizon T
+    by tensor-product midpoint quadrature over the exact supports.
 
     Time-derivative factors live on (T/2, T) and space-derivative factors on
     the shell T^d/2 <= |x| <= T^d.  The damping-decay terms are integrated
@@ -409,17 +390,10 @@ def term_bundle(spec: CutoffSpec, params: Params) -> TermBundle:
     p1s, lap1s, gss = _radial(spec, n, rs)
     d_data = float((p1s ** (ell - 1) * np.abs(lap1s)).max() + (p1s ** (ell - 2) * gss).max())
 
-    return TermBundle(
-        B_tt=i_tt * s_ell_i,
-        B_t2=i_t2 * s_ell_i,
-        B_dx1=i_eta * s_lap_i,
-        B_dx2=i_eta * s_grad_i,
-        B_mix1=T ** (-beta * pp) * i_mix * s_lap_i,
-        B_mix2=T ** (-beta * pp) * i_mix * s_grad_i,
-        B_beta1=i_betaw * s_lap_i,
-        B_beta2=i_betaw * s_grad_i,
-        D_data=d_data,
-    )
+    mix = T ** (-beta * pp) * i_mix
+    values = (i_tt * s_ell_i, i_t2 * s_ell_i, i_eta * s_lap_i, i_eta * s_grad_i, mix * s_lap_i,
+              mix * s_grad_i, i_betaw * s_lap_i, i_betaw * s_grad_i, d_data)
+    return dict(zip(TERM_NAMES, values))
 
 
 @dataclass(frozen=True)
@@ -486,7 +460,7 @@ def measure_term_slopes(params: Params, d: float, horizons, ell=None, eta=None) 
     bundles = []
     for T in horizons:
         spec = CutoffSpec(ell=ell, eta=eta, d=d, T=T)
-        bundles.append(term_bundle(spec, params).as_dict())
+        bundles.append(term_bundle(spec, params))
     predicted = predicted_exponents(params, d)
     out = {}
     for name in TERM_NAMES:

@@ -170,6 +170,30 @@ def test_simulate_refuses_overwrite_without_force(tmp_path, capsys):
     assert run_cli(capsys, *args, "--force")[0] == 0
 
 
+def test_force_takes_a_config_boolean(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    args = (
+        "simulate",
+        "--init.amplitude", "0",
+        "--time.t_end", "0.2",
+        "--grid.points", "32",
+        "--grid.half_width", "4",
+        "--output.dir", str(out_dir),
+    )
+    assert run_cli(capsys, *args)[0] == 0
+    trace = out_dir / "energy_trace.csv"
+    trace.write_text("stale\n")  # an overwrite would replace it
+    finished = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    for value in ("no", "0", "off"):
+        code, _, err = run_cli(capsys, *args, f"--force={value}")
+        assert code == EXIT_CONFIG and "force" in err
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == finished
+    code, _, err = run_cli(capsys, *args, "--force=maybe")
+    assert code == EXIT_CONFIG and "not a boolean" in err
+    assert run_cli(capsys, *args, "--force=yes")[0] == 0
+    assert trace.read_text().startswith("t,kinetic")
+
+
 def test_simulate_outputs_reproducible(tmp_path, capsys):
     args = lambda d: (
         "simulate",

@@ -1,8 +1,9 @@
 import pytest
 
-from blowuplab.cli import _force, _parse_flags
+from blowuplab.cli import _parse_flags
 from blowuplab.config import (
     ConfigError,
+    _bool,
     apply_overrides,
     build_controls,
     build_grid,
@@ -62,7 +63,7 @@ def test_validation_rules():
 def test_override_tokens():
     flags, pairs = _parse_flags(
         ["--config", "run.cfg", "--model.p", "2.5", "--force", "--time.t_end=3"],
-        {"config": (str, None), "force": (_force, False)},
+        {"config": (str, None), "force": (_bool, False)},
         overrides=True,
     )
     assert pairs == [("model.p", "2.5"), ("time.t_end", "3")]

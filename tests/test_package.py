@@ -28,7 +28,7 @@ EXPORTED = {
         "step", "simulate", "energy", "detect_blowup",
     ),
     "weakform": (
-        "CutoffSpec", "TermBundle", "cutoff", "cutoff_d1", "cutoff_d2", "psi_parts",
+        "CutoffSpec", "cutoff", "cutoff_d1", "cutoff_d2", "psi_parts",
         "weak_residual", "weak_identity_terms", "term_bundle", "slope_fit",
         "predicted_exponents", "measure_term_slopes", "manufactured_crosscheck",
     ),
@@ -40,6 +40,7 @@ EXPORTED = {
 
 REMOVED = (
     "helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity", "ScaleKind",
+    "TermBundle",
 )
 
 

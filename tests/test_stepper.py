@@ -338,9 +338,36 @@ def test_nonfinite_fixed_step_keeps_last_finite_state():
     assert report.outcome is Outcome.NUMERICAL_INSTABILITY
     assert report.t_stop < controls.t_end
     final = report.final_state
-    assert final.is_finite()
+    assert final.u.is_finite() and final.v.is_finite()
     assert final.t == report.t_stop == report.energy_trace[-1].t
     assert linf_norm(final.u) == report.energy_trace[-1].linf
+
+
+def _no_step_cases():
+    # a fixed run whose first step is not finite, and an adaptive one that
+    # reaches the step floor at t = 0
+    g = Grid(1, 64, 8.0)
+    huge = make_initial_data(constant_field(g, 1e200), bump_data(g, 1.0))
+    bump = make_initial_data(bump_data(g, 1.0), constant_field(g, 0.0), compact_support=True)
+    return [
+        pytest.param(None, huge, Outcome.BLOWUP_DETECTED, id="fixed"),
+        pytest.param(1e-30, bump, Outcome.STEP_FLOOR_REACHED, id="adaptive"),
+    ]
+
+
+@pytest.mark.parametrize("tol, init, outcome", _no_step_cases())
+def test_a_run_that_keeps_no_step_returns_its_initial_data(tol, init, outcome):
+    params = Params(n=1, p=2.0, beta=0.0)
+    controls = Controls(t_end=1.0, dt0=1e-2, dt_min=1e-4, tol=tol, u_max=math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = simulate(params, init, controls)
+    assert report.outcome is outcome
+    assert len(report.energy_trace) == 1 and report.accepted == 0
+    final = report.final_state
+    assert final.t == report.t_stop == 0.0
+    assert final.u.values.tobytes() == init.u0.values.tobytes()
+    assert final.v.values.tobytes() == init.u1.values.tobytes()
 
 
 def test_fixed_step_time_comes_from_step_index():
@@ -391,15 +418,15 @@ def test_spectral_ledger_matches_public_functions(params, init, controls):
     assert last.linf == linf_norm(final.u)
 
 
-def _count_calls(monkeypatch, name="step"):
-    """Record each call of stepper's function `name` as (first argument,
-    last positional argument, result); for `step` that is (state, dt, new)."""
+def _count_calls(monkeypatch, name):
+    """Record each call of stepper's function `name` as (positional
+    arguments, result)."""
     calls = []
     real = getattr(stepper, name)
 
     def counted(*args, **kwargs):
         out = real(*args, **kwargs)
-        calls.append((args[0], args[-1], out))
+        calls.append((args, out))
         return out
 
     monkeypatch.setattr(stepper, name, counted)
@@ -431,6 +458,24 @@ def test_a_step_holds_two_new_coefficient_arrays(nonlinear):
     assert peak <= 2.1 * state.u_hat.nbytes
 
 
+@pytest.mark.parametrize("dim, points, bound", [(3, 32, 8.5), (1, 4096, 25.1)])
+def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
+    # neither the initial coefficients, once copied into the ring, nor the
+    # samples the ledger builds for a linear block outlive their use
+    g = Grid(dim, points, 6.0)
+    params = Params(n=dim, p=2.0, beta=0.0, nonlinear=False)
+    init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    controls = Controls(t_end=0.1, dt0=1e-2, tol=None, boundary_check=False)
+    simulate(params, init, controls)  # the grid's caches
+    tracemalloc.start()
+    try:
+        simulate(params, init, controls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 16 * half_k_squared(g).size
+
+
 def _rejecting_case():
     # constant data does not see the box, so a wide box lifts the CFL cap
     # above dt0, and the first attempts fail the tight tolerance
@@ -460,16 +505,29 @@ def _reference_attempt(state, params, dt):
     return high, max(np.abs(hu - lu).max(), np.abs(hv - lv).max()) / scale
 
 
-def _assert_attempt_is_the_reference(state, params, dt, new, err):
+def _attempt(state, params, dt):
+    """An adaptive attempt from the state's ledger row: the new (u_hat,
+    v_hat), their u samples and the error."""
+    return stepper._extrapolated_step(state.t, stepper._fields(state, params), state.grid,
+                                      params, dt)
+
+
+def _row_state(t, row, grid, params):
+    """The state whose ledger row is row, as an attempt starts from it."""
+    state = State.from_spectrum(t, grid, row[0], row[1])
+    if params.nonlinear:
+        state._source = (params.p, row[2])
+    return state
+
+
+def _assert_attempt_is_the_reference(state, params, dt, attempt):
+    (u_hat, v_hat), u, err = attempt
     high, gap = _reference_attempt(state, params, dt)
-    assert new.t == state.t + dt
-    assert new.u_hat.tobytes() == high[0].tobytes()
-    assert new.v_hat.tobytes() == high[1].tobytes()
+    assert u_hat.tobytes() == high[0].tobytes()
+    assert v_hat.tobytes() == high[1].tobytes()
     assert err == gap
     # the samples the monitors read are those of the coefficients
-    grid = state.grid
-    assert new.u.values.tobytes() == from_half_spectrum(high[0], grid).tobytes()
-    assert new.v.values.tobytes() == from_half_spectrum(high[1], grid).tobytes()
+    assert u.tobytes() == from_half_spectrum(high[0], state.grid).tobytes()
 
 
 def _attempt_cases():
@@ -488,11 +546,11 @@ def _attempt_cases():
 @pytest.mark.parametrize("params, state", _attempt_cases())
 def test_attempt_equals_aitken_neville_of_public_step_chains(params, state):
     for dt in (0.05, 1e-2 / 3):
-        new, err = stepper._extrapolated_step(state, params, dt)
-        _assert_attempt_is_the_reference(state, params, dt, new, err)
+        attempt = _attempt(state, params, dt)
+        _assert_attempt_is_the_reference(state, params, dt, attempt)
     # and again from the accepted state, whose coefficients view its stack
-    again, err = stepper._extrapolated_step(new, params, 0.02)
-    _assert_attempt_is_the_reference(new, params, 0.02, again, err)
+    new = State.from_spectrum(state.t + dt, state.grid, *attempt[0])
+    _assert_attempt_is_the_reference(new, params, 0.02, _attempt(new, params, 0.02))
 
 
 def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
@@ -501,15 +559,15 @@ def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
     report = simulate(params, init, controls)
     assert report.outcome is Outcome.COMPLETED_HORIZON
     starts = []
-    for state, dt, (new, err) in calls:
+    for (t, row, grid, _, dt), attempt in calls:
         # each attempt is Aitken-Neville over chains of public step calls
-        _assert_attempt_is_the_reference(state, params, dt, new, err)
-        starts.append(state)
-    # a rejected attempt is retried from the same state and adds no ledger row
-    rejected = sum(a is b for a, b in zip(starts, starts[1:]))
+        _assert_attempt_is_the_reference(_row_state(t, row, grid, params), params, dt, attempt)
+        starts.append((t, row))
+    # a rejected attempt is retried from the same row and adds no ledger row
+    rejected = sum(a is b for (_, a), (_, b) in zip(starts, starts[1:]))
     assert rejected == report.rejected > 0
     assert len(report.energy_trace) - 1 == report.accepted == len(starts) - rejected
-    assert [r.t for r in report.energy_trace[:-1]] == [s.t for s in dict.fromkeys(starts)]
+    assert [r.t for r in report.energy_trace[:-1]] == list(dict.fromkeys(t for t, _ in starts))
     # the step statistics cover the accepted steps only
     steps = np.diff([r.t for r in report.energy_trace])
     assert report.dt_min == pytest.approx(steps.min(), rel=1e-12)
@@ -522,10 +580,10 @@ def test_an_adaptive_attempt_holds_at_most_26_coefficient_arrays(nonlinear):
     g = Grid(3, 32, 6.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=nonlinear)
     state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
-    stepper._extrapolated_step(state, params, 1e-2)  # the state's source and caches
+    _attempt(state, params, 1e-2)  # the state's row and caches
     tracemalloc.start()
     try:
-        stepper._extrapolated_step(state, params, 1e-2)
+        _attempt(state, params, 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,10 +603,10 @@ def test_extrapolated_attempt_is_third_order():
     for dt in (0.1, 0.05, 0.025):
         u, v = exact(t0)
         start = State(t0, constant_field(g, u), constant_field(g, v))
-        new, _ = stepper._extrapolated_step(start, params, dt)
-        assert new.t == t0 + dt
+        (_, v_hat), u, _ = _attempt(start, params, dt)
         u_end, v_end = exact(t0 + dt)
-        errors.append(max(np.abs(new.u.values - u_end).max(), np.abs(new.v.values - v_end).max()))
+        v = from_half_spectrum(v_hat, g)
+        errors.append(max(np.abs(u - u_end).max(), np.abs(v - v_end).max()))
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.5 <= math.log2(coarse / fine) <= 4.5
 
@@ -599,10 +657,10 @@ def test_stable_step_keeps_every_mode_from_growing(b0):
     # mode's 2 x 2 amplification matrix
     ones = np.ones(k2.shape, dtype=complex)
     zeros = np.zeros_like(ones)
-    from_u, _ = stepper._extrapolated_step(State.from_spectrum(0.0, g, ones, zeros), params, dt)
-    from_v, _ = stepper._extrapolated_step(State.from_spectrum(0.0, g, zeros, ones), params, dt)
+    from_u = _attempt(State.from_spectrum(0.0, g, ones, zeros), params, dt)[0]
+    from_v = _attempt(State.from_spectrum(0.0, g, zeros, ones), params, dt)[0]
     for m in range(k2.size):
-        amp = np.array([[from_u.u_hat[m], from_v.u_hat[m]], [from_u.v_hat[m], from_v.v_hat[m]]])
+        amp = np.array([[from_u[0][m], from_v[0][m]], [from_u[1][m], from_v[1][m]]])
         assert np.abs(np.linalg.eigvals(amp)).max() <= 1.0 + 1e-12
 
 
@@ -722,9 +780,11 @@ def test_monitor_trip_inside_a_block(monkeypatch, trip, params, init, controls, 
         assert np.abs(u[shell]).max() > 1e-6 * last.linf
     else:
         # the last finite state is final; the next step is the dropped row
-        assert blocked.final_state.is_finite()
+        final = blocked.final_state
+        assert final.u.is_finite() and final.v.is_finite()
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not step(blocked.final_state, params, controls.dt0).is_finite()
+            after = step(final, params, controls.dt0)
+            assert not (after.u.is_finite() and after.v.is_finite())
 
 
 def _streamed_run(params, init, controls):

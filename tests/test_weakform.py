@@ -275,7 +275,8 @@ def test_term_bundle_nonnegative():
     params = Params(n=2, p=2.0, beta=-0.5)
     spec = CutoffSpec(ell=6, eta=6, d=1.0, T=16.0)
     bundle = term_bundle(spec, params)
-    for name, value in bundle.as_dict().items():
+    assert tuple(bundle) == TERM_NAMES
+    for name, value in bundle.items():
         assert value >= 0.0, name
 
 
@@ -558,7 +559,7 @@ def _per_integrand_bundle(spec, params):
 def test_term_bundle_equals_per_integrand_refinement(p, n, beta, d, T):
     params = Params(n=n, p=p, beta=beta)
     spec = default_cutoff_spec(p, d, T)
-    assert term_bundle(spec, params).as_dict() == _per_integrand_bundle(spec, params)
+    assert term_bundle(spec, params) == _per_integrand_bundle(spec, params)
 
 
 def test_refine_midpoint_stops_each_integrand_at_its_own_level():
