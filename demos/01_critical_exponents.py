@@ -19,13 +19,13 @@ def fmt(x):
 print("Kato vs Strauss exponents (undamped reference):")
 print("  n   kato          strauss")
 for n in range(2, 7):
-    print(f"  {n}   {fmt(float(kato_threshold(n))):<12}  {fmt(strauss_exponent(n)):<12}")
+    print(f"  {n}   {fmt(kato_threshold(n)):<12}  {fmt(strauss_exponent(n)):<12}")
 print()
 
 print("Damping-power dependence of the threshold (n = 1, 2, 3):")
 print("  beta    d       thr(n=1)   thr(n=2)   thr(n=3)")
 for beta in (2.0, 0.0, -1.0, -2.0, -3.0, -5.0):
-    row = [fmt(float(beta_threshold(n, beta))) for n in (1, 2, 3)]
+    row = [fmt(beta_threshold(n, beta)) for n in (1, 2, 3)]
     print(f"  {beta:+.1f}   {scaling_d(beta):.1f}     {row[0]:<9}  {row[1]:<9}  {row[2]:<9}")
 print()
 

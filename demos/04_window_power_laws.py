@@ -19,7 +19,7 @@ for p, n, beta in ((2.0, 1, 0.0), (2.0, 1, -3.0)):
     d = scaling_d(beta)
     params = Params(n=n, p=p, beta=beta)
     print(f"p = {p}, n = {n}, beta = {beta}, d = {d} "
-          f"(threshold {float(beta_threshold(n, beta)):.4g})")
+          f"(threshold {beta_threshold(n, beta):.4g})")
     table = measure_term_slopes(params, d, horizons)
     print("  term      fitted     predicted  |err|")
     for name in TERM_NAMES:
@@ -32,7 +32,7 @@ for p, n, beta in ((2.0, 1, 0.0), (2.0, 1, -3.0)):
 
 print("At the threshold exponent the leading power is exactly zero:")
 for n, beta in ((2, 0.0), (1, -3.0)):
-    p_star = float(beta_threshold(n, beta))
+    p_star = beta_threshold(n, beta)
     exps = predicted_exponents(Params(n=n, p=p_star, beta=beta), scaling_d(beta))
     biggest = max(v for k, v in exps.items() if k != "D_data")
     print(f"  n = {n}, beta = {beta}: p* = {p_star:.4g}, max window exponent = {biggest}")

@@ -278,9 +278,9 @@ def cmd_exponents(argv) -> int:
     print("n,beta,kato,strauss,beta_threshold")
     for n in flags["n"]:
         for beta in flags["beta"]:
-            kato = float(kato_threshold(n))
+            kato = kato_threshold(n)
             strauss = strauss_exponent(n) if n >= 2 else math.nan
-            thr = float(beta_threshold(n, beta))
+            thr = beta_threshold(n, beta)
             print(",".join(map(format_cell, (n, beta, kato, strauss, thr))))
     return 0
 

@@ -7,6 +7,7 @@ Grammar, one entry per line:
 Blank lines and lines starting with '#' are skipped.  Unknown keys are hard
 errors; later entries override earlier ones.  Booleans accept true/false,
 yes/no, 1/0.  The literal `auto` (or `none`) leaves an optional key unset.
+A number that is not finite (nan, inf) is an error, in a list too.
 Command-line overrides use the same dotted keys: --model.p 2.0.
 """
 
@@ -145,11 +146,15 @@ def _apply(entries: dict, key: str, raw: str, where: str) -> None:
         raise ConfigError(f"unknown config key {key!r} ({where})")
     parser = SCHEMA[key][0]
     try:
-        entries[key] = parser(raw)
+        value = parser(raw)
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+    values = value if isinstance(value, tuple) else (value,)
+    if not all(np.isfinite(x) for x in values if isinstance(x, float)):
+        raise ConfigError(f"{key} must be finite, got {raw!r} ({where})")
+    entries[key] = value
 
 
 def parse_config_text(text: str, where: str = "config") -> RunConfig:

@@ -1,17 +1,15 @@
 """Critical-exponent formulas and the blow-up range classifier.
 
-Thresholds use the convention that a vanishing positive part in a denominator
-yields an infinite threshold, so `p <= threshold` stays meaningful at the
-degenerate parameter points (n = 1, or n*(1-beta) <= 2).
+Thresholds are floats above 1, and a vanishing positive part in a denominator
+yields `math.inf`, never an overflow, so `p <= threshold` stays meaningful at
+the degenerate parameter points (n = 1, or n*(1-beta) <= 2).
 """
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "Threshold",
     "RegionVerdict",
     "conjugate_exponent",
     "strauss_exponent",
@@ -21,32 +19,6 @@ __all__ = [
     "scaling_d",
     "local_existence_bound",
 ]
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Upper endpoint of a blow-up exponent range; ``value`` may be ``inf``.
-
-    Infinity is a deliberate state produced by a nonpositive denominator,
-    never an overflow artifact, and compares greater than every real.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 1.0:
-            raise ValueError(f"threshold must exceed 1, got {self.value}")
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def admits(self, p: float) -> bool:
-        """Whether the exponent p sits in the blow-up range (1, value]."""
-        return 1.0 < p <= self.value
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 class RegionVerdict(Enum):
@@ -76,22 +48,23 @@ def strauss_exponent(n) -> float:
     return (n + 1 + math.sqrt(n * n + 10 * n - 7)) / (2 * (n - 1))
 
 
-def kato_threshold(n) -> Threshold:
+def kato_threshold(n) -> float:
     """(n+1) / (n-1) with the positive-part convention: infinite at n = 1."""
     n = _as_int(n)
     if n < 1:
         raise ValueError(f"kato_threshold needs n >= 1, got {n}")
     if n == 1:
-        return Threshold(math.inf)
-    return Threshold((n + 1) / (n - 1))
+        return math.inf
+    return (n + 1) / (n - 1)
 
 
-def beta_threshold(n, beta: float) -> Threshold:
+def beta_threshold(n, beta: float) -> float:
     """Blow-up threshold for the damping power beta.
 
     For beta >= -1 this is the Kato threshold; for beta < -1 it is
     (n(1-beta) + 2) / (n(1-beta) - 2), infinite when the denominator is
-    nonpositive.  The two branches agree at beta = -1.
+    nonpositive.  The two branches agree at beta = -1.  A beta for which
+    the threshold is not above 1 (nan or -inf) is a ValueError.
     """
     n = _as_int(n)
     if n < 1:
@@ -99,16 +72,17 @@ def beta_threshold(n, beta: float) -> Threshold:
     if beta >= -1.0:
         return kato_threshold(n)
     den = n * (1.0 - beta) - 2.0
-    if den <= 0.0:
-        return Threshold(math.inf)
-    return Threshold((n * (1.0 - beta) + 2.0) / den)
+    value = math.inf if den <= 0.0 else (n * (1.0 - beta) + 2.0) / den
+    if not value > 1.0:
+        raise ValueError(f"threshold must exceed 1, got {value} at beta = {beta}")
+    return value
 
 
 def classify(n, beta: float, p: float) -> RegionVerdict:
     """Whether (n, beta, p) lies in the proven finite-time blow-up range."""
     if not p > 1.0:
         raise ValueError(f"classify needs p > 1, got {p}")
-    if beta_threshold(n, beta).admits(p):
+    if p <= beta_threshold(n, beta):
         return RegionVerdict.THEOREM_BLOWUP
     return RegionVerdict.OUTSIDE_THEOREM
 

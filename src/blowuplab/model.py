@@ -1,6 +1,6 @@
 """Problem definition: parameters, damping coefficient, initial data.
 
-The source is the absolute power |u|^p (`stepper.State.source_hat`), not the
+The source is the absolute power |u|^p (`stepper._source`), not the
 odd extension sign(u)|u|^p.  Its pointwise nonnegativity is what drives the
 mean of u upward and makes the positive-mean velocity condition on the data
 meaningful.

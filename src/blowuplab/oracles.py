@@ -3,9 +3,9 @@
 Two problem shapes are covered:
 
 * the space-free source equation u'' = |u|^p, whose conserved energy
-  E = v^2/2 - V(u), V(u) = sign(u)|u|^(p+1)/(p+1), turns the blow-up time in
-  the monotone-escape regime into the quadrature
-  T* = integral over [u0, inf) of du / sqrt(2 E0 + 2 V(u));
+  E = v^2/2 - V(u), V(u) = sign(u)|u|^(p+1)/(p+1), turns the blow-up time
+  into the quadrature T* = integral over [u0, inf) of du / sqrt(2 E0 + 2 V(u)),
+  plus, when v0 < 0, twice the time from the turning point up to u0;
 * the per-mode linear equation y'' + b0 (1+t)^(-beta) k^2 y' + k^2 y = 0.
 
 Trajectories come from one integrator, scipy's embedded Dormand-Prince
@@ -73,39 +73,47 @@ def ode_energy(u: float, v: float, p: float) -> float:
 
 def ode_blowup_time(prob: OdeProblem) -> float:
     """Blow-up time of u'' = |u|^p by adaptive quadrature of the escape
-    integral.
+    integral, for every sign pattern of (u0, v0).
 
-    Requires the monotone-escape regime u0 >= 0, v0 >= 0; the rest position
-    (0, 0) returns inf.  Other sign patterns fall back to trajectory
-    integration with threshold extrapolation.
+    Since u'' >= 0 the velocity never decreases.  With v0 >= 0 the state
+    rises from u0 for good.  With v0 < 0 it first falls to the turning point
+    m, where V(m) = V(u0) - v0^2/2, and the fall takes as long as the rise
+    back to u0, so twice that rise is added.  The rest position (0, 0), and
+    a fall that only approaches it (m = 0), return inf.
     """
     u0, v0, p = prob.u0, prob.v0, prob.p
     if u0 == 0.0 and v0 == 0.0:
         return math.inf
-    if u0 < 0.0 or v0 < 0.0:
-        return blowup_time_from_trajectory(prob)
 
     from scipy.integrate import quad
 
     e0 = ode_energy(u0, v0, p)
 
-    def speed_sq(u):
-        return 2.0 * e0 + 2.0 * u ** (p + 1.0) / (p + 1.0)
+    def speed_sq(u):  # u is one point: quad calls the integrands point by point
+        signed_power = u ** (p + 1.0) if u >= 0 else -((-u) ** (p + 1.0))
+        return 2.0 * e0 + 2.0 * signed_power / (p + 1.0)
 
-    # substitute u = u0 + s^2 near the lower endpoint; removes the
-    # inverse-square-root singularity when v0 = 0
-    def near(s):
-        s = np.asarray(s)
-        val = speed_sq(u0 + s * s)
-        return 2.0 * s / np.sqrt(val)
+    # the time from a up to a + s_max^2, substituting u = a + s^2; removes
+    # the inverse-square-root singularity where the speed vanishes at a
+    def rise(a, s_max):
+        def near(s):
+            s = np.asarray(s)
+            return 2.0 * s / np.sqrt(speed_sq(a + s * s))
+
+        return quad(near, 0.0, s_max, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)[0]
 
     def far(u):
         return 1.0 / np.sqrt(speed_sq(np.asarray(u)))
 
-    split = u0 + 1.0
-    t_near, _ = quad(near, 0.0, 1.0, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
-    t_far, _ = quad(far, split, np.inf, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
-    return t_near + t_far
+    t_turn = 0.0
+    if v0 < 0.0:
+        level = -(p + 1.0) * e0  # sign(m)|m|^(p+1)
+        m = math.copysign(abs(level) ** (1.0 / (p + 1.0)), level)
+        if m == 0.0:
+            return math.inf
+        t_turn = 2.0 * rise(m, math.sqrt(u0 - m))
+    t_far, _ = quad(far, u0 + 1.0, np.inf, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
+    return t_turn + rise(u0, 1.0) + t_far
 
 
 def _solve(rhs, y0, t_span, t_eval=None, events=None):

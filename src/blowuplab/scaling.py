@@ -26,12 +26,10 @@ zero pad when the target is finer) and one inverse FFT of the target size.
 
 `fourier_sample` evaluates the interpolant at arbitrary points through
 per-axis evaluation matrices, one row per point and one column per source
-mode, built and applied about EVAL_CHUNK_BYTES of rows at a time.  The chunk
-is fixed: BLAS blocks a product by its shape, so another chunk size moves the
-samples by rounding (about 1e-12 relative).  The matrix keeps the full
-spectrum: the n/2 + 1 non-negative frequencies are exact only in 1-D, because
-in 2-D and 3-D the Nyquist rows of the other axes have no conjugate partner
-at off-grid points.
+mode, each built whole; no program path calls it, and the tests use it as the
+reference for the fold.  The matrix keeps the full spectrum: the n/2 + 1
+non-negative frequencies are exact only in 1-D, because in 2-D and 3-D the
+Nyquist rows of the other axes have no conjugate partner at off-grid points.
 """
 
 from dataclasses import dataclass
@@ -49,9 +47,6 @@ __all__ = [
     "rescale_trajectory",
     "invariance_error",
 ]
-
-# bytes of one row chunk of an evaluation matrix; see fourier_sample
-EVAL_CHUNK_BYTES = 2**21
 
 # the time step of invariance_error's runs, in units of their grid spacing
 COURANT = 0.1
@@ -112,16 +107,11 @@ def fourier_sample(field: Field, axes_coords) -> np.ndarray:
     if len(axes_coords) != grid.dim:
         raise ValueError(f"need {grid.dim} coordinate arrays")
     k = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
-    rows = max(1, EVAL_CHUNK_BYTES // (16 * grid.points_per_axis))
     out = np.fft.fftn(field.values)
     for axis, targets in enumerate(axes_coords):
         wrapped = np.mod(np.asarray(targets, dtype=float) + grid.half_width, 2.0 * grid.half_width)
-        moved = np.moveaxis(out, axis, 0)
-        chunks = [
-            np.tensordot(np.exp(1j * np.multiply.outer(wrapped[i : i + rows], k)), moved, axes=1)
-            for i in range(0, len(wrapped) or 1, rows)
-        ]
-        out = np.moveaxis(np.concatenate(chunks), 0, axis)
+        matrix = np.exp(1j * np.multiply.outer(wrapped, k))
+        out = np.moveaxis(np.tensordot(matrix, np.moveaxis(out, axis, 0), axes=1), 0, axis)
     return out.real / grid.num_points
 
 

@@ -211,7 +211,7 @@ class State:
     def source_hat(self, p: float) -> np.ndarray:
         """F[|u|^p], computed once per state and exponent."""
         if self._source is None or self._source[0] != p:
-            self._source = (p, half_spectrum(np.abs(self.u.values) ** p, self.grid))
+            self._source = (p, _source(self.u.values, self.grid, p))
         return self._source[1]
 
 
@@ -628,15 +628,19 @@ def _extrapolated_step(t: float, row, grid: Grid, params: Params, dt: float) -> 
     return second[0], *_step_error(second.reshape((4,) + k2.shape), grid)
 
 
+def _source(u: np.ndarray, grid: Grid, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The source F[|u|^p] of samples u (leading axes stack fields), into out if given."""
+    power = np.abs(u)
+    power **= p
+    return half_spectrum(power, grid, out=out)
+
+
 def _sources(u_hat: np.ndarray, grid: Grid, params: Params) -> "np.ndarray | None":
     """F[|u|^p] of each row of u_hat, by one stacked transform each way, or
     None without a source."""
     if not params.nonlinear:
         return None
-    samples = from_half_spectrum(u_hat, grid)
-    np.abs(samples, samples)
-    samples **= params.p
-    return half_spectrum(samples, grid)
+    return _source(from_half_spectrum(u_hat, grid), grid, params.p)
 
 
 def _step_error(coeffs: np.ndarray, grid: Grid) -> tuple:
@@ -701,7 +705,7 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
             rejected += 1
             continue
         if params.nonlinear:
-            new = (*new, half_spectrum(np.abs(u) ** params.p, grid))
+            new = (*new, _source(u, grid, params.p))
         outcome = ledger.flush([t + dt_step], [dt_step], [new], u[np.newaxis])
         if outcome is not None:
             return outcome, rejected
@@ -742,7 +746,7 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
             _imex(u, v, src, dtk2[i], den[i], dts[i], *rows[prev][:2])
             if params.nonlinear:
                 values = from_half_spectrum(rows[prev][0], grid, out=samples[i])
-                half_spectrum(np.abs(values) ** params.p, grid, out=rows[prev][2])
+                _source(values, grid, params.p, out=rows[prev][2])
                 if not _sup(values.ravel()) <= controls.u_max:
                     n = i + 1
                     break

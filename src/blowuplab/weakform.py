@@ -31,12 +31,9 @@ from .model import Params, bump_data, damping_coeff
 __all__ = [
     "CutoffSpec",
     "TERM_NAMES",
-    "SlopeFit",
     "cutoff",
     "cutoff_d1",
     "cutoff_d2",
-    "default_cutoff_spec",
-    "psi_parts",
     "weak_residual",
     "weak_identity_terms",
     "term_bundle",
@@ -55,7 +52,8 @@ STACK_BYTES = 2**16
 # cutoff profile
 
 
-def _pieces(r):
+def _profiles(r, order: int = 2) -> list:
+    """`cutoff` and its first `order` derivatives at r."""
     arr = np.asarray(r, dtype=float)
     if np.any(arr < 0):
         raise ValueError("cutoff is defined for r >= 0")
@@ -65,12 +63,6 @@ def _pieces(r):
     f1 = np.exp(-1.0 / (1.0 - s + 1e-300))
     # guard: at s exactly 1 the second factor is exp(-inf) = 0
     f1 = np.where(s >= 1.0, 0.0, f1)
-    return arr, mid, s, fs, f1
-
-
-def _profiles(r, order: int = 2) -> list:
-    """`cutoff` and its first `order` derivatives at r, from one `_pieces`."""
-    arr, mid, s, fs, f1 = _pieces(r)
     g = fs + f1
     out = [np.where(mid, fs / g, np.where(arr <= 0.5, 1.0, 0.0))]
     if order > 0:
@@ -142,11 +134,6 @@ class CutoffSpec:
         return self.T**self.d
 
 
-def default_cutoff_spec(p: float, d: float, T: float) -> CutoffSpec:
-    k = math.ceil(2.0 * conjugate_exponent(p)) + 2
-    return CutoffSpec(ell=k, eta=k, d=d, T=T)
-
-
 def _time_window(spec: CutoffSpec, t) -> tuple:
     """psi2^eta and its first two time derivatives at time t (scalar or
     array)."""
@@ -186,22 +173,6 @@ def _chunks(count: int, grid: Grid) -> list:
     """Row slices that stack `count` fields on the grid STACK_BYTES at a time."""
     rows = max(1, STACK_BYTES // (8 * grid.num_points))
     return [slice(i, i + rows) for i in range(0, count, rows)]
-
-
-def psi_parts(spec: CutoffSpec, params: Params, t: float, r) -> dict:
-    """Window and derivatives at time t and radii r.
-
-    Returns psi, psi_t, psi_tt, lap_psi, lap_psi_t as arrays shaped like r.
-    """
-    val_t, vel_t, acc_t = _time_window(spec, t)
-    val_x, lap_x = _space_window(spec, params.n, r)
-    return {
-        "psi": val_x * val_t,
-        "psi_t": val_x * vel_t,
-        "psi_tt": val_x * acc_t,
-        "lap_psi": lap_x * val_t,
-        "lap_psi_t": lap_x * vel_t,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +367,9 @@ def term_bundle(spec: CutoffSpec, params: Params) -> dict:
     return dict(zip(TERM_NAMES, values))
 
 
-@dataclass(frozen=True)
-class SlopeFit:
-    slope: float
-    r2: float
-
-
-def slope_fit(points) -> SlopeFit:
-    """Least squares on (log T, log value) for positive values, >= 4 points."""
+def slope_fit(points) -> tuple:
+    """Least squares on (log T, log value) for positive values, >= 4 points:
+    the slope and the r^2 of the fit."""
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 points for a slope fit, got {len(pts)}")
@@ -416,7 +382,7 @@ def slope_fit(points) -> SlopeFit:
     ss_res = float(((y - fitted) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return SlopeFit(slope=float(slope), r2=min(1.0, r2))
+    return float(slope), min(1.0, r2)
 
 
 def predicted_exponents(params: Params, d: float) -> dict:
@@ -453,10 +419,9 @@ def measure_term_slopes(params: Params, d: float, horizons, ell=None, eta=None) 
     """Bundle values over the given horizons plus fitted and predicted
     slopes, keyed by term name."""
     horizons = [float(T) for T in horizons]
-    if ell is None or eta is None:
-        base = default_cutoff_spec(params.p, d, horizons[0])
-        ell = base.ell if ell is None else ell
-        eta = base.eta if eta is None else eta
+    k = math.ceil(2.0 * conjugate_exponent(params.p)) + 2
+    ell = k if ell is None else ell
+    eta = k if eta is None else eta
     bundles = []
     for T in horizons:
         spec = CutoffSpec(ell=ell, eta=eta, d=d, T=T)
@@ -465,14 +430,14 @@ def measure_term_slopes(params: Params, d: float, horizons, ell=None, eta=None) 
     out = {}
     for name in TERM_NAMES:
         values = [b[name] for b in bundles]
-        fit = slope_fit(zip(horizons, values))
+        slope, r2 = slope_fit(zip(horizons, values))
         out[name] = {
             "horizons": horizons,
             "values": values,
-            "slope": fit.slope,
-            "r2": fit.r2,
+            "slope": slope,
+            "r2": r2,
             "predicted": predicted[name],
-            "abs_error": abs(fit.slope - predicted[name]),
+            "abs_error": abs(slope - predicted[name]),
         }
     return out
 

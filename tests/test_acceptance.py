@@ -42,10 +42,10 @@ def test_criterion_1_exponent_identities():
     for n in range(2, 7):
         p = strauss_exponent(n)
         assert abs((n - 1) * p * p - (n + 1) * p - 2.0) < 1e-10
-        assert float(kato_threshold(n)) < p
+        assert kato_threshold(n) < p
     for n in range(1, 7):
-        kato = float(kato_threshold(n))
-        via_beta = float(beta_threshold(n, -1.0))
+        kato = kato_threshold(n)
+        via_beta = beta_threshold(n, -1.0)
         limit_from_below = (
             (n * 2.0 + 2.0) / (n * 2.0 - 2.0) if n * 2.0 > 2.0 else math.inf
         )
@@ -123,7 +123,7 @@ def test_criterion_5_window_power_laws():
             assert err < 0.05, f"{name} at (p={p}, n={n}, beta={beta}): {err:.3f}"
     # at the threshold exponent the largest window exponent is exactly zero
     for n, beta in ((2, 0.0), (3, 0.0), (2, -1.0), (1, -3.0), (1, -5.0)):
-        p_star = float(beta_threshold(n, beta))
+        p_star = beta_threshold(n, beta)
         assert math.isfinite(p_star)
         exps = predicted_exponents(Params(n=n, p=p_star, beta=beta), scaling_d(beta))
         window_terms = [v for k, v in exps.items() if k != "D_data"]

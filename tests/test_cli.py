@@ -393,6 +393,28 @@ def test_sweep_refuses_a_bad_point_before_any_output(tmp_path, capsys, flag, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "model.beta", "nan"),
+        ("simulate", "init.amplitude", "nan"),
+        ("simulate", "init.amplitude", "inf"),
+        ("simulate", "time.t_end", "inf"),
+        ("simulate", "grid.half_width", "inf"),
+        ("simulate", "init.center", "nan"),
+        ("sweep", "sweep.beta", "nan"),
+        ("sweep", "sweep.amplitude", "1,-inf"),
+    ],
+)
+def test_a_value_that_is_not_finite_is_refused_before_any_output(tmp_path, capsys, command, key, value):
+    out = tmp_path / "run"
+    code, stdout, err = run_cli(capsys, command, f"--{key}", value, "--output.dir", str(out))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err == f"config error: {key} must be finite, got {value!r} (command line)\n"
+    assert not out.exists()
+
+
 def test_sweep_row_is_the_simulate_run(tmp_path, capsys):
     # a sweep point is the simulate run with the point's keys set, so its
     # row holds simulate's numbers bit for bit; at 128 points the bump's

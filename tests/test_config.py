@@ -51,6 +51,14 @@ def test_bad_value():
         parse_config_text("grid.points = many")
 
 
+def test_a_value_that_is_not_finite_is_an_error():
+    with pytest.raises(ConfigError, match=r"^model.beta must be finite, got 'nan' \(config:1\)$"):
+        parse_config_text("model.beta = nan")
+    with pytest.raises(ConfigError, match="sweep.p must be finite"):
+        parse_config_text("sweep.p = 2,inf")
+    assert parse_config_text("grid.half_width = auto")["grid.half_width"] is None
+
+
 def test_validation_rules():
     with pytest.raises(ConfigError, match="dim"):
         parse_config_text("grid.dim = 7")

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from blowuplab.exponents import (
     RegionVerdict,
-    Threshold,
     beta_threshold,
     classify,
     conjugate_exponent,
@@ -57,27 +56,27 @@ def test_strauss_rejects_small_or_fractional_n():
 
 
 def test_kato_threshold_values():
-    assert float(kato_threshold(2)) == 3.0
-    assert float(kato_threshold(3)) == 2.0
-    assert math.isinf(float(kato_threshold(1)))
-    assert not kato_threshold(2).is_finite is True or kato_threshold(2).is_finite
+    assert kato_threshold(2) == 3.0
+    assert kato_threshold(3) == 2.0
+    assert math.isinf(kato_threshold(1))
+    assert math.isfinite(kato_threshold(2))
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_kato_below_strauss(n):
-    assert float(kato_threshold(n)) < strauss_exponent(n)
+    assert kato_threshold(n) < strauss_exponent(n)
 
 
 def test_beta_threshold_examples():
-    assert float(beta_threshold(1, -3.0)) == pytest.approx(3.0)
-    assert float(beta_threshold(2, -1.0)) == float(kato_threshold(2)) == 3.0
-    assert math.isinf(float(beta_threshold(1, -1.0)))
+    assert beta_threshold(1, -3.0) == pytest.approx(3.0)
+    assert beta_threshold(2, -1.0) == kato_threshold(2) == 3.0
+    assert math.isinf(beta_threshold(1, -1.0))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_beta_threshold_branch_agreement_at_minus_one(n):
     left = (n * 2.0 + 2.0) / (n * 2.0 - 2.0) if n >= 2 else math.inf
-    assert float(beta_threshold(n, -1.0)) == float(kato_threshold(n)) == left
+    assert beta_threshold(n, -1.0) == kato_threshold(n) == left
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -85,15 +84,15 @@ def test_beta_threshold_monotone_in_damping_growth(n):
     # lower beta means a faster-growing damping coefficient and a smaller
     # finite threshold; the threshold never increases as beta decreases
     betas = [-1.0, -1.5, -2.0, -3.0, -5.0, -9.0]
-    values = [float(beta_threshold(n, b)) for b in betas]
+    values = [beta_threshold(n, b) for b in betas]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-15
 
 
 def test_threshold_requires_value_above_one():
+    assert classify(1, 0.0, 1e9) is RegionVerdict.THEOREM_BLOWUP
     with pytest.raises(ValueError):
-        Threshold(1.0)
-    assert Threshold(math.inf).admits(1e9)
+        beta_threshold(1, math.nan)
 
 
 def test_classify_examples():

@@ -51,6 +51,14 @@ def test_blowup_time_decreases_with_larger_data():
         OdeProblem(1.0, math.sqrt(2.0 / 3.0), 2.0),
         OdeProblem(1.0, 0.0, 2.0),
         OdeProblem(0.5, 0.3, 3.0),
+        # the other sign patterns, with turning points above and below 0
+        OdeProblem(-0.5, 0.0, 2.0),
+        OdeProblem(-0.5, 0.3, 3.0),
+        OdeProblem(-1.5, 0.2, 2.0),
+        OdeProblem(1.0, -0.5, 2.0),
+        OdeProblem(0.5, -2.0, 2.0),
+        OdeProblem(0.0, -0.5, 2.0),
+        OdeProblem(-0.5, -0.3, 3.0),
     ],
 )
 def test_quadrature_matches_trajectory_extrapolation(prob):
@@ -64,6 +72,20 @@ def test_negative_velocity_falls_back_to_trajectory():
     t = ode_blowup_time(OdeProblem(1.0, -0.5, 2.0))
     assert t > ode_blowup_time(OdeProblem(1.0, 0.5, 2.0))
     assert math.isfinite(t)
+
+
+def test_a_late_escape_obeys_the_scaling():
+    # u -> lam^(2/(p-1)) u(lam t) maps solutions to solutions, so at p = 3
+    # T*(u0 / 100) = 100 T*(u0); this escape lies beyond the trajectory
+    # search horizon
+    late = ode_blowup_time(OdeProblem(-1e-4, 0.0, 3.0))
+    assert late > 1e4
+    assert late == pytest.approx(100.0 * ode_blowup_time(OdeProblem(-1e-2, 0.0, 3.0)), rel=1e-9)
+
+
+def test_a_fall_onto_the_rest_state_never_escapes():
+    # zero energy with u0 > 0 and v0 < 0: u decays to 0 and never turns
+    assert math.isinf(ode_blowup_time(OdeProblem(1.0, -math.sqrt(2.0 / 3.0), 2.0)))
 
 
 def test_free_particle_trajectory():

@@ -7,7 +7,7 @@ import blowuplab
 # the names the package re-exported when __init__.py listed them by hand
 EXPORTED = {
     "exponents": (
-        "Threshold", "RegionVerdict", "conjugate_exponent", "strauss_exponent",
+        "RegionVerdict", "conjugate_exponent", "strauss_exponent",
         "kato_threshold", "beta_threshold", "classify", "scaling_d",
         "local_existence_bound",
     ),
@@ -28,7 +28,7 @@ EXPORTED = {
         "step", "simulate", "energy", "detect_blowup",
     ),
     "weakform": (
-        "CutoffSpec", "cutoff", "cutoff_d1", "cutoff_d2", "psi_parts",
+        "CutoffSpec", "cutoff", "cutoff_d1", "cutoff_d2",
         "weak_residual", "weak_identity_terms", "term_bundle", "slope_fit",
         "predicted_exponents", "measure_term_slopes", "manufactured_crosscheck",
     ),
@@ -40,7 +40,7 @@ EXPORTED = {
 
 REMOVED = (
     "helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity", "ScaleKind",
-    "TermBundle",
+    "TermBundle", "Threshold", "SlopeFit", "default_cutoff_spec", "psi_parts",
 )
 
 

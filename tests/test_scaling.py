@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from blowuplab import scaling
 from blowuplab.grids import Field, Grid, l2_norm, laplacian
 from blowuplab.model import Params, bump_data, make_initial_data
 from blowuplab.scaling import (
@@ -204,18 +203,6 @@ def test_rescale_many_times_matches_one_time_calls(dim, n_src, n_tgt):
         alone = rescale_trajectory(traj, mapping, target, [t])
         for a, b in ((together.u[j], alone.u[0]), (together.v[j], alone.v[0])):
             assert np.abs(a.values - b.values).max() <= 1e-13 * np.abs(b.values).max()
-
-
-@pytest.mark.parametrize("dim,n", [(1, 2048), (2, 16)])
-def test_fourier_sample_does_not_depend_on_the_chunk(monkeypatch, dim, n):
-    g = Grid(dim, n, 2.0)
-    rng = np.random.default_rng(5 + dim)
-    f = Field(g, rng.normal(size=g.shape))
-    coords = [rng.uniform(-2.0, 2.0, size=100 + a) for a in range(dim)]
-    whole = fourier_sample(f, coords)
-    monkeypatch.setattr(scaling, "EVAL_CHUNK_BYTES", 1)  # one row per chunk
-    rows = fourier_sample(f, coords)
-    assert np.abs(rows - whole).max() <= 1e-11 * np.abs(whole).max()
 
 
 @pytest.mark.parametrize(

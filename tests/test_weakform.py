@@ -15,11 +15,9 @@ from blowuplab.weakform import (
     cutoff,
     cutoff_d1,
     cutoff_d2,
-    default_cutoff_spec,
     manufactured_crosscheck,
     measure_term_slopes,
     predicted_exponents,
-    psi_parts,
     slope_fit,
     term_bundle,
     weak_identity_terms,
@@ -123,27 +121,31 @@ def test_cutoff_spec_validation():
 
 
 def test_default_cutoff_spec():
-    spec = default_cutoff_spec(2.0, 1.0, 8.0)
-    assert spec.ell == spec.eta == math.ceil(2 * conjugate_exponent(2.0)) + 2 == 6
+    # the default powers are ceil(2 p') + 2, which is 6 at p = 2
+    params = Params(n=1, p=2.0, beta=0.0)
+    horizons = [8.0, 16.0, 32.0, 64.0]
+    assert math.ceil(2 * conjugate_exponent(2.0)) + 2 == 6
+    assert measure_term_slopes(params, 1.0, horizons) == measure_term_slopes(
+        params, 1.0, horizons, ell=6, eta=6
+    )
 
 
 def test_psi_parts_supports():
-    params = Params(n=1, p=2.0, beta=0.0)
+    # psi is the space window times the time window
     spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
     r = np.linspace(0.0, 6.0, 100)
 
-    outside_time = psi_parts(spec, params, 4.5, r)
-    assert all(np.all(v == 0.0) for v in outside_time.values())
+    assert _time_window(spec, 4.5) == (0.0, 0.0, 0.0)  # t > T
 
-    early = psi_parts(spec, params, 1.0, r)  # t < T/2: time window is flat
-    assert np.all(early["psi_t"] == 0.0)
-    assert np.all(early["psi_tt"] == 0.0)
-    assert np.all(early["psi"][r < 2.0] == 1.0)
+    val, vel, acc = _time_window(spec, 1.0)  # t < T/2: time window is flat
+    assert (val, vel, acc) == (1.0, 0.0, 0.0)
 
+    psi, lap = _space_window(spec, 1, r)
     inner = r < 2.0  # |x| < T^d / 2: space window is flat
-    assert np.all(early["lap_psi"][inner] == 0.0)
+    assert np.all(psi[inner] == 1.0)
+    assert np.all(lap[inner] == 0.0)
     outside_space = r >= 4.0
-    assert np.all(early["psi"][outside_space] == 0.0)
+    assert np.all(psi[outside_space] == 0.0)
 
 
 def test_time_window_on_an_array_matches_per_sample_calls():
@@ -158,18 +160,16 @@ def test_time_window_on_an_array_matches_per_sample_calls():
 
 
 def test_psi_parts_time_derivatives_match_finite_differences():
-    params = Params(n=1, p=2.0, beta=0.0)
     spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
-    r = np.linspace(0.0, 5.0, 50)
     h = 1e-4
     for t in (2.3, 3.1, 3.7):
-        minus = psi_parts(spec, params, t - h, r)
-        plus = psi_parts(spec, params, t + h, r)
-        mid = psi_parts(spec, params, t, r)
-        fd_t = (plus["psi"] - minus["psi"]) / (2 * h)
-        fd_tt = (plus["psi"] - 2 * mid["psi"] + minus["psi"]) / h**2
-        assert np.abs(fd_t - mid["psi_t"]).max() < 1e-6
-        assert np.abs(fd_tt - mid["psi_tt"]).max() < 1e-5
+        minus = _time_window(spec, t - h)[0]
+        plus = _time_window(spec, t + h)[0]
+        mid, vel, acc = _time_window(spec, t)
+        fd_t = (plus - minus) / (2 * h)
+        fd_tt = (plus - 2 * mid + minus) / h**2
+        assert abs(fd_t - vel) < 1e-6
+        assert abs(fd_tt - acc) < 1e-5
 
 
 @pytest.mark.parametrize("dim,points,rel_tol", [(1, 512, 1e-6), (2, 256, 2e-4)])
@@ -298,19 +298,19 @@ def test_doubling_window_powers_keeps_slopes():
 
 def test_slope_fit_exact_power_law():
     ts = [8.0, 16.0, 32.0, 64.0]
-    fit = slope_fit([(t, t**-2.0) for t in ts])
-    assert fit.slope == pytest.approx(-2.0, abs=1e-12)
-    assert fit.r2 == pytest.approx(1.0)
-    fit = slope_fit([(t, 3.0 * t**1.5) for t in ts])
-    assert fit.slope == pytest.approx(1.5, abs=1e-12)
+    slope, r2 = slope_fit([(t, t**-2.0) for t in ts])
+    assert slope == pytest.approx(-2.0, abs=1e-12)
+    assert r2 == pytest.approx(1.0)
+    slope, _ = slope_fit([(t, 3.0 * t**1.5) for t in ts])
+    assert slope == pytest.approx(1.5, abs=1e-12)
 
 
 def test_slope_fit_with_noise():
     rng = np.random.default_rng(4)
     ts = [float(t) for t in (8, 16, 32, 64, 128, 256, 512)]
     vals = [t**-1.7 * (1.0 + 0.01 * rng.normal()) for t in ts]
-    fit = slope_fit(zip(ts, vals))
-    assert abs(fit.slope + 1.7) < 0.02
+    slope, _ = slope_fit(zip(ts, vals))
+    assert abs(slope + 1.7) < 0.02
 
 
 def test_slope_fit_validation():
@@ -345,7 +345,7 @@ def test_predicted_exponents_reference_values():
     [(1, 0.0), (2, 0.0), (3, 0.0), (2, -1.0), (1, -3.0), (2, -3.0), (1, -5.0)],
 )
 def test_predicted_exponents_negative_below_threshold_zero_at_it(n, beta):
-    thr = float(beta_threshold(n, beta))
+    thr = beta_threshold(n, beta)
     d = scaling_d(beta)
     if math.isfinite(thr):
         at = predicted_exponents(Params(n=n, p=thr, beta=beta), d)
@@ -558,7 +558,8 @@ def _per_integrand_bundle(spec, params):
 @pytest.mark.parametrize("T", [8.0, 10.0, 37.3, 128.0])
 def test_term_bundle_equals_per_integrand_refinement(p, n, beta, d, T):
     params = Params(n=n, p=p, beta=beta)
-    spec = default_cutoff_spec(p, d, T)
+    k = math.ceil(2.0 * conjugate_exponent(p)) + 2
+    spec = CutoffSpec(ell=k, eta=k, d=d, T=T)
     assert term_bundle(spec, params) == _per_integrand_bundle(spec, params)
 
 
