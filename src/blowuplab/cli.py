@@ -4,6 +4,10 @@ Exit codes: simulate reports its outcome (0 horizon reached, 10 blow-up,
 20 step floor, 30 boundary contamination, 40 numerical instability);
 configuration problems exit 2; an unknown subcommand prints usage and exits
 64.  `python -m blowuplab.cli` runs the same entry point as `blwp`.
+
+Each subcommand imports the library modules it runs inside its `cmd_*`
+function, so importing this module, and `blwp simulate`, load only config,
+grids, model and stepper.
 """
 
 import itertools
@@ -15,6 +19,7 @@ import time
 
 from . import __version__
 from .config import (
+    POINT_KEYS,
     SCHEMA,
     ConfigError,
     _bool,
@@ -29,14 +34,9 @@ from .config import (
     default_config,
     parse_config_text,
 )
-from .exponents import beta_threshold, kato_threshold, strauss_exponent
-from .grids import save_field_binary
+from .grids import Grid, save_field_binary
 from .model import Params
-from .oracles import OdeProblem, ode_blowup_time
-from .scaling import invariance_error
 from .stepper import format_cell, simulate, write_energy_csv
-from .sweep import POINT_KEYS, SweepConfig, run_sweep, sweep_points, write_sweep_csv
-from .weakform import CutoffSpec, manufactured_crosscheck, measure_term_slopes
 
 USAGE = """usage: blwp <command> [options]
 
@@ -202,6 +202,8 @@ def cmd_simulate(argv) -> int:
 
 
 def cmd_sweep(argv) -> int:
+    from .sweep import SweepConfig, run_sweep, sweep_points, write_sweep_csv
+
     unread = {run: swept for swept, run in POINT_KEYS.items()}
     unread["output.every"] = "blwp simulate, as a sweep keeps no snapshots"
     for key in ("model.nonlinear", "init.kind", "init.on", "init.center", "init.mode"):
@@ -225,6 +227,8 @@ def cmd_sweep(argv) -> int:
 
 
 def cmd_slopes(argv) -> int:
+    from .weakform import measure_term_slopes
+
     flags, _ = _parse_flags(argv, {
         "p": (float, 2.0),
         "n": (int, 1),
@@ -255,6 +259,8 @@ def cmd_slopes(argv) -> int:
 
 
 def cmd_scaling(argv) -> int:
+    from .scaling import invariance_error
+
     flags, _ = _parse_flags(argv, {
         "beta": (float, -1.0),
         "lambda": (float, 2.0),
@@ -271,6 +277,8 @@ def cmd_scaling(argv) -> int:
 
 
 def cmd_exponents(argv) -> int:
+    from .exponents import beta_threshold, kato_threshold, strauss_exponent
+
     flags, _ = _parse_flags(argv, {
         "n": (_csv_ints, (1, 2, 3, 4, 5, 6)),
         "beta": (_csv_floats, (0.0,)),
@@ -286,7 +294,7 @@ def cmd_exponents(argv) -> int:
 
 
 def cmd_weakcheck(argv) -> int:
-    from .grids import Grid
+    from .weakform import CutoffSpec, manufactured_crosscheck
 
     flags, _ = _parse_flags(argv, {
         "p": (float, 2.0),
@@ -311,6 +319,8 @@ def cmd_weakcheck(argv) -> int:
 
 
 def cmd_oracle(argv) -> int:
+    from .oracles import OdeProblem, ode_blowup_time
+
     flags, _ = _parse_flags(argv, {"u0": (float, 1.0), "v0": (float, 0.0), "p": (float, 2.0)})
     t_star = ode_blowup_time(OdeProblem(flags["u0"], flags["v0"], flags["p"]))
     print(f"t_star,{format_cell(t_star)}")

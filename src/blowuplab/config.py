@@ -25,6 +25,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "SCHEMA",
+    "POINT_KEYS",
     "default_config",
     "parse_config_text",
     "apply_overrides",
@@ -92,6 +93,15 @@ SCHEMA = {
     "sweep.beta": (_csv_floats, (0.0,)),
     "sweep.b0": (_csv_floats, (1.0,)),
     "sweep.amplitude": (_csv_floats, (1.0,)),
+}
+
+# each swept config key and the run key its values set, in point order
+POINT_KEYS = {
+    "sweep.n": "grid.dim",
+    "sweep.p": "model.p",
+    "sweep.beta": "model.beta",
+    "sweep.b0": "model.b0",
+    "sweep.amplitude": "init.amplitude",
 }
 
 _INIT_KINDS = ("bump", "constant", "mode")

@@ -94,9 +94,17 @@ def constant_data(grid: Grid, value: float) -> Field:
 
 
 def mode_data(grid: Grid, amplitude: float, mode: int = 1) -> Field:
-    """Single cosine mode along the first axis, cos(mode * pi * x / L)."""
+    """Single cosine mode along the first axis, cos(mode * pi * x / L).
+
+    The grid resolves modes up to its Nyquist mode, points_per_axis / 2;
+    a higher one would alias to a lower mode on the samples.
+    """
     if mode < 1:
         raise ValueError(f"mode index must be >= 1, got {mode}")
+    if mode > grid.points_per_axis // 2:
+        raise ValueError(
+            f"mode index {mode} exceeds the grid's Nyquist mode {grid.points_per_axis // 2}"
+        )
     k = mode * np.pi / grid.half_width
     x = grid.coords()[0]
     return Field(grid, amplitude * np.cos(k * x))

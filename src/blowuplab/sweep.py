@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
 
-from .config import SCHEMA, RunConfig, default_config
+from .config import POINT_KEYS, SCHEMA, RunConfig, default_config
 from .config import build_controls, build_grid, build_initial_data, build_params
 from .exponents import classify
 from .stepper import Outcome, format_cell, simulate
@@ -47,16 +47,6 @@ SWEEP_CSV_COLUMNS = (
     "t_star_est",
     "fit_quality",
 )
-
-
-# each swept config key and the run key its values set, in point order
-POINT_KEYS = {
-    "sweep.n": "grid.dim",
-    "sweep.p": "model.p",
-    "sweep.beta": "model.beta",
-    "sweep.b0": "model.b0",
-    "sweep.amplitude": "init.amplitude",
-}
 
 
 def _key(key: str):

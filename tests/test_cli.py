@@ -257,6 +257,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def _linear_mode_run(out_dir, mode):
+    return (
+        "simulate", "--grid.points", "16", "--init.kind", "mode", "--init.mode", str(mode),
+        "--model.nonlinear", "false", "--time.tol", "0", "--time.t_end", "0.1",
+        "--output.dir", str(out_dir),
+    )
+
+
+def test_simulate_refuses_a_mode_above_the_nyquist_mode(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, out, err = run_cli(capsys, *_linear_mode_run(out_dir, 40))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: mode index 40 exceeds the grid's Nyquist mode 8\n"
+    assert not out_dir.exists()
+    code, out, _ = run_cli(capsys, *_linear_mode_run(out_dir, 8))
+    assert code == 0
+    assert out.startswith("CompletedHorizon ")
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     code, out, err = run_cli(
         capsys,

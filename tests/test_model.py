@@ -80,6 +80,16 @@ def test_mode_data_periodicity():
     assert f.values[0] == pytest.approx(1.0)
 
 
+def test_mode_data_refuses_a_mode_the_grid_aliases():
+    g = Grid(1, 16, 2.0)
+    nyquist = mode_data(g, 1.0, 8)
+    assert nyquist.values == pytest.approx([(-1.0) ** j for j in range(16)], abs=1e-12)
+    with pytest.raises(ValueError, match="mode index 9 exceeds the grid's Nyquist mode 8"):
+        mode_data(g, 1.0, 9)
+    with pytest.raises(ValueError, match="mode index 40 exceeds"):
+        mode_data(g, 1.0, 40)
+
+
 def test_initial_data_mean_cached():
     g = Grid(1, 256, 8.0)
     u1 = bump_data(g, 3.0, 0.0, 1.0)

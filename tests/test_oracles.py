@@ -59,6 +59,10 @@ def test_blowup_time_decreases_with_larger_data():
         OdeProblem(0.5, -2.0, 2.0),
         OdeProblem(0.0, -0.5, 2.0),
         OdeProblem(-0.5, -0.3, 3.0),
+        # at p = 4 the default thresholds come down with p
+        OdeProblem(1.0, 0.0, 4.0),
+        OdeProblem(2.0, 1.0, 4.0),
+        OdeProblem(2.0, -1.0, 4.0),
     ],
 )
 def test_quadrature_matches_trajectory_extrapolation(prob):
