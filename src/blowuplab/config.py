@@ -25,7 +25,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "SCHEMA",
-    "POINT_KEYS",
     "default_config",
     "parse_config_text",
     "apply_overrides",

@@ -179,23 +179,21 @@ def linear_mode_trajectory(k, beta, b0, u0, v0, t_grid) -> OdeResult:
     return OdeResult(sol.t, sol.y[0], sol.y[1], diverged=False)
 
 
-def blowup_time_from_trajectory(prob: OdeProblem, thresholds=None) -> float:
+def blowup_time_from_trajectory(prob: OdeProblem) -> float:
     """Estimate the blow-up time from threshold-crossing times.
 
-    The upward crossings of the two largest thresholds are integrator
-    events.  Near blow-up u^(-(p-1)/2) decays linearly, so the crossing time
-    of M lags T* by C * M^(-(p-1)/2); extrapolating over the two crossings
-    removes that bias.  The default thresholds are 10^(k/(p-1)) for
-    k = 8, 9, 10 (1e8, 1e9, 1e10 at p = 2), so every p puts them at the
-    same distances M^(-(p-1)/2) from T*; fixed thresholds as large as 1e10
-    lie beyond what the integrator reaches at p = 4.
+    The upward crossings of the thresholds M = 10^(9/(p-1)) and
+    10^(10/(p-1)) (1e9 and 1e10 at p = 2) are integrator events.  Near
+    blow-up u^(-(p-1)/2) decays linearly, so the crossing time of M lags T*
+    by C * M^(-(p-1)/2); extrapolating over the two crossings removes that
+    bias.  Thresholds that come down with p sit at the same distances
+    M^(-(p-1)/2) from T* for every p; fixed ones as large as 1e10 lie beyond
+    what the integrator reaches at p = 4.  A p below 30/29 is refused: there
+    |u|^p at the top threshold, 10^(10p/(p-1)), would pass 1e300.
     """
-    if thresholds is None:
-        thresholds = [10.0 ** (k / (prob.p - 1.0)) for k in (8, 9, 10)]
-    thresholds = sorted(float(m) for m in thresholds)
-    if len(thresholds) < 2:
-        raise ValueError("need at least two thresholds to extrapolate")
-    m1, m2 = thresholds[-2:]
+    if 10.0 * prob.p / (prob.p - 1.0) > 300.0:
+        raise ValueError(f"p = {prob.p:g} is below 30/29; its thresholds leave float range")
+    m1, m2 = 10.0 ** (9 / (prob.p - 1.0)), 10.0 ** (10 / (prob.p - 1.0))
     alpha = 0.5 * (prob.p - 1.0)
 
     def crossing(m, terminal):

@@ -71,6 +71,13 @@ def test_quadrature_matches_trajectory_extrapolation(prob):
     assert abs(t_traj - t_quad) < 1e-6 * t_quad
 
 
+@pytest.mark.parametrize("p", [1.0001, 1.03])
+def test_trajectory_extrapolation_refuses_p_near_one(p):
+    # 10^(10/(p-1)) raised OverflowError below p = 1.0325
+    with pytest.raises(ValueError, match="30/29"):
+        blowup_time_from_trajectory(OdeProblem(1.0, 0.0, p))
+
+
 def test_negative_velocity_falls_back_to_trajectory():
     # the state first dips, turns at the potential barrier, then escapes
     t = ode_blowup_time(OdeProblem(1.0, -0.5, 2.0))
