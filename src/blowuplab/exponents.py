@@ -17,7 +17,6 @@ __all__ = [
     "beta_threshold",
     "classify",
     "scaling_d",
-    "local_existence_bound",
 ]
 
 
@@ -93,16 +92,3 @@ def scaling_d(beta: float) -> float:
     if beta >= -1.0:
         return 1.0
     return (1.0 - beta) / 2.0
-
-
-def local_existence_bound(n) -> float:
-    """Upper bound n / (n-2) on p for the energy-space local theory
-    (n >= 3); infinite in one and two dimensions.  `classify` deliberately
-    does not intersect with it.
-    """
-    n = _as_int(n)
-    if n < 1:
-        raise ValueError(f"local_existence_bound needs n >= 1, got {n}")
-    if n <= 2:
-        return math.inf
-    return n / (n - 2)

@@ -157,9 +157,6 @@ class Field:
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.values).all())
-
 
 def constant_field(grid: Grid, value: float) -> Field:
     return Field(grid, np.full(grid.shape, float(value)))

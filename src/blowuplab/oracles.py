@@ -59,10 +59,6 @@ class OdeResult:
     v: np.ndarray
     diverged: bool
 
-    @property
-    def t_last(self) -> float:
-        return float(self.t[-1])
-
 
 def ode_energy(u: float, v: float, p: float) -> float:
     """Conserved energy of u'' = |u|^p (the potential is odd in u because the
@@ -80,10 +76,18 @@ def ode_blowup_time(prob: OdeProblem) -> float:
     m, where V(m) = V(u0) - v0^2/2, and the fall takes as long as the rise
     back to u0, so twice that rise is added.  The rest position (0, 0), and
     a fall that only approaches it (m = 0), return inf.
+
+    The integrals are taken at unit scale: with a = max(|u0|, |v0|^(2/(p+1)))
+    the escape of (u0 / a, v0 / a^((p+1)/2)) is integrated and its time
+    multiplied by a^(-(p-1)/2).  Unscaled, large data overflowed the
+    integrands: u0 = 1e4 at p = 2 gave inf.
     """
     u0, v0, p = prob.u0, prob.v0, prob.p
     if u0 == 0.0 and v0 == 0.0:
         return math.inf
+    # u -> a u(a^((p-1)/2) t) maps solutions to solutions
+    a = max(abs(u0), abs(v0) ** (2.0 / (p + 1.0)))
+    u0, v0 = u0 / a, v0 / a ** (0.5 * (p + 1.0))
 
     from scipy.integrate import quad
 
@@ -113,7 +117,7 @@ def ode_blowup_time(prob: OdeProblem) -> float:
             return math.inf
         t_turn = 2.0 * rise(m, math.sqrt(u0 - m))
     t_far, _ = quad(far, u0 + 1.0, np.inf, epsabs=0.0, epsrel=QUAD_RTOL / 4, limit=200)
-    return t_turn + rise(u0, 1.0) + t_far
+    return (t_turn + rise(u0, 1.0) + t_far) * a ** (-0.5 * (p - 1.0))
 
 
 def _solve(rhs, y0, t_span, t_eval=None, events=None):

@@ -92,13 +92,6 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.u[0].grid
 
-    @staticmethod
-    def from_report(report) -> "Trajectory":
-        if not report.snapshots:
-            raise ValueError("run report carries no snapshots")
-        times = np.array([s.t for s in report.snapshots])
-        return Trajectory(times, [s.u for s in report.snapshots], [s.v for s in report.snapshots])
-
 
 def fourier_sample(field: Field, axes_coords) -> np.ndarray:
     """Evaluate the band-limited interpolant of a field on the tensor grid

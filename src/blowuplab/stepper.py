@@ -84,17 +84,17 @@ and samples that pass u_max, or are not finite, end the block there, so
 that no step is taken past a trip.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
-pass through one function, `_Ledger.snapshot`, which makes one `State` of u
-samples and v coefficients for each; v is built only when read.  Without a
-hook they are kept in `RunReport.snapshots`, owning copies of both, so a
-run whose snapshots' v is never read makes no transform for it; with
-`Controls.on_snapshot` each is handed to the hook as the run goes and none
-is kept, so a run's memory does not grow with its history.  A hook's
-snapshot may be kept: its u is a view of its block's samples, which no
-later step writes, and its v coefficients view the ring while the hook runs
-and are copied when it returns with v unread.  Either way nothing is cached
-on the solver's rows, and the final state reuses the samples of the last
-snapshot when that snapshot is of the final state.
+take one path: `_Ledger.snapshot` makes one `State` of u samples and v
+coefficients for each and hands it to a hook; v is built only when read.
+The hook is `Controls.on_snapshot`, which sees each snapshot as the run
+goes, so that a run's memory need not grow with its history.  Without one,
+a keeping hook appends an owning copy of each to `RunReport.snapshots`, so
+a run whose snapshots' v is never read makes no transform for it.  A
+snapshot handed to a hook may be kept: its u is a view of its block's
+samples, which no later step writes, and its v coefficients view the ring
+while the hook runs and are copied when it returns with v unread.  Nothing
+is cached on the solver's rows, and the final state reuses the samples of
+the last snapshot when that snapshot is of the final state.
 """
 
 import math
@@ -159,30 +159,20 @@ EXIT_CODES = {
 class State:
     """The solution (u, v) at time t.
 
-    A state holds the fields as physical samples, as `half_spectrum`
-    coefficients, or both: `u`, `v`, `u_hat` and `v_hat` each build their
-    representation from the other on first use and keep it.  `State(t, u, v)`
-    starts from samples; the solver makes its states from coefficients.
+    Each field is given as a `Field` of samples or as its `half_spectrum`
+    coefficients, which need the grid.  `u`, `v`, `u_hat` and `v_hat` each
+    build their representation from the other on first use and keep it.
     """
 
-    def __init__(self, t: float, u: Field, v: Field):
-        if u.grid != v.grid:
+    def __init__(self, t: float, u, v, grid: Grid | None = None):
+        u_samples, v_samples = isinstance(u, Field), isinstance(v, Field)
+        if u_samples and v_samples and u.grid != v.grid:
             raise ValueError("u and v live on different grids")
         self.t = t
-        self.grid = u.grid
-        self._u, self._v = u, v
-        self._u_hat = self._v_hat = None
+        self.grid = grid if grid is not None else (u if u_samples else v).grid
+        self._u, self._u_hat = (u, None) if u_samples else (None, u)
+        self._v, self._v_hat = (v, None) if v_samples else (None, v)
         self._source = None  # (p, F[|u|^p]) once computed
-
-    @classmethod
-    def from_spectrum(cls, t: float, grid: Grid, u_hat: np.ndarray, v_hat: np.ndarray) -> "State":
-        state = cls.__new__(cls)
-        state.t = t
-        state.grid = grid
-        state._u = state._v = None
-        state._u_hat, state._v_hat = u_hat, v_hat
-        state._source = None
-        return state
 
     @property
     def u(self) -> Field:
@@ -213,6 +203,17 @@ class State:
         if self._source is None or self._source[0] != p:
             self._source = (p, _source(self.u.values, self.grid, p))
         return self._source[1]
+
+    def copy(self) -> "State":
+        """A state that owns copies of the fields as this one holds them."""
+        u = self._u.copy() if self._u is not None else self._u_hat.copy()
+        v = self._v.copy() if self._v is not None else self._v_hat.copy()
+        return State(self.t, u, v, self.grid)
+
+    def _settle_v(self) -> None:
+        """Own v apart from the solver's ring: its samples if they were
+        read, else a copy of its coefficients."""
+        self._v_hat = None if self._v is not None else self._v_hat.copy()
 
 
 @dataclass
@@ -285,17 +286,17 @@ class Controls:
     stops.  boundary_check = None means: monitor the boundary shell exactly
     when the initial data is compactly supported.
 
-    snapshot_every = k keeps the initial state and every k-th accepted
-    state in `RunReport.snapshots`, each building v when it is first read.
-    With on_snapshot set, each of these states is passed to
-    on_snapshot(state) as soon as the ledger has checked it, in order, and
-    `RunReport.snapshots` is None.  The hook may keep the state: its u is a
-    view of the samples of its ledger block, which no later step writes (a
-    hook that keeps many copies u, so as not to keep whole blocks alive),
-    and its v, built only if read, comes from coefficients that view the
-    solver's ring until the hook returns and are then the state's own.
-    Neither sees a state after one that tripped a monitor, nor a non-finite
-    one.
+    snapshot_every = k passes the initial state and every k-th accepted
+    state to on_snapshot(state) as soon as the ledger has checked it, in
+    order, each building v when it is first read, and `RunReport.snapshots`
+    is None.  Without on_snapshot, a hook that keeps an owning copy of each
+    collects them in `RunReport.snapshots`.  The hook may keep the state:
+    its u is a view of the samples of its ledger block, which no later step
+    writes (a hook that keeps many copies u, so as not to keep whole blocks
+    alive), and its v, built only if read, comes from coefficients that
+    view the solver's ring until the hook returns and are then the state's
+    own.  No hook sees a state after one that tripped a monitor, nor a
+    non-finite one.
     """
 
     t_end: float
@@ -373,7 +374,7 @@ def step(state: State, params: Params, dt: float) -> State:
     u_hat, v_hat = _imex(
         state.u_hat, state.v_hat, src, lambda: dt * k2, lambda: 1.0 + (dt * b) * k2, dt
     )
-    return State.from_spectrum(state.t + dt, state.grid, u_hat, v_hat)
+    return State(state.t + dt, u_hat, v_hat, state.grid)
 
 
 def _block_rows(grid: Grid) -> int:
@@ -491,12 +492,15 @@ class _Ledger:
         self.t, self.row, self.u, self.v = t, _fields(state, params), state.u.values, state.v.values
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
-        self.hook = controls.on_snapshot
-        keep = controls.snapshot_every and self.hook is None
-        self.snapshots = [] if keep else None
+        self.hook, self.snapshots = controls.on_snapshot, None
+        if controls.snapshot_every and self.hook is None:
+            # closes over the list only: a hook bound to the ledger makes a
+            # cycle that keeps the run's ring alive until the cyclic GC runs
+            snapshots = self.snapshots = []
+            self.hook = lambda snap: snapshots.append(snap.copy())
         self.last = None  # the snapshot of the last row kept, if it has one
         if controls.snapshot_every:
-            self.snapshot(t, samples[0], v=state.v)
+            self.snapshot(t, samples[0], state.v)
 
     def flush(self, t, dts, block, samples=None) -> "Outcome | None":
         """Compute and check the rows of a block, as `_ledger_rows` takes
@@ -541,26 +545,15 @@ class _Ledger:
         self.u = None if samples is None else samples[kept]
         return outcome
 
-    def snapshot(self, t: float, u: np.ndarray, v_hat=None, v: Field | None = None) -> None:
-        """Hand the snapshot at time t of a checked state, with u samples u
-        and v coefficients v_hat or v samples v, to the hook, or keep it in
-        the list, as one new state that builds v when v is read.  A kept
-        snapshot owns u and a copy of v_hat, so that it keeps neither the
-        ledger block nor the ring alive; a hook's views them while the hook
-        runs, and v_hat is copied when the hook returns with v unread."""
-        grid, hook = self.grid, self.hook
-        if v_hat is not None and hook is None:
-            v_hat = v_hat.copy()
-        snap = State.from_spectrum(t, grid, None, v_hat)
-        snap._u, snap._v = Field(grid, u if hook else u.copy()), v
-        self.last = snap
-        if hook is None:
-            self.snapshots.append(snap)
-            return
-        hook(snap)
-        # the solver recycles its coefficients: keep a copy of v's only
-        # while v is unread
-        snap._v_hat = None if snap._v is not None else snap._v_hat.copy()
+    def snapshot(self, t: float, u: np.ndarray, v) -> None:
+        """Hand the hook the snapshot at time t of a checked state, with u
+        samples u and v as a `Field` or as coefficients, as one new state
+        that builds v when v is read.  Its u views u, and its v
+        coefficients view the solver's ring while the hook runs; they are
+        copied when the hook returns with v unread."""
+        self.last = snap = State(t, Field(self.grid, u), v)
+        self.hook(snap)
+        snap._settle_v()
 
     def final_state(self) -> State:
         """The last row kept as a state of samples: those of its snapshot

@@ -13,7 +13,6 @@ deterministic function of the configuration, whatever the worker count.
 """
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -149,20 +148,14 @@ def _run_point(config: SweepConfig, point) -> SweepPoint:
     )
 
 
-def _worker_cap(workers: int) -> int:
-    cap = os.environ.get("BLWP_WORKERS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> list:
     """Run every sweep point; per-point failures become Error rows and never
     abort the sweep.  Results come back in input order regardless of the
-    worker count."""
+    worker count.  The pool has min(workers, number of points) processes;
+    where that is below 2, the points run in this process."""
     points = sweep_points(config)
-    workers = _worker_cap(workers)
-    if workers == 1 or len(points) <= 1:
+    workers = max(1, min(workers, len(points)))
+    if workers == 1:
         return [_run_point(config, pt) for pt in points]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_run_point, config), points))

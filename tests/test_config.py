@@ -66,6 +66,10 @@ def test_validation_rules():
         parse_config_text("init.kind = blob")
     with pytest.raises(ConfigError, match="dt_min"):
         parse_config_text("time.dt0 = 1e-14")
+    with pytest.raises(ConfigError, match="init.on must be one of"):
+        parse_config_text("init.on = v0")
+    with pytest.raises(ConfigError, match="time.tol must be >= 0"):
+        parse_config_text("time.tol = -1e-6")
 
 
 def test_override_tokens():

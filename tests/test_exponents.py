@@ -9,7 +9,6 @@ from blowuplab.exponents import (
     classify,
     conjugate_exponent,
     kato_threshold,
-    local_existence_bound,
     scaling_d,
     strauss_exponent,
 )
@@ -122,9 +121,3 @@ def test_scaling_d():
     assert scaling_d(-1.0) == 1.0 == (1.0 - (-1.0)) / 2.0
     assert scaling_d(7.5) == 1.0
 
-
-def test_local_existence_bound():
-    assert math.isinf(local_existence_bound(1))
-    assert math.isinf(local_existence_bound(2))
-    assert local_existence_bound(3) == 3.0
-    assert local_existence_bound(4) == 2.0

@@ -143,6 +143,15 @@ def test_boundary_shell_mask():
     assert np.array_equal(mask, np.abs(x) > 9.0)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_boundary_shell_mask_in_several_dimensions(dim):
+    # the shell is where the largest coordinate passes 0.9 L
+    g = Grid(dim, 16, 5.0)
+    biggest = np.max(np.abs(np.stack(g.coords())), axis=0)
+    assert np.array_equal(boundary_shell_mask(g), biggest > 4.5)
+    assert 0 < boundary_shell_mask(g).sum() < g.num_points
+
+
 def test_binary_roundtrip(tmp_path):
     g = Grid(2, 32, 3.0)
     rng = np.random.default_rng(7)

@@ -94,6 +94,44 @@ def test_a_late_escape_obeys_the_scaling():
     assert late == pytest.approx(100.0 * ode_blowup_time(OdeProblem(-1e-2, 0.0, 3.0)), rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+def test_zero_energy_closed_form_from_small_to_large_data(p):
+    # E0 = 0 gives u' = sqrt(2/(p+1)) u^((p+1)/2), which escapes at
+    # T* = 2 / ((p-1) sqrt(2/(p+1)) u0^((p-1)/2))
+    c = math.sqrt(2.0 / (p + 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0 in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
+            t = ode_blowup_time(OdeProblem(u0, c * u0 ** (0.5 * (p + 1.0)), p))
+            assert t == pytest.approx(2.0 / ((p - 1.0) * c * u0 ** (0.5 * (p - 1.0))), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("lam", [1e-4, 1e2, 1e4, 1e8])
+def test_the_quadrature_obeys_the_scaling_at_every_size(p, lam):
+    # u -> lam^(2/(p-1)) u(lam t) maps solutions to solutions, so scaled
+    # data escape lam times sooner; every sign pattern of (u0, v0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u0 in (0.7, -0.7, 0.0):
+            for v0 in (0.4, -0.4, 0.0):
+                if u0 == v0 == 0.0:
+                    continue
+                scaled = OdeProblem(
+                    lam ** (2.0 / (p - 1.0)) * u0, lam ** ((p + 1.0) / (p - 1.0)) * v0, p
+                )
+                t = ode_blowup_time(OdeProblem(u0, v0, p))
+                assert math.isfinite(t)
+                assert ode_blowup_time(scaled) == pytest.approx(t / lam, rel=1e-12)
+
+
+def test_a_large_start_escapes_at_the_scaled_time():
+    # at u0 = 1e4 the unscaled escape integral overflowed and gave inf
+    assert ode_blowup_time(OdeProblem(1e4, 0.0, 2.0)) == pytest.approx(
+        T_STAR_FROM_REST / 100.0, rel=1e-12
+    )
+
+
 def test_a_fall_onto_the_rest_state_never_escapes():
     # zero energy with u0 > 0 and v0 < 0: u decays to 0 and never turns
     assert math.isinf(ode_blowup_time(OdeProblem(1.0, -math.sqrt(2.0 / 3.0), 2.0)))
@@ -140,7 +178,7 @@ def test_trajectory_reports_divergence():
     assert res.diverged
     # everything reported is finite and the cut happens just before sqrt(6)
     assert np.all(np.isfinite(res.u))
-    assert res.t_last < math.sqrt(6.0) < 3.0
+    assert res.t[-1] < math.sqrt(6.0) < 3.0
 
 
 def test_trajectory_reports_divergence_without_a_finite_threshold():
@@ -154,7 +192,7 @@ def test_trajectory_reports_divergence_without_a_finite_threshold():
         )
     assert res.diverged
     assert np.all(np.isfinite(res.u)) and np.all(np.isfinite(res.v))
-    assert res.t_last < math.sqrt(6.0)
+    assert res.t[-1] < math.sqrt(6.0)
 
 
 def test_trajectory_that_cannot_start_reports_the_initial_state():
@@ -164,7 +202,7 @@ def test_trajectory_that_cannot_start_reports_the_initial_state():
     assert res.diverged
     assert res.t.tolist() == [0.0]
     assert res.u.tolist() == [1e200] and res.v.tolist() == [0.0]
-    assert res.t_last == 0.0
+    assert res.t[-1] == 0.0
 
 
 def test_package_import_leaves_scipy_unloaded():

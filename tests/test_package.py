@@ -9,7 +9,6 @@ EXPORTED = {
     "exponents": (
         "RegionVerdict", "conjugate_exponent", "strauss_exponent",
         "kato_threshold", "beta_threshold", "classify", "scaling_d",
-        "local_existence_bound",
     ),
     "grids": (
         "Grid", "Field", "constant_field", "laplacian", "integrate", "grad_sq_integral",
@@ -41,6 +40,7 @@ EXPORTED = {
 REMOVED = (
     "helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity", "ScaleKind",
     "TermBundle", "Threshold", "SlopeFit", "default_cutoff_spec", "psi_parts",
+    "local_existence_bound",
 )
 
 

@@ -257,7 +257,8 @@ def _invariance_error_from_every_step(params, lam, resolution):
     controls = Controls(
         t_end=t_src, dt0=0.1 * src.spacing, tol=None, snapshot_every=1, boundary_check=False
     )
-    source = Trajectory.from_report(simulate(params, init, controls))
+    snaps = simulate(params, init, controls).snapshots
+    source = Trajectory([s.t for s in snaps], [s.u for s in snaps], [s.v for s in snaps])
     rescaled = rescale_trajectory(source, mapping, target, [0.0, 1.0])
     restart = make_initial_data(rescaled.u[0], rescaled.v[0], compact_support=True)
     controls = Controls(t_end=1.0, dt0=0.1 * target.spacing, tol=None, boundary_check=False)

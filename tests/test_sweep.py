@@ -1,7 +1,9 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from blowuplab import sweep
 from blowuplab.config import build_grid
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
@@ -10,7 +12,6 @@ from blowuplab.sweep import (
     run_sweep,
     sweep_points,
     write_sweep_csv,
-    _worker_cap,
 )
 
 
@@ -88,12 +89,20 @@ def test_format_cell():
     assert format_cell(math.nan) == "nan"
 
 
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("BLWP_WORKERS", "2")
-    assert _worker_cap(8) == 2
-    monkeypatch.delenv("BLWP_WORKERS")
-    assert _worker_cap(8) == 8
-    assert _worker_cap(0) == 1
+def test_pool_is_capped_at_the_number_of_points(monkeypatch):
+    sizes = []
+
+    def pool(max_workers):
+        sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
+    cfg = small_config()
+    assert len(sweep_points(cfg)) == 2
+    serial = run_sweep(cfg, workers=0)
+    assert sizes == []
+    assert run_sweep(cfg, workers=3) == serial
+    assert sizes == [2]
 
 
 def test_auto_box_size():
