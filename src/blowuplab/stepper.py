@@ -1,56 +1,41 @@
 """Time integration with implicit damping, the energy ledger, and blow-up
 detection.
 
-One step advances (u, v) with the damping treated implicitly and everything
-else explicitly:
+Every operator but the source is diagonal in Fourier space, so the state
+between steps is the real-FFT coefficients (u_hat, v_hat); physical u is
+built only for the source |u|^p, the sup norm, the boundary shell and the
+adaptive error.
 
-    v* = v + dt * (Lap(u) + |u|^p)          evaluated at time t
-    (Id - dt*b Lap) v_new = v*              with b = b0 (1 + t + dt)^(-beta)
-    u_new = u + dt * v_new
-
-The damping term has an unbounded stiffness b*k^2 in the mode number k, which
-is why it is implicit; the wave and source parts are cheap and stay explicit
-under a dt <= CFL * spacing cap.  This IMEX Euler step is first order, and it
-is the only stepping kernel: fixed-step runs march with it, and the adaptive
-driver extrapolates it to third order.
-
-Every operator above is diagonal in Fourier space, so the solver state keeps
-the real-FFT coefficients (u_hat, v_hat) between steps and one step is, mode
-by mode,
+Fixed-step runs march with the first-order IMEX Euler step, explicit in the
+wave and source terms and implicit in the damping, whose stiffness b k^2 is
+unbounded in k.  Mode by mode, with b = b0 (1 + t + dt)^(-beta), `_imex` does
 
     v_hat <- (v_hat - dt k^2 u_hat + dt F[|u|^p]) / (1 + dt b k^2)
     u_hat <- u_hat + dt v_hat
 
-Physical u is built, by one inverse transform, only where a pointwise value
-is needed: the source |u|^p, the sup norm, the boundary shell and the
-adaptive error.  A fixed linear step therefore costs one inverse transform
-for the sup norm, made for a block of steps at once (see below); a
-nonlinear one makes the inverse and the forward transform of |u|^p, which
-each state computes once and keeps for every step taken from it.  `step`,
-the fixed-step marcher and the adaptive attempt share one kernel, `_imex`,
-that does this arithmetic.
+for `step` and for the marcher, whose linear steps cost a share of one
+inverse transform (see below) and nonlinear ones the transform pair of |u|^p.
 
-An adaptive attempt of size H runs three chains of the step from the same
-state, 1 step of H, 2 of H/2 and 3 of H/3, and combines their coefficients by
-Aitken-Neville extrapolation (Constantinescu & Sandu, "Extrapolated
-implicit-explicit time stepping", SIAM J. Sci. Comput. 31, 2010):
+An adaptive attempt of size H runs chains of 1, 2 and 3 Strang substeps from
+one state.  A substep of size h is half a step of each mode's exact damped
+oscillator flow, b frozen at the half-step's midpoint (`_half_flows`), a
+kick v_hat += h F[|u|^p] and the other half-step.  It is symmetric, so its
+error expands in h^2 and Aitken-Neville in h^2 (Hairer, Lubich & Wanner,
+"Geometric Numerical Integration", 2006; Hochbruck & Ostermann, Acta
+Numerica 19, 2010),
 
     T[j,1] = result of n_j substeps,             n = (1, 2, 3)
-    T[j,k] = T[j,k-1] + (T[j,k-1] - T[j-1,k-1]) / (n_j / n_(j-k+1) - 1)
+    T[j,k] = T[j,k-1] + (T[j,k-1] - T[j-1,k-1]) / ((n_j / n_(j-k+1))^2 - 1)
 
-T[3,3] is third order and is the accepted result; its relative sup-norm gap
-to the second-order T[3,2] is the error estimate.  Unlike the step itself,
-the extrapolation amplifies weakly damped high modes slightly, so with weak
-damping the adaptive step also stays below a mode-wise stability bound.
-
-The chains advance in lockstep as stacked rows, one kernel call per
-substep: all three chains, then the two longer, then the longest.  The
-sources of the chains that go on take one stacked transform each way per
-substep, four per attempt where separate chains of `step` would take six,
-and every row is bit for bit the chain of `step` calls it stands for.
-T[3,3] and T[3,2] share one stack, which one inverse transform brings back
-to samples for the error estimate; the accepted row keeps its u samples for
-the monitors.
+gives the accepted sixth-order T[3,3]; its relative sup-norm gap to the
+fourth-order T[3,2] is the error estimate.  A linear attempt is all but the
+exact flow, which amplifies no mode however weak the damping, so the step
+needs no stability cap: only CFL * spacing, so that H |k| <= sqrt(dim) pi/2
+stays clear of the splitting's resonances at h |k| = m pi, and GROWTH times
+the step before.  The chains advance in lockstep as stacked rows, all three
+through a substep, then the two longer, then the longest: one stacked
+transform each way per substep for the kicks, and one stacked inverse
+transform of T[3,3] and T[3,2] for the error, whose u samples are kept.
 
 The energy ledger tracks, per accepted step,
 
@@ -66,8 +51,8 @@ trapezoid rule over accepted steps only.
 The ledger is columnar.  `_ledger_rows` computes the rows of a block with
 array operations: the quadratic sums row by row, finiteness from those
 sums, and the sup norm and boundary shell from one stacked inverse
-transform, or from samples already built (a nonlinear step builds them for
-its source, an adaptive one for its error estimate).  The rows are walked
+transform, or from samples already built (for a source or an adaptive
+error estimate).  The rows are walked
 in order to extend the trapezoid sums and check the monitors, and the run
 ends at the first row that trips one.  A non-finite row is dropped, a row
 above u_max or with a contaminated shell is kept, and later rows are
@@ -85,16 +70,13 @@ that no step is taken past a trip.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 take one path: `_Ledger.snapshot` makes one `State` of u samples and v
-coefficients for each and hands it to a hook; v is built only when read.
-The hook is `Controls.on_snapshot`, which sees each snapshot as the run
-goes, so that a run's memory need not grow with its history.  Without one,
-a keeping hook appends an owning copy of each to `RunReport.snapshots`, so
-a run whose snapshots' v is never read makes no transform for it.  A
-snapshot handed to a hook may be kept: its u is a view of its block's
-samples, which no later step writes, and its v coefficients view the ring
-while the hook runs and are copied when it returns with v unread.  Nothing
-is cached on the solver's rows, and the final state reuses the samples of
-the last snapshot when that snapshot is of the final state.
+coefficients for each, which builds v only when read, and hands it to
+`Controls.on_snapshot` as the run goes, or else keeps it in
+`RunReport.snapshots` with a copy of u.  A hook may keep its snapshot: u
+views its block's samples, which no later step writes, and the v
+coefficients view the ring while the hook runs and are copied when it
+returns with v unread.  The final state reuses the samples of the last
+snapshot when that snapshot is of the final state.
 """
 
 import math
@@ -142,9 +124,11 @@ CFL = 0.5
 GROWTH = 1.25
 
 # detect_blowup fits only samples above RISE_FACTOR times the initial sup
-# norm, and needs at least MIN_SAMPLES of them
+# norm, and needs at least MIN_SAMPLES of them; a run's fit below FIT_FLOOR
+# whose estimate precedes its last sample below u_max is no blow-up
 RISE_FACTOR = 10.0
 MIN_SAMPLES = 8
+FIT_FLOOR = 0.95
 
 # exit codes used by the command-line front end
 EXIT_CODES = {
@@ -204,12 +188,6 @@ class State:
             self._source = (p, _source(self.u.values, self.grid, p))
         return self._source[1]
 
-    def copy(self) -> "State":
-        """A state that owns copies of the fields as this one holds them."""
-        u = self._u.copy() if self._u is not None else self._u_hat.copy()
-        v = self._v.copy() if self._v is not None else self._v_hat.copy()
-        return State(self.t, u, v, self.grid)
-
     def _settle_v(self) -> None:
         """Own v apart from the solver's ring: its samples if they were
         read, else a copy of its coefficients."""
@@ -236,7 +214,10 @@ class BlowupEstimate:
     """A blow-up time from `detect_blowup`.  fit_quality is the R^2 of the
     line fitted to linf^(-(p-1)/2) over the last fit_points eligible
     samples: how straight that curve is, not how accurate t_star is (at
-    N = 512 t_star is 0.2-0.4 % low while fit_quality >= 1 - 8e-9)."""
+    N = 512 t_star is 0.2-0.4 % low while fit_quality >= 1 - 1.1e-7, on the
+    samples of sixth-order adaptive steps, about 150 to blow-up at tol
+    1e-6).  `simulate` keeps no estimate below FIT_FLOOR that precedes the
+    run's last sample below u_max: such a run ends NumericalInstability."""
 
     t_star: float
     fit_quality: float
@@ -288,14 +269,10 @@ class Controls:
 
     snapshot_every = k passes the initial state and every k-th accepted
     state to on_snapshot(state) as soon as the ledger has checked it, in
-    order, each building v when it is first read, and `RunReport.snapshots`
-    is None.  Without on_snapshot, a hook that keeps an owning copy of each
-    collects them in `RunReport.snapshots`.  The hook may keep the state:
-    its u is a view of the samples of its ledger block, which no later step
-    writes (a hook that keeps many copies u, so as not to keep whole blocks
-    alive), and its v, built only if read, comes from coefficients that
-    view the solver's ring until the hook returns and are then the state's
-    own.  No hook sees a state after one that tripped a monitor, nor a
+    order, and `RunReport.snapshots` is None; without on_snapshot,
+    `RunReport.snapshots` keeps them.  The hook may keep the state (see the
+    module docstring; one that keeps many copies u, a view of its ledger
+    block).  No hook sees a state after one that tripped a monitor, nor a
     non-finite one.
     """
 
@@ -334,9 +311,8 @@ class Controls:
 def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     """The step, mode by mode: v_out = (v - dtk2 u + dt src) / den and
     u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
-    src = F[|u|^p] or None.  The marcher passes one row, and an adaptive
-    attempt the rows of its chains with dt as a column, of factors built
-    by `_factors`.  `step` passes functions that build them when needed:
+    src = F[|u|^p] or None.  The marcher passes rows of factors built by
+    `_factors`.  `step` passes functions that build them when needed:
     it holds at most two new arrays at once, and dt * src takes the second
     while the first holds v_out, so den cannot exist before it.
     v - x, not v + (-x), keeps signed zeros.
@@ -494,10 +470,9 @@ class _Ledger:
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook, self.snapshots = controls.on_snapshot, None
         if controls.snapshot_every and self.hook is None:
-            # closes over the list only: a hook bound to the ledger makes a
-            # cycle that keeps the run's ring alive until the cyclic GC runs
-            snapshots = self.snapshots = []
-            self.hook = lambda snap: snapshots.append(snap.copy())
+            # not bound to the ledger, which would keep the ring in a cycle
+            self.snapshots = []
+            self.hook = self.snapshots.append
         self.last = None  # the snapshot of the last row kept, if it has one
         if controls.snapshot_every:
             self.snapshot(t, samples[0], state.v)
@@ -546,11 +521,12 @@ class _Ledger:
         return outcome
 
     def snapshot(self, t: float, u: np.ndarray, v) -> None:
-        """Hand the hook the snapshot at time t of a checked state, with u
-        samples u and v as a `Field` or as coefficients, as one new state
-        that builds v when v is read.  Its u views u, and its v
-        coefficients view the solver's ring while the hook runs; they are
-        copied when the hook returns with v unread."""
+        """Hand the hook the state at time t of a checked row, of samples u
+        (copied when the ledger keeps the state) and of v as a `Field` or
+        as coefficients, which `State._settle_v` copies once the hook has
+        returned with v unread: a kept snapshot copies each field once."""
+        if self.snapshots is not None:
+            u = u.copy()
         self.last = snap = State(t, Field(self.grid, u), v)
         self.hook(snap)
         snap._settle_v()
@@ -569,56 +545,91 @@ class _Ledger:
         return State(self.t, u if u.values.flags.owndata else u.copy(), v)
 
 
-SUBSTEPS = (1, 2, 3)
+def _half_flows(halves: list, bs: list, k2: np.ndarray) -> np.ndarray:
+    """The flow over d of each mode's (u, v)' = A (u, v) = (v, -k^2 u - b k^2 v)
+    for each (d, b) in zip(halves, bs): a row of its real entries (M11, M22,
+    M12, M21).  With tau = -b k^2 and s^2 = tau^2/4 - k^2, the flow is
+    e^{d tau/2} [cosh(ds) I + sinh(ds)/s (A - tau/2)] = C I + d S (A - tau/2).
+    In x = d tau/2 and r = |ds|, (C, S) is e^x (cos r, sin r / r) where the
+    mode is underdamped and e^{x+r} (1 + q/2, -q / 2r), q = expm1(-2r), where
+    it is overdamped, with x + r = -d^2 k^2 / (r - x).  So a large b k^2
+    underflows, nothing cancels at small r, and r = 0 (k = 0 or critical
+    damping), floored at 1e-300, gives the limit e^x (1, 1).
+    """
+    d = np.array(halves).reshape((-1,) + (1,) * k2.ndim)
+    flows = np.empty((len(d), 4) + k2.shape)
+    c, x, s, w = (flows[:, j] for j in range(4))  # scratch until the end
+    np.multiply(-0.5 * d * np.array(bs).reshape(d.shape), k2, x)
+    np.multiply(d * d, k2, w)  # d^2 k^2
+    r = x * x - w
+    under = r <= 0
+    np.maximum(np.sqrt(np.abs(r, r), r), 1e-300, out=r)
+    # the overdamped form everywhere, where it is e^x cosh r and finite
+    e = np.exp(w / (x - r))  # e^{x+r}
+    r2 = -2.0 * r
+    q = np.expm1(r2)
+    np.divide(e * q, r2, s)
+    np.multiply(e, 0.5 * q + 1.0, c)
+    # then the underdamped modes, the only ones that need cos and sin
+    np.exp(x, e)
+    np.multiply(np.cos(r, c, where=under), e, c, where=under)
+    np.multiply(np.sin(r, s, where=under) / r, e, s, where=under)
+    xs = x * s
+    np.add(c, xs, x)  # M22, over x after its last read
+    np.subtract(c, xs, c)  # M11
+    np.multiply(s, d, s)  # M12
+    np.multiply(s, -k2, w)  # M21
+    return flows
+
+
+def _flow(flows: np.ndarray, y: np.ndarray) -> None:
+    """Apply a stack of `_half_flows` in place to the (u_hat, v_hat) rows of
+    y, one flow per row: the diagonal entries times (u, v), plus the
+    off-diagonal ones times (v, u)."""
+    swapped = np.multiply(flows[:, 2:], y[:, ::-1])
+    np.multiply(flows[:, :2], y, y)
+    np.add(y, swapped, y)
 
 
 def _extrapolated_step(t: float, row, grid: Grid, params: Params, dt: float) -> tuple:
     """One adaptive attempt of size dt from the state at time t whose
-    `_fields` are row: the third-order extrapolation of the step over
-    SUBSTEPS, and its error estimate (see the module docstring).  Returns
-    the (u_hat, v_hat) stack at t + dt, its u samples and the relative
-    error; the samples are None and the error inf when the attempt is not
-    finite.
-
-    The factors of all three substeps are built at once.  Two buffers hold
-    the chains, so that an attempt holds little more than them, the factors
-    and one substep's temporaries: `first` the rows after substep 1, then
-    T[2,2] and the longest chain's end; `second` the rows after substep 2,
-    then T[3,3] and T[3,2], the stack that `_step_error` transforms.
+    `_fields` are row (see the module docstring): the (u_hat, v_hat) stack
+    at t + dt, its u samples and the relative error, or None and inf when
+    the attempt is not finite.  The chains advance in place in one buffer.
+    With constant damping each chain's half-steps share one flow, built
+    once; else each half-step's flows are built as it starts, so that an
+    attempt holds one set at a time.  T[2,2] overwrites T[1,1], T[3,2]
+    T[2,1] and T[3,3] T[2,2], leaving the stack that `_step_error` reads.
     """
     k2 = half_k_squared(grid)
-    hs = [dt / n for n in SUBSTEPS]
-    # each substep's rows: the steps of the chains that take it and the
-    # times they end at, accumulated as (t + h) + h, where b is taken
-    ts = [t] * len(SUBSTEPS)
-    steps, ends = [], []
-    for i in range(len(SUBSTEPS)):
-        ts[i:] = [a + b for a, b in zip(ts[i:], hs[i:])]
-        steps += hs[i:]
-        ends += ts[i:]
-    dtk2, den = _factors(hs, [h * damping_coeff(t, params) for h, t in zip(steps, ends)], k2)
-    # a column of each chain's step, which broadcasts as step's scalar dt
-    cols = np.array(hs, complex).reshape((-1,) + (1,) * k2.ndim)
-    # all three chains from the state, then the two longer, then the longest
-    first = np.empty((3, 2) + k2.shape, complex)
-    src = row[2] if params.nonlinear else None
-    _imex(row[0], row[1], src, dtk2, den[:3], cols, first[:, 0], first[:, 1])
-    src = _sources(first[1:, 0], grid, params)
-    second = np.empty((2, 2) + k2.shape, complex)
-    _imex(first[1:, 0], first[1:, 1], src, dtk2[1:], den[3:5], cols[1:],
-          second[:, 0], second[:, 1])
-    del src  # before the next source's transforms
-    src = _sources(second[1:, 0], grid, params)
-    _imex(second[1:, 0], second[1:, 1], src, dtk2[2:], den[5:], cols[2:],
-          first[2:, 0], first[2:, 1])
-    del dtk2, den, src
-    # Aitken-Neville in place, T[j,k] = a + (a - b) / (n_j / n_(j-k+1) - 1)
-    t11, t21, t31 = first[0], second[0], first[2]
-    t22, t32, t33 = first[0], second[1], second[0]
-    np.add(t21, np.divide(np.subtract(t21, t11, t22), 1.0, t22), t22)
-    np.add(t31, np.divide(np.subtract(t31, t21, t32), 0.5, t32), t32)
-    np.add(t32, np.divide(np.subtract(t32, t22, t33), 2.0, t33), t33)
-    return second[0], *_step_error(second.reshape((4,) + k2.shape), grid)
+    hs = [dt, dt / 2, dt / 3]
+    if params.beta == 0:
+        shared = _half_flows([0.5 * h for h in hs], [params.b0] * len(hs), k2)
+
+    def flows(i: int, at: float) -> np.ndarray:
+        # substep i's half-steps, whose midpoints lie a fraction at into it
+        if params.beta == 0:
+            return shared[i:]
+        bs = [damping_coeff(t + (i + at) * h, params) for h in hs[i:]]
+        return _half_flows([0.5 * h for h in hs[i:]], bs, k2)
+
+    chains = np.empty((len(hs), 2) + k2.shape, complex)
+    chains[:, 0], chains[:, 1] = row[0], row[1]
+    # a column of each chain's step, which scales its rows' kicks
+    cols = np.array(hs).reshape((-1,) + (1,) * k2.ndim)
+    for i in range(len(hs)):
+        y = chains[i:]
+        _flow(flows(i, 0.25), y)
+        if params.nonlinear:  # one stacked transform each way
+            y[:, 1] += _source(from_half_spectrum(y[:, 0], grid), grid, params.p) * cols[i:]
+        _flow(flows(i, 0.75), y)
+    # Aitken-Neville in h^2 in place, T[j,k] = a + (a - b) / ((n_j / n_(j-k+1))^2 - 1)
+    t11, t21, t31 = chains
+    t22, t32, t33 = chains[0], chains[1], chains[0]
+    np.add(t21, np.divide(np.subtract(t21, t11, t22), 3.0, t22), t22)
+    np.add(t31, np.divide(np.subtract(t31, t21, t32), 1.25, t32), t32)
+    np.add(t32, np.divide(np.subtract(t32, t22, t33), 8.0, t33), t33)
+    return chains[0], *_step_error(chains[:2].reshape((4,) + k2.shape), grid)
 
 
 def _source(u: np.ndarray, grid: Grid, p: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -626,14 +637,6 @@ def _source(u: np.ndarray, grid: Grid, p: float, out: np.ndarray | None = None) 
     power = np.abs(u)
     power **= p
     return half_spectrum(power, grid, out=out)
-
-
-def _sources(u_hat: np.ndarray, grid: Grid, params: Params) -> "np.ndarray | None":
-    """F[|u|^p] of each row of u_hat, by one stacked transform each way, or
-    None without a source."""
-    if not params.nonlinear:
-        return None
-    return _source(from_half_spectrum(u_hat, grid), grid, params.p)
 
 
 def _step_error(coeffs: np.ndarray, grid: Grid) -> tuple:
@@ -652,28 +655,14 @@ def _step_error(coeffs: np.ndarray, grid: Grid) -> tuple:
     return high[0].copy(), gap / max(scale, 1e-30)
 
 
-def _stable_step(t: float, dt: float, params: Params, k_top: float) -> float:
-    """Largest attempt size at which the extrapolated step amplifies no
-    mode, for an attempt from t of size about dt.
-
-    Undamped, the extrapolated step multiplies mode k by about
-    1 + (dt k)^6 / 118 per step, while the damping takes dt b k^2 / 2 away.
-    Keeping the first below the second at the top mode k_top, with the
-    smallest b over the step, bounds dt by (59 b / k_top^4)^(1/5); the
-    constant 50 leaves a margin for the higher-order terms.  Mode-wise
-    spectral radii stay at most 1 with it for b k_top from 1e-8 to 1e2.
-    """
-    b = min(damping_coeff(t, params), damping_coeff(t + dt, params))
-    return (50.0 * b / k_top**4) ** 0.2
-
-
 def _step_factor(err: float, controls: Controls) -> float:
-    """Elementary controller for a third-order error estimate: the next step
-    over the one just tried, for an accepted and a rejected attempt alike."""
+    """Elementary controller for the error estimate, the gap between orders
+    six and four, which shrinks as dt^5: the next step over the one just
+    tried, for an accepted and a rejected attempt alike."""
     if math.isinf(err):
         return 0.5
     ratio = controls.tol / err if err > 0 else math.inf
-    return min(GROWTH, max(0.2, 0.9 * ratio ** (1.0 / 3.0)))
+    return min(GROWTH, max(0.2, 0.9 * ratio**0.2))
 
 
 def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
@@ -682,14 +671,12 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
     Every row it flushes is finite, so the ledger keeps it."""
     grid = ledger.grid
     cfl_cap = CFL * grid.spacing
-    k_top = math.sqrt(float(half_k_squared(grid).max()))
     dt = min(controls.dt0, cfl_cap)
     t_end = controls.t_end
     rejected = 0
     while ledger.t < t_end * (1.0 - 1e-14):
         t = ledger.t
         dt_step = min(dt, t_end - t)
-        dt_step = min(dt_step, _stable_step(t, dt_step, params, k_top))
         if dt_step < controls.dt_min:
             return Outcome.STEP_FLOOR_REACHED, rejected
         new, u, err = _extrapolated_step(t, ledger.row, grid, params, dt_step)
@@ -756,14 +743,13 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     """Advance the problem from the given data until the horizon, blow-up,
     a step-size floor, or boundary contamination.
 
-    Adaptive mode (tol set) makes each attempt by extrapolating the step
-    to third order (see the module docstring) and accepts it when its error
-    estimate err is at most tol.  Accepted or not, the next attempt has the
-    size dt * min(GROWTH, max(0.2, 0.9 (tol/err)^(1/3))), capped at
-    CFL * spacing; an attempt that turned non-finite is retried at half the
-    size.  Where the damping is too weak to hold the top modes of the
-    extrapolated wave step, a second cap keeps every mode from growing (see
-    `_stable_step`).  Rejected attempts never touch the energy ledger.
+    Adaptive mode (tol set) makes each attempt by extrapolating Strang
+    chains to sixth order (see the module docstring) and accepts it when
+    its error estimate err is at most tol.  Accepted or not, the next
+    attempt has the size dt * min(GROWTH, max(0.2, 0.9 (tol/err)^(1/5))),
+    capped at CFL * spacing, the one other cap; an attempt that turned
+    non-finite is retried at half the size.  Rejected attempts never touch
+    the energy ledger.
 
     Fixed mode takes the step dt0; the time after step n is n * dt0, except
     that the last step ends exactly at t_end, and a remainder below
@@ -775,7 +761,11 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     and view neither the ring nor a block.
 
     A linear run cannot blow up: its energy never grows.  When one turns
-    non-finite or exceeds u_max, the outcome is NumericalInstability.
+    non-finite or exceeds u_max, the outcome is NumericalInstability.  So
+    is that of a nonlinear run whose blow-up estimate precedes its own last
+    sample below u_max with a fit_quality below FIT_FLOOR: its sup norm
+    grew, but not at the rate of a blow-up (a fixed step above the CFL cap
+    with weak damping, for one).
     """
     grid = init.u0.grid
     if init.u1.grid != grid:
@@ -801,6 +791,11 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
         estimate = _estimate_from_trace(ledger.trace, params, controls)
+        below = [r.t for r in ledger.trace if r.linf <= controls.u_max]
+        # a crooked line that crosses zero before the run's own last sample
+        # below u_max fits no blow-up: the run grew some other way
+        if estimate and below and estimate.t_star < below[-1] and estimate.fit_quality < FIT_FLOOR:
+            outcome, estimate = Outcome.NUMERICAL_INSTABILITY, None
     return RunReport(
         outcome=outcome,
         t_stop=ledger.t,

@@ -153,6 +153,29 @@ def test_simulate_zero_amplitude(tmp_path, capsys):
     assert u.grid.points_per_axis == 32
 
 
+@pytest.mark.parametrize("dt0, code, outcome", [
+    # 3.2 times the CFL cap: the top modes grow until the sup norm passes
+    # u_max at t = 1.9, and the crooked fit's t* = 1.787 precedes the last
+    # sample below u_max, at t = 1.8
+    ("0.1", 40, "NumericalInstability"),
+    # resolved: a straight fit, t* = 19.328 just before that sample
+    ("0.01", 10, "BlowupDetected"),
+])
+def test_a_fixed_step_instability_is_not_a_blowup(tmp_path, capsys, dt0, code, outcome):
+    out_dir = tmp_path / "run"
+    got, out, _ = run_cli(
+        capsys, "simulate", "--grid.points", "256", "--grid.half_width", "8",
+        "--model.b0", "1e-6", "--init.kind", "mode", "--init.mode", "4",
+        "--init.amplitude", "0.1", "--time.tol", "0", "--time.dt0", dt0,
+        "--time.t_end", "20", "--output.dir", str(out_dir),
+    )
+    assert (got, out.split()[0]) == (code, outcome)
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["outcome"] == outcome
+    # an instability reports no blow-up time
+    assert (report["t_star_est"] is None) == (code == 40)
+
+
 def test_simulate_refuses_overwrite_without_force(tmp_path, capsys):
     out_dir = tmp_path / "run"
     args = (
