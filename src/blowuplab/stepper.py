@@ -791,10 +791,10 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
         estimate = _estimate_from_trace(ledger.trace, params, controls)
-        below = [r.t for r in ledger.trace if r.linf <= controls.u_max]
         # a crooked line that crosses zero before the run's own last sample
         # below u_max fits no blow-up: the run grew some other way
-        if estimate and below and estimate.t_star < below[-1] and estimate.fit_quality < FIT_FLOOR:
+        below = next((r.t for r in reversed(ledger.trace) if r.linf <= controls.u_max), -math.inf)
+        if estimate and estimate.t_star < below and estimate.fit_quality < FIT_FLOOR:
             outcome, estimate = Outcome.NUMERICAL_INSTABILITY, None
     return RunReport(
         outcome=outcome,
