@@ -217,7 +217,8 @@ def invariance_error(
     At beta = -1 (with b0 = 1) the two routes agree in the continuum, so the
     returned number is discretization error; at other beta the equation is
     not invariant and the number saturates at an order-one level.  lam = 1
-    makes the routes identical by construction; lam < 1 is rejected.
+    makes the routes identical by construction; lam < 1 is rejected, and so
+    is an infinite lam, whose source grid would never be fine enough.
 
     The rescaled solution solves the equation with the damping strength
     multiplied by lam^(-(beta+1)); pass `restart_params` with that factor
@@ -226,8 +227,10 @@ def invariance_error(
     """
     if params.nonlinear:
         raise ValueError("invariance experiments are defined for linear runs")
-    if not lam >= 1.0:
-        raise ValueError(f"lam must be >= 1, got {lam}: lambda < 1 pulls t = 0 before the run starts")
+    if not 1.0 <= lam < np.inf:
+        raise ValueError(
+            f"lam must be finite and >= 1, got {lam}: lambda < 1 pulls t = 0 before the run starts"
+        )
     if restart_params is None:
         restart_params = params
     mapping = ScaleMap(lam, params.beta)
