@@ -22,6 +22,7 @@ from .config import (
     POINT_KEYS,
     SCHEMA,
     ConfigError,
+    _apply,
     _bool,
     _csv_floats,
     _csv_ints,
@@ -62,12 +63,14 @@ EXIT_CONFIG = 2
 def _parse_flags(tokens, spec, overrides=False):
     """Walk `--name value`, `--name=value` and the bare `--force`.
 
-    spec maps each flag the command reads to (convert, default); returns the
+    spec maps each flag the command reads to (convert, default), a schema
+    that each value goes through as a config value does; returns the
     converted flag values and, where `overrides` is set, the dotted config
     overrides as (key, raw) pairs in command-line order.  Any other name is
     a ConfigError.
     """
-    raw, pairs = {}, []
+    flags = {name: default for name, (_, default) in spec.items()}
+    pairs = []
     i = 0
     while i < len(tokens):
         tok = tokens[i]
@@ -86,15 +89,11 @@ def _parse_flags(tokens, spec, overrides=False):
         if overrides and "." in name:
             pairs.append((name, value))
         elif name in spec:
-            raw[name] = value
+            _apply(spec, flags, name, value, f"--{name}")
         else:
             known = ", ".join(f"--{n}" for n in spec)
             dotted = " and --section.key overrides" if overrides else ""
             raise ConfigError(f"unknown flag --{name}; this command reads {known}{dotted}")
-    flags = {
-        name: convert(raw[name]) if name in raw else default
-        for name, (convert, default) in spec.items()
-    }
     return flags, pairs
 
 
@@ -206,7 +205,7 @@ def cmd_sweep(argv) -> int:
 
     unread = {run: swept for swept, run in POINT_KEYS.items()}
     unread["output.every"] = "blwp simulate, as a sweep keeps no snapshots"
-    for key in ("model.nonlinear", "init.kind", "init.on", "init.center", "init.mode"):
+    for key in ("model.nonlinear", "init.kind", "init.on", "init.mode"):
         unread[key] = "blwp simulate, as a sweep runs the theorem's velocity bump"
     cfg, flags = _load_config(argv, {"force": (_bool, False), "workers": (int, 1)}, unread)
     sweep_cfg = SweepConfig.from_config(cfg)
@@ -283,13 +282,16 @@ def cmd_exponents(argv) -> int:
         "n": (_csv_ints, (1, 2, 3, 4, 5, 6)),
         "beta": (_csv_floats, (0.0,)),
     })
+    # every row is built before the header, so rejected input prints nothing
+    rows = [
+        (n, beta, kato_threshold(n), strauss_exponent(n) if n >= 2 else math.nan,
+         beta_threshold(n, beta))
+        for n in flags["n"]
+        for beta in flags["beta"]
+    ]
     print("n,beta,kato,strauss,beta_threshold")
-    for n in flags["n"]:
-        for beta in flags["beta"]:
-            kato = kato_threshold(n)
-            strauss = strauss_exponent(n) if n >= 2 else math.nan
-            thr = beta_threshold(n, beta)
-            print(",".join(map(format_cell, (n, beta, kato, strauss, thr))))
+    for row in rows:
+        print(",".join(map(format_cell, row)))
     return 0
 
 
@@ -350,10 +352,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return handler(argv[1:])
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -19,7 +19,7 @@ import numpy as np
 from .grids import Field, Grid
 from .model import InitialData, Params, bump_box_half_width, bump_data, constant_data
 from .model import make_initial_data, mode_data
-from .stepper import Controls
+from .stepper import DT_MIN, Controls
 
 __all__ = [
     "ConfigError",
@@ -75,16 +75,13 @@ SCHEMA = {
     "model.nonlinear": (_bool, True),
     "init.kind": (str, "bump"),
     "init.amplitude": (float, 1.0),
-    "init.center": (float, 0.0),
     "init.radius": (float, 1.0),
     "init.on": (str, "u1"),
     "init.mode": (int, 1),
     "time.t_end": (float, 50.0),
     "time.dt0": (float, 1e-2),
-    "time.dt_min": (float, 1e-12),
     "time.tol": (float, 1e-6),
     "blowup.u_max": (float, 1e8),
-    "blowup.fit_points": (int, 12),
     "output.dir": (str, "out"),
     "output.every": (int, 0),
     "sweep.n": (_csv_ints, (1,)),
@@ -130,16 +127,12 @@ class RunConfig:
         for key in ("model.p",):
             if not self[key] > 1.0:
                 raise ConfigError(f"{key} must exceed 1, got {self[key]}")
-        for key in ("model.b0", "init.radius", "time.t_end", "time.dt0", "time.dt_min", "blowup.u_max"):
+        for key in ("model.b0", "init.radius", "time.t_end", "blowup.u_max"):
             if not self[key] > 0:
                 raise ConfigError(f"{key} must be positive, got {self[key]}")
-        if self["time.dt0"] < self["time.dt_min"]:
+        if not self["time.dt0"] >= DT_MIN:
             raise ConfigError(
-                f"time.dt0 = {self['time.dt0']} is below time.dt_min = {self['time.dt_min']}"
-            )
-        if self["blowup.fit_points"] < 2:
-            raise ConfigError(
-                f"blowup.fit_points must be at least 2, got {self['blowup.fit_points']}"
+                f"time.dt0 must be at least the step floor DT_MIN = {DT_MIN}, got {self['time.dt0']}"
             )
         if self["time.tol"] < 0:
             raise ConfigError("time.tol must be >= 0 (0 disables the step control)")
@@ -150,16 +143,17 @@ def default_config() -> RunConfig:
     return RunConfig({key: default for key, (_, default) in SCHEMA.items()})
 
 
-def _apply(entries: dict, key: str, raw: str, where: str) -> None:
-    if key not in SCHEMA:
+def _apply(schema: dict, entries: dict, key: str, raw: str, where: str) -> None:
+    """Store raw in entries, parsed by key's parser in schema (key -> (parser, default))."""
+    if key not in schema:
         raise ConfigError(f"unknown config key {key!r} ({where})")
-    parser = SCHEMA[key][0]
+    parser = schema[key][0]
     try:
         value = parser(raw)
     except ConfigError:
         raise
     except Exception as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r} ({exc})") from None
+        raise ConfigError(f"bad value for {key}: {raw!r} ({where}: {exc})") from None
     values = value if isinstance(value, tuple) else (value,)
     if not all(np.isfinite(x) for x in values if isinstance(x, float)):
         raise ConfigError(f"{key} must be finite, got {raw!r} ({where})")
@@ -175,13 +169,13 @@ def parse_config_text(text: str, where: str = "config") -> RunConfig:
         if "=" not in body:
             raise ConfigError(f"{where}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
-        _apply(cfg.entries, key.strip(), raw.strip(), f"{where}:{lineno}")
+        _apply(SCHEMA, cfg.entries, key.strip(), raw.strip(), f"{where}:{lineno}")
     return cfg.validate()
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     for key, raw in pairs:
-        _apply(cfg.entries, key, raw, "command line")
+        _apply(SCHEMA, cfg.entries, key, raw, "command line")
     return cfg.validate()
 
 
@@ -214,7 +208,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
     kind = cfg["init.kind"]
     amp = cfg["init.amplitude"]
     if kind == "bump":
-        shape = bump_data(grid, amp, cfg["init.center"], cfg["init.radius"])
+        shape = bump_data(grid, amp, radius=cfg["init.radius"])
     elif kind == "constant":
         shape = constant_data(grid, amp)
     else:
@@ -232,9 +226,7 @@ def build_controls(cfg: RunConfig) -> Controls:
     return Controls(
         t_end=cfg["time.t_end"],
         dt0=cfg["time.dt0"],
-        dt_min=cfg["time.dt_min"],
         tol=cfg["time.tol"] or None,
         u_max=cfg["blowup.u_max"],
-        fit_points=cfg["blowup.fit_points"],
         snapshot_every=cfg["output.every"] or None,
     )

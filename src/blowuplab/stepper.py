@@ -119,13 +119,17 @@ ENERGY_CSV_COLUMNS = ("t", "kinetic", "potential", "dissipated_cum", "work_cum",
 LEDGER_BLOCK_BYTES = 2**20
 
 # the adaptive controller's caps: every step is at most CFL * spacing, and at
-# most GROWTH times the one before it
+# most GROWTH times the one before it; a run whose next step would fall below
+# DT_MIN stops there
 CFL = 0.5
 GROWTH = 1.25
+DT_MIN = 1e-12
 
-# detect_blowup fits only samples above RISE_FACTOR times the initial sup
-# norm, and needs at least MIN_SAMPLES of them; a run's fit below FIT_FLOOR
-# whose estimate precedes its last sample below u_max is no blow-up
+# detect_blowup fits a line through the last FIT_POINTS samples above
+# RISE_FACTOR times the initial sup norm, and needs at least MIN_SAMPLES of
+# them; a run's fit below FIT_FLOOR whose estimate precedes its last sample
+# below u_max is no blow-up
+FIT_POINTS = 12
 RISE_FACTOR = 10.0
 MIN_SAMPLES = 8
 FIT_FLOOR = 0.95
@@ -212,7 +216,7 @@ class EnergyRecord:
 @dataclass
 class BlowupEstimate:
     """A blow-up time from `detect_blowup`.  fit_quality is the R^2 of the
-    line fitted to linf^(-(p-1)/2) over the last fit_points eligible
+    line fitted to linf^(-(p-1)/2) over the last FIT_POINTS eligible
     samples: how straight that curve is, not how accurate t_star is (at
     N = 512 t_star is 0.2-0.4 % low while fit_quality >= 1 - 1.1e-7, on the
     samples of sixth-order adaptive steps, about 150 to blow-up at tol
@@ -263,7 +267,7 @@ class Controls:
     the first trial step, tol bounds the relative sup-norm error estimate of
     each accepted step, and GROWTH caps the factor by which one step may
     exceed the last; CFL * spacing caps every step.  An attempt that
-    fails is retried smaller, and dt_min is the floor below which the run
+    fails is retried smaller, and DT_MIN is the floor below which the run
     stops.  boundary_check = None means: monitor the boundary shell exactly
     when the initial data is compactly supported.
 
@@ -278,30 +282,21 @@ class Controls:
 
     t_end: float
     dt0: float = 1e-2
-    dt_min: float = 1e-12
     u_max: float = 1e8
     tol: float | None = 1e-6
     snapshot_every: int | None = None
-    fit_points: int = 12
     boundary_check: bool | None = None
     on_snapshot: Callable[[State], None] | None = None
 
     def __post_init__(self):
         if not self.t_end > 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if not self.dt0 > 0:
-            raise ValueError(f"dt0 must be positive, got {self.dt0}")
-        if not self.dt_min > 0:
-            raise ValueError(f"dt_min must be positive, got {self.dt_min}")
-        if self.dt0 < self.dt_min:
-            raise ValueError(f"dt0 = {self.dt0} is below dt_min = {self.dt_min}")
+        if not self.dt0 >= DT_MIN:
+            raise ValueError(f"dt0 must be at least the step floor DT_MIN = {DT_MIN}, got {self.dt0}")
         if not self.u_max > 0:
             raise ValueError(f"u_max must be positive, got {self.u_max}")
         if self.tol is not None and not self.tol > 0:
             raise ValueError(f"tol must be positive or None, got {self.tol}")
-        # each of these would end or label a run for the wrong reason
-        if self.fit_points < 2:
-            raise ValueError(f"fit_points must be at least 2, got {self.fit_points}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError("snapshot_every must be a positive stride or None")
         if self.on_snapshot is not None and self.snapshot_every is None:
@@ -677,7 +672,7 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
     while ledger.t < t_end * (1.0 - 1e-14):
         t = ledger.t
         dt_step = min(dt, t_end - t)
-        if dt_step < controls.dt_min:
+        if dt_step < DT_MIN:
             return Outcome.STEP_FLOOR_REACHED, rejected
         new, u, err = _extrapolated_step(t, ledger.row, grid, params, dt_step)
         dt = min(dt_step * _step_factor(err, controls), cfl_cap)
@@ -790,7 +785,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         outcome = Outcome.COMPLETED_HORIZON
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
-        estimate = _estimate_from_trace(ledger.trace, params, controls)
+        estimate = _estimate_from_trace(ledger.trace, params)
         # a crooked line that crosses zero before the run's own last sample
         # below u_max fits no blow-up: the run grew some other way
         below = next((r.t for r in reversed(ledger.trace) if r.linf <= controls.u_max), -math.inf)
@@ -810,16 +805,16 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     )
 
 
-def _estimate_from_trace(trace, params: Params, controls: Controls):
+def _estimate_from_trace(trace, params: Params):
     ts = np.array([r.t for r in trace])
     linfs = np.array([r.linf for r in trace])
     try:
-        return detect_blowup(ts, linfs, params.p, fit_points=controls.fit_points)
+        return detect_blowup(ts, linfs, params.p)
     except ValueError:
         return None
 
 
-def detect_blowup(times, linfs, p: float, fit_points: int = 12):
+def detect_blowup(times, linfs, p: float, fit_points: int = FIT_POINTS):
     """Extrapolate a blow-up time from a sup-norm history.
 
     Near blow-up the source equation forces u ~ C (t* - t)^(-2/(p-1)), so

@@ -72,10 +72,8 @@ class SweepConfig:
     half_width: float | None = _key("grid.half_width")
     t_end: float = _key("time.t_end")
     dt0: float = _key("time.dt0")
-    dt_min: float = _key("time.dt_min")
     tol: float | None = _key("time.tol")
     u_max: float = _key("blowup.u_max")
-    fit_points: int = _key("blowup.fit_points")
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "SweepConfig":

@@ -95,6 +95,49 @@ def test_unread_flag_is_a_config_error(capsys, argv, bad):
     assert err.startswith("config error") and bad in err
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (("oracle", "--u0", "nan"), "--u0"),
+        (("oracle", "--p", "inf"), "--p"),
+        (("weakcheck", "--T", "inf"), "--T"),
+        # an infinite lambda used to double the source grid forever
+        (("scaling", "--lambda", "inf", "--resolution", "32"), "--lambda"),
+        (("slopes", "--p", "x"), "--p"),
+    ],
+    ids=["oracle-u0-nan", "oracle-p-inf", "weakcheck-T-inf", "scaling-lambda-inf", "slopes-p-x"],
+)
+def test_a_flag_value_gets_the_checks_of_a_config_value(capsys, argv, bad):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error") and bad in err
+
+
+def test_exponents_prints_nothing_for_a_bad_dimension(capsys):
+    code, out, err = run_cli(capsys, "exponents", "--n", "1,0")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "n >= 1" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("init.center", "0"), ("time.dt_min", "1e-12"), ("blowup.fit_points", "12"),
+])
+def test_a_removed_key_is_refused_before_the_run(tmp_path, capsys, key, value):
+    # these settings are the constants of a run now: every bump is centred
+    # at the origin, and stepper.DT_MIN and FIT_POINTS hold the other two
+    out_dir = tmp_path / "run"
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    for extra in ((f"--{key}", value), ("--config", str(cfg))):
+        code, out, err = run_cli(capsys, "simulate", *extra, "--output.dir", str(out_dir))
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"config error: unknown config key {key!r}")
+        assert not out_dir.exists()
+
+
 def test_simulate_rejects_plots_flag_before_the_run(tmp_path, capsys):
     # plotting was removed: --plots was never read, and output.plots is no
     # longer a config key, on the command line or in a config file
@@ -346,6 +389,8 @@ def test_sweep_says_why_a_point_failed(tmp_path, capsys):
 
 
 def test_simulate_rejects_fit_points_below_two(tmp_path, capsys):
+    # blowup.fit_points is no config key now (stepper.FIT_POINTS), so any
+    # value of it is refused
     out = tmp_path / "run"
     code, _, err = run_cli(capsys, "simulate", "--blowup.fit_points", "0", "--output.dir", str(out))
     assert code == EXIT_CONFIG
@@ -397,7 +442,6 @@ UNREAD = {
         "model.nonlinear": ("false", "blwp simulate"),
         "init.kind": ("constant", "blwp simulate"),
         "init.on": ("both", "blwp simulate"),
-        "init.center": ("1", "blwp simulate"),
         "init.mode": ("2", "blwp simulate"),
     },
 }
@@ -444,7 +488,6 @@ def test_sweep_refuses_a_bad_point_before_any_output(tmp_path, capsys, flag, val
         ("simulate", "init.amplitude", "inf"),
         ("simulate", "time.t_end", "inf"),
         ("simulate", "grid.half_width", "inf"),
-        ("simulate", "init.center", "nan"),
         ("sweep", "sweep.beta", "nan"),
         ("sweep", "sweep.amplitude", "1,-inf"),
     ],

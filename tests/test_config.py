@@ -64,7 +64,7 @@ def test_validation_rules():
         parse_config_text("grid.dim = 7")
     with pytest.raises(ConfigError, match="init.kind"):
         parse_config_text("init.kind = blob")
-    with pytest.raises(ConfigError, match="dt_min"):
+    with pytest.raises(ConfigError, match="time.dt0 must be at least the step floor"):
         parse_config_text("time.dt0 = 1e-14")
     with pytest.raises(ConfigError, match="init.on must be one of"):
         parse_config_text("init.on = v0")

@@ -177,7 +177,7 @@ def test_step_floor_outcome():
     g = Grid(1, 64, 8.0)
     params = Params(n=1, p=2.0, beta=0.0)
     init = make_initial_data(bump_data(g, 1.0), constant_field(g, 0.0), compact_support=True)
-    controls = Controls(t_end=1.0, dt0=1e-2, dt_min=1e-4, tol=1e-30)
+    controls = Controls(t_end=1.0, dt0=1e-2, tol=1e-30)
     report = simulate(params, init, controls)
     assert report.outcome is Outcome.STEP_FLOOR_REACHED
 
@@ -203,33 +203,13 @@ def test_boundary_check_defaults_off_for_constant_data():
 
 def test_controls_validation():
     with pytest.raises(ValueError):
-        Controls(t_end=1.0, dt0=1e-13, dt_min=1e-12)
+        Controls(t_end=1.0, dt0=1e-13)
     with pytest.raises(ValueError):
         Controls(t_end=0.0)
     with pytest.raises(ValueError):
         Controls(t_end=1.0, tol=0.0)
     with pytest.raises(ValueError, match="snapshot_every"):
         Controls(t_end=1.0, on_snapshot=print)
-
-
-@pytest.mark.parametrize(
-    "setting",
-    [
-        # fit_points = 0 used to fit every eligible sample, as eligible[-0:]
-        # is the whole array, and fit_points = 1 never gave an estimate
-        {"fit_points": 0},
-        {"fit_points": 1},
-    ],
-    ids=lambda setting: "-".join(f"{k}={v}" for k, v in setting.items()),
-)
-def test_controls_reject_settings_that_mislabel_a_run(setting):
-    (name,) = setting
-    with pytest.raises(ValueError, match=name):
-        Controls(t_end=1.0, **setting)
-
-
-def test_controls_accept_the_edge_of_each_range():
-    Controls(t_end=1.0, fit_points=2)
 
 
 def test_exit_codes():
@@ -360,7 +340,7 @@ def _no_step_cases():
 @pytest.mark.parametrize("tol, init, outcome", _no_step_cases())
 def test_a_run_that_keeps_no_step_returns_its_initial_data(tol, init, outcome):
     params = Params(n=1, p=2.0, beta=0.0)
-    controls = Controls(t_end=1.0, dt0=1e-2, dt_min=1e-4, tol=tol, u_max=math.inf)
+    controls = Controls(t_end=1.0, dt0=1e-2, tol=tol, u_max=math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = simulate(params, init, controls)
@@ -1015,7 +995,7 @@ def test_a_kept_snapshot_copies_each_field_once():
 
 def test_a_non_finite_attempt_is_retried_at_half_the_size(monkeypatch):
     # every attempt from u = 1e60 overflows, so its error is inf and the
-    # next one is half its size, until the step falls below dt_min
+    # next one is half its size, until the step falls below DT_MIN
     g = Grid(1, 32, 1.0)
     init = make_initial_data(constant_data(g, 1e60), constant_data(g, 0.0))
     controls = Controls(t_end=1.0, tol=1e-6, u_max=math.inf)
