@@ -101,7 +101,7 @@ def test_unread_flag_is_a_config_error(capsys, argv, bad):
         (("oracle", "--u0", "nan"), "--u0"),
         (("oracle", "--p", "inf"), "--p"),
         (("weakcheck", "--T", "inf"), "--T"),
-        # an infinite lambda used to double the source grid forever
+        # an infinite lambda would double the source grid forever
         (("scaling", "--lambda", "inf", "--resolution", "32"), "--lambda"),
         (("slopes", "--p", "x"), "--p"),
     ],
@@ -125,8 +125,8 @@ def test_exponents_prints_nothing_for_a_bad_dimension(capsys):
     ("init.center", "0"), ("time.dt_min", "1e-12"), ("blowup.fit_points", "12"),
 ])
 def test_a_removed_key_is_refused_before_the_run(tmp_path, capsys, key, value):
-    # these settings are the constants of a run now: every bump is centred
-    # at the origin, and stepper.DT_MIN and FIT_POINTS hold the other two
+    # every bump is centred at the origin, and the step floor and the fit
+    # length are the constants stepper.DT_MIN and FIT_POINTS
     out_dir = tmp_path / "run"
     cfg = tmp_path / "removed.cfg"
     cfg.write_text(f"{key} = {value}\n")
@@ -389,8 +389,8 @@ def test_sweep_says_why_a_point_failed(tmp_path, capsys):
 
 
 def test_simulate_rejects_fit_points_below_two(tmp_path, capsys):
-    # blowup.fit_points is no config key now (stepper.FIT_POINTS), so any
-    # value of it is refused
+    # the fit length is the constant stepper.FIT_POINTS, so blowup.fit_points
+    # is an unknown key
     out = tmp_path / "run"
     code, _, err = run_cli(capsys, "simulate", "--blowup.fit_points", "0", "--output.dir", str(out))
     assert code == EXIT_CONFIG
