@@ -162,7 +162,9 @@ def cmd_simulate(argv) -> int:
 
     grid = build_grid(cfg)
     params = build_params(cfg)
-    init = build_initial_data(cfg, grid)
+    # handed to simulate, not held here, so that the initial samples are
+    # freed once the run has kept a step
+    init = [build_initial_data(cfg, grid)]
     controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
@@ -170,7 +172,7 @@ def cmd_simulate(argv) -> int:
     if controls.snapshot_every:
         controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
     t0 = time.monotonic()
-    report = simulate(params, init, controls)
+    report = simulate(params, init.pop(), controls)
     wall = time.monotonic() - t0
 
     write_energy_csv(report, os.path.join(out_dir, "energy_trace.csv"))

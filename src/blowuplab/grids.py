@@ -91,12 +91,12 @@ def half_k_squared(grid: Grid) -> np.ndarray:
     k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
     k_last = 2.0 * np.pi * np.fft.rfftfreq(grid.points_per_axis, d=grid.spacing)
     axes = [k1] * (grid.dim - 1) + [k_last]
-    k2 = sum(km**2 for km in np.meshgrid(*axes, indexing="ij"))
+    # open axes, so that the sum is the only array of the grid's size
+    k2 = sum(km**2 for km in np.ix_(*axes))
     k2.flags.writeable = False  # one cached array is shared by every caller
     return k2
 
 
-@lru_cache(maxsize=64)
 def parseval_weights(grid: Grid) -> np.ndarray:
     """Weights w with  int f g dx = sum w * Re(f_hat * conj(g_hat))  for real
     f, g and their `half_spectrum` coefficients.
@@ -109,7 +109,6 @@ def parseval_weights(grid: Grid) -> np.ndarray:
     w[..., 0] = 1.0
     w[..., -1] = 1.0
     w *= grid.spacing**grid.dim / grid.num_points
-    w.flags.writeable = False
     return w
 
 
@@ -128,16 +127,29 @@ def half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray | None = None)
         # the same coefficients as rfftn, without the n-D wrapper's per-call
         # axis handling, which at N = 256 costs as much as the transform
         return np.fft.rfft(values, out=out)
+    if out is None:
+        # rfftn transforms each axis into out when given, else into a new
+        # array per axis
+        out = np.empty(values.shape[:-1] + (grid.points_per_axis // 2 + 1,), complex)
     return np.fft.rfftn(values, axes=_grid_axes(values, grid), out=out)
 
 
 def from_half_spectrum(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the grid from `half_spectrum` coefficients (irfftn), written
     to out when it is given; leading axes stack independent fields as in
-    `half_spectrum`."""
+    `half_spectrum`.
+
+    In 2-D and 3-D these are irfftn's per-axis transforms in irfftn's order,
+    so its bytes, but through one complex temporary, where irfftn makes a
+    new one for each axis but the last."""
+    n = grid.points_per_axis
     if grid.dim == 1:  # see half_spectrum
-        return np.fft.irfft(coeffs, grid.points_per_axis, out=out)
-    return np.fft.irfftn(coeffs, s=grid.shape, axes=_grid_axes(coeffs, grid), out=out)
+        return np.fft.irfft(coeffs, n, out=out)
+    *axes, last = _grid_axes(coeffs, grid)
+    scratch = np.fft.ifft(coeffs, n, axes[0])
+    for axis in axes[1:]:
+        np.fft.ifft(scratch, n, axis, out=scratch)
+    return np.fft.irfft(scratch, n, last, out=out)
 
 
 @dataclass

@@ -49,15 +49,16 @@ are Parseval sums on the coefficients, and the cumulative terms use the
 trapezoid rule over accepted steps only.
 
 The ledger is columnar.  `_ledger_rows` computes the rows of a block with
-array operations: the quadratic sums row by row, finiteness from those
-sums, and the sup norm and boundary shell from one stacked inverse
-transform, or from samples already built (for a source or an adaptive
-error estimate).  The rows are walked
-in order to extend the trapezoid sums and check the monitors, and the run
-ends at the first row that trips one.  A non-finite row is dropped, a row
-above u_max or with a contaminated shell is kept, and later rows are
-discarded, so the outcome, the ledger and the final state are those of
-checking every step.  An adaptive run, and `energy`, use blocks of one row.
+array operations: the quadratic sums row by row, squared into one scratch
+and contracted with the Parseval columns of `_ledger_weights`, finiteness
+from those sums, and the sup norm and boundary shell from one stacked
+inverse transform, or from samples already built (for a source or an
+adaptive error estimate).  The rows are walked in order to extend the
+trapezoid sums and check the monitors, and the run ends at the first row
+that trips one.  A non-finite row is dropped, a row above u_max or with a
+contaminated shell is kept, and later rows are discarded, so the outcome,
+the ledger and the final state are those of checking every step.  An
+adaptive run, and `energy`, use blocks of one row.
 
 No run makes a `State` per step: the state between steps is one ledger
 row, (u_hat, v_hat) and F[|u|^p] with a source, plus its u samples, and
@@ -66,20 +67,28 @@ both drivers continue from the last row `_Ledger` kept.  `_march` runs
 of about LEDGER_BLOCK_BYTES at a time, and the ledger reads each block in
 place.  A nonlinear step builds its new row's samples and source at once,
 and samples that pass u_max, or are not finite, end the block there, so
-that no step is taken past a trip.
+that no step is taken past a trip.  A block's step factors are built in
+the ring rows its steps then overwrite.  So a fixed-step run holds its
+ring, |k|^2, the Parseval columns and one scratch, of at most
+LEDGER_BLOCK_BYTES or one field; besides, the samples of the block it
+checks, and the initial samples until it keeps a step.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 take one path: `_Ledger.snapshot` makes one `State` of u samples and v
 coefficients for each, which builds v only when read, and hands it to
 `Controls.on_snapshot` as the run goes, or else keeps it in
 `RunReport.snapshots` with a copy of u.  A hook may keep its snapshot: u
-views its block's samples, which no later step writes, and the v
-coefficients view the ring while the hook runs and are copied when it
-returns with v unread.  The final state reuses the samples of the last
-snapshot when that snapshot is of the final state.
+views its block's samples (or the initial data), which no later step
+writes, and the v coefficients view the ring while the hook runs and are
+copied when it returns with v unread and the snapshot still referenced.
+The solver does not hold a hooked snapshot: one the hook lets go is freed
+when it returns, and the final state is built from the last row.  A run
+that keeps its snapshots reuses the samples of the last one for the final
+state when that snapshot is of the final state.
 """
 
 import math
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -306,11 +315,12 @@ class Controls:
 def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     """The step, mode by mode: v_out = (v - dtk2 u + dt src) / den and
     u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
-    src = F[|u|^p] or None.  The marcher passes rows of factors built by
-    `_factors`.  `step` passes functions that build them when needed:
-    it holds at most two new arrays at once, and dt * src takes the second
-    while the first holds v_out, so den cannot exist before it.
-    v - x, not v + (-x), keeps signed zeros.
+    src = F[|u|^p] or None.  The marcher passes factors that `_factors`
+    built in the step's own outputs, den in u_out and dtk2 in v_out, which
+    the kernel reads before it overwrites them.  `step` passes functions
+    that build them when needed: it holds at most two new arrays at once,
+    and dt * src takes the second while the first holds v_out, so den
+    cannot exist before it.  v - x, not v + (-x), keeps signed zeros.
     """
     # outputs passed by position, which numpy parses faster than out=
     v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, v_out)
@@ -323,16 +333,15 @@ def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     return u_out, v_out
 
 
-def _factors(dts: list, dtb: list, k2: np.ndarray) -> tuple:
+def _factors(dts: list, dtb: list, k2: np.ndarray, block: np.ndarray) -> None:
     """The kernel's dtk2 for steps of sizes dts and den for steps whose
-    dt * b are dtb, one row per entry, built by one np.multiply.outer:
-    complex, as the kernel's mixed real-complex products would cast them,
-    but once."""
-    both = np.empty((len(dts) + len(dtb),) + k2.shape, complex)
-    np.multiply.outer(dts + dtb, k2, out=both)
-    den = both[len(dts):]
-    den += 1.0
-    return both[: len(dts)], den
+    dt * b are dtb, built by np.multiply.outer into the (u_hat, v_hat) rows
+    of the block those steps fill: den in the u rows, dtk2 in the v rows.
+    Complex, as the kernel's mixed real-complex products would cast them,
+    but once, and in no array of their own."""
+    np.multiply.outer(dts, k2, out=block[:, 1])
+    np.multiply.outer(dtb, k2, out=block[:, 0])
+    block[:, 0] += 1.0
 
 
 def step(state: State, params: Params, dt: float) -> State:
@@ -349,19 +358,20 @@ def step(state: State, params: Params, dt: float) -> State:
 
 
 def _block_rows(grid: Grid) -> int:
-    """Rows per ledger block in a fixed-step run: a row holds and builds
-    about eight complex arrays of the coefficients' size, so at
-    LEDGER_BLOCK_BYTES a 1-D run at N = 256 takes 63 rows and a 3-D run at
-    64^3 one."""
+    """Rows per ledger block in a fixed-step run: LEDGER_BLOCK_BYTES over
+    eight complex arrays of the coefficients' size per row, so that a 1-D
+    run at N = 256 takes 63 rows and a 3-D run at 64^3 one."""
     return max(1, LEDGER_BLOCK_BYTES // (8 * 16 * half_k_squared(grid).size))
 
 
 @lru_cache(maxsize=64)
 def _ledger_weights(grid: Grid) -> np.ndarray:
-    """Columns w and w |k|^2 of Parseval weights, one row per float of the
-    coefficients viewed as (re, im) pairs: int f^2 = sum w * pairs(f)^2."""
+    """The Parseval columns, rows w and w |k|^2 of one weight per
+    coefficient: int f^2 = sum w * (re^2 + im^2) over f's coefficients.
+    Besides its ring, a fixed-step run holds these, |k|^2 and the ledger's
+    one scratch."""
     w = parseval_weights(grid).ravel()
-    weights = np.repeat(np.stack((w, w * half_k_squared(grid).ravel()), axis=1), 2, axis=0)
+    weights = np.stack((w, w * half_k_squared(grid).ravel()))
     weights.flags.writeable = False
     return weights
 
@@ -380,25 +390,47 @@ def _fields(state: State, params: Params) -> tuple:
     return state.u_hat, state.v_hat
 
 
+def _pairs(coeffs: np.ndarray) -> np.ndarray:
+    """A field's coefficients as a (size, 2) array of (re, im) pairs."""
+    return np.asarray(coeffs, dtype=complex).reshape(-1, 1).view(np.float64)
+
+
 def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None) -> tuple:
     """The ledger of a block of rows, computed with array operations.
 
     Row j is the state at time t[j] whose `_fields` are block[j] and whose u
     samples are samples[j]; without samples, they come from one stacked
-    inverse transform of block[:, 0].  Returns one tuple per row, (t,
-    kinetic, potential, linf, l2, dissipation rate b int |grad v|^2, work
-    rate int |u|^p v, whether the coefficients are finite, sup of |u| on the
-    shell mask or None without one), and the samples.  A row's values do not
-    depend on the other rows of the block.
+    inverse transform of block[:, 0].  The quadratic sums read a block
+    array in place and hold one scratch of at most LEDGER_BLOCK_BYTES or
+    one field.  Returns one tuple per row, (t, kinetic, potential, linf,
+    l2, dissipation rate b int |grad v|^2, work rate int |u|^p v, whether
+    the coefficients are finite, sup of |u| on the shell mask or None
+    without one), and the samples.  A row's values do not depend on the
+    other rows of the block.
     """
-    rows = len(t)
-    pairs = np.array(block, dtype=complex).reshape(rows, len(block[0]), -1).view(np.float64)
-    # F[|u|^p] v, u u and v v in place, so that a large grid holds one copy
-    if params.nonlinear:
-        pairs[:, 2] *= pairs[:, 1]
-    pairs[:, :2] *= pairs[:, :2]
-    sums = (pairs @ _ledger_weights(grid)).reshape(rows, -1).tolist()
-    del pairs  # before the samples are built
+    rows, fields = len(t), len(block[0])
+    cols = _ledger_weights(grid)
+    size = cols.shape[1]
+    # u u, v v and, with a source, F[|u|^p] v, squared as (re, im) pairs
+    # into the scratch and contracted with the columns a field at a time,
+    # the same product whatever the block's size: a small block in one
+    # call, so that one-row blocks stay cheap, a large one field by field
+    if rows * fields * size * 16 <= LEDGER_BLOCK_BYTES:
+        pairs = np.asarray(block, dtype=complex).reshape(rows, fields, size, 1).view(np.float64)
+        scratch = np.empty(pairs.shape)
+        np.multiply(pairs[:, :2], pairs[:, :2], scratch[:, :2])
+        if params.nonlinear:
+            np.multiply(pairs[:, 2], pairs[:, 1], scratch[:, 2])
+        sums = cols @ scratch
+    else:
+        scratch = np.empty((size, 2))
+        sums = np.empty((rows, fields, 2, 2))
+        for j, f in np.ndindex(rows, fields):
+            pair = (_pairs(block[j][f]), _pairs(block[j][min(f, 1)]))
+            np.matmul(cols, np.multiply(*pair, scratch), sums[j, f])
+    # the real parts' sums plus the imaginary parts'
+    sums = np.add(sums[..., 0], sums[..., 1]).reshape(rows, -1).tolist()
+    del scratch  # before the samples are built
     if samples is None:
         samples = from_half_spectrum(block[:, 0], grid)
     linf = _sup(samples.reshape(rows, -1)).tolist()
@@ -460,7 +492,9 @@ class _Ledger:
         t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
-        self.t, self.row, self.u, self.v = t, _fields(state, params), state.u.values, state.v.values
+        # views of the initial samples, which `final_state` copies
+        self.t, self.row = t, _fields(state, params)
+        self.u, self.v = state.u.values[...], state.v.values[...]
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook, self.snapshots = controls.on_snapshot, None
@@ -468,7 +502,7 @@ class _Ledger:
             # not bound to the ledger, which would keep the ring in a cycle
             self.snapshots = []
             self.hook = self.snapshots.append
-        self.last = None  # the snapshot of the last row kept, if it has one
+        self.last = None  # the kept snapshot of the last row kept, if it has one
         if controls.snapshot_every:
             self.snapshot(t, samples[0], state.v)
 
@@ -517,27 +551,36 @@ class _Ledger:
 
     def snapshot(self, t: float, u: np.ndarray, v) -> None:
         """Hand the hook the state at time t of a checked row, of samples u
-        (copied when the ledger keeps the state) and of v as a `Field` or
-        as coefficients, which `State._settle_v` copies once the hook has
-        returned with v unread: a kept snapshot copies each field once."""
+        and of v as a `Field` or as coefficients.  A state the ledger keeps
+        gets a copy of u, and of v's samples; one that is still referenced
+        once the hook has returned, with v unread, gets a copy of its v
+        coefficients from `State._settle_v`.  So a kept snapshot copies each
+        field once, and one the hook let go copies nothing."""
         if self.snapshots is not None:
-            u = u.copy()
-        self.last = snap = State(t, Field(self.grid, u), v)
+            u, v = u.copy(), v.copy() if isinstance(v, Field) else v
+        snap = State(t, Field(self.grid, u), v)
+        held = weakref.ref(snap)
         self.hook(snap)
-        snap._settle_v()
+        del snap
+        if held() is not None:
+            held()._settle_v()
+        if self.snapshots is not None:
+            self.last = self.snapshots[-1]
 
     def final_state(self) -> State:
         """The last row kept as a state of samples: those of its snapshot
-        when it has one, else those the ledger holds or, failing them, ones
-        built from the row.  Samples that view a ledger block are copied,
-        so that the result does not keep the block alive."""
+        when the ledger keeps one of that row, else those the ledger holds
+        or, failing them, ones built from the row; a hooked run's snapshots
+        are the hook's.  Samples that view a ledger block or the initial
+        data are copied, so that the result holds neither."""
         if self.last is not None:
             u, v = self.last.u, self.last.v
         else:
             grid = self.grid
             u = Field(grid, from_half_spectrum(self.row[0], grid) if self.u is None else self.u)
             v = Field(grid, from_half_spectrum(self.row[1], grid) if self.v is None else self.v)
-        return State(self.t, u if u.values.flags.owndata else u.copy(), v)
+        own = [f if f.values.flags.owndata else f.copy() for f in (u, v)]
+        return State(self.t, *own)
 
 
 def _half_flows(halves: list, bs: list, k2: np.ndarray) -> np.ndarray:
@@ -712,20 +755,19 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
         ts = [t_end if i == steps else i * dt0 for i in range(taken + 1, last + 1)]
         dts = [b - a for a, b in zip([t] + ts, ts)]
         dtb = [dt * damping_coeff(a + dt, params) for a, dt in zip([t] + ts, dts)]
-        dtk2, den = _factors(dts, dtb, k2)
+        _factors(dts, dtb, k2, halves[fill][: len(ts)])
         samples = np.empty((len(ts),) + grid.shape) if params.nonlinear else None
         n, prev = len(ts), start
         for i in range(n):
             u, v, src = rows[prev]
             prev = fill * block_rows + i
-            _imex(u, v, src, dtk2[i], den[i], dts[i], *rows[prev][:2])
+            _imex(u, v, src, rows[prev][1], rows[prev][0], dts[i], *rows[prev][:2])
             if params.nonlinear:
                 values = from_half_spectrum(rows[prev][0], grid, out=samples[i])
                 _source(values, grid, params.p, out=rows[prev][2])
                 if not _sup(values.ravel()) <= controls.u_max:
                     n = i + 1
                     break
-        del dtk2, den  # before the ledger copies the block
         block = halves[fill][:n]
         outcome = ledger.flush(ts[:n], dts[:n], block, None if samples is None else samples[:n])
         if outcome is not None:
@@ -776,7 +818,10 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     shell = boundary_shell_mask(grid) if check_boundary else None
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
-        ledger = _Ledger(State(0.0, init.u0.copy(), init.u1.copy()), params, controls, shell)
+        ledger = _Ledger(State(0.0, init.u0, init.u1), params, controls, shell)
+        # the ledger holds the initial samples until it keeps a step, and a
+        # caller that hands init over lets them go then
+        del init
         if controls.tol is None:
             outcome, rejected = _march(ledger, params, controls), 0
         else:

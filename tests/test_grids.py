@@ -9,7 +9,10 @@ from blowuplab.grids import (
     Grid,
     boundary_shell_mask,
     constant_field,
+    from_half_spectrum,
     grad_sq_integral,
+    half_k_squared,
+    half_spectrum,
     integrate,
     laplacian,
     linf_norm,
@@ -134,6 +137,29 @@ def test_grad_sq_2d():
     # int cos^2(kx) dx = L, int sin^2 = L over [-L, L)
     expected = k * k * g.half_width**2 + (2 * k) ** 2 * g.half_width**2
     assert grad_sq_integral(f) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_transforms_give_the_bytes_of_rfftn_and_irfftn(dim):
+    # one field and a stack of two, with and without out, at 64 points a side
+    g = Grid(dim, 64, 3.0)
+    rng = np.random.default_rng(dim)
+    shape = (2,) + half_k_squared(g).shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = stack.tobytes()
+    for coeffs in (stack[0], stack):
+        axes = tuple(range(coeffs.ndim - dim, coeffs.ndim))
+        samples = np.fft.irfftn(coeffs, s=g.shape, axes=axes)
+        assert from_half_spectrum(coeffs, g).tobytes() == samples.tobytes()
+        out = np.empty(samples.shape)
+        assert from_half_spectrum(coeffs, g, out=out) is out
+        assert out.tobytes() == samples.tobytes()
+        want = np.fft.rfftn(samples, axes=axes)
+        assert half_spectrum(samples, g).tobytes() == want.tobytes()
+        out = np.empty(want.shape, complex)
+        assert half_spectrum(samples, g, out=out) is out
+        assert out.tobytes() == want.tobytes()
+    assert stack.tobytes() == before
 
 
 def test_boundary_shell_mask():

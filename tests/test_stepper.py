@@ -440,10 +440,13 @@ def test_a_step_holds_two_new_coefficient_arrays(nonlinear):
     assert peak <= 2.1 * state.u_hat.nbytes
 
 
-@pytest.mark.parametrize("dim, points, bound", [(3, 32, 8.5), (1, 4096, 25.1)])
+@pytest.mark.parametrize("dim, points, bound", [(3, 32, 6.3), (1, 4096, 18.5)])
 def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
     # neither the initial coefficients, once copied into the ring, nor the
-    # samples the ledger builds for a linear block outlive their use
+    # samples the ledger builds for a linear block outlive their use; the
+    # initial samples are not copied, the step factors live in the ring and
+    # the ledger squares into one scratch: 6.02 coefficient arrays at 32^3
+    # and 18.18 at N = 4096, and the bounds leave about 0.3 of one
     g = Grid(dim, points, 6.0)
     params = Params(n=dim, p=2.0, beta=0.0, nonlinear=False)
     init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
@@ -456,6 +459,35 @@ def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 16 * half_k_squared(g).size
+
+
+def test_a_hooked_fixed_run_holds_no_snapshot():
+    # a hook that reads u and v and keeps nothing: no snapshot outlives its
+    # hook, so the peak does not grow with their number (6.9 coefficient
+    # arrays for 6 or 31 snapshots)
+    g = Grid(3, 32, 6.0)
+    params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
+    init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    seen = []
+
+    def read(state):
+        seen.append(linf_norm(state.u) + linf_norm(state.v))
+
+    peaks = []
+    for t_end in (0.05, 0.3):
+        controls = Controls(t_end=t_end, dt0=1e-2, tol=None, boundary_check=False,
+                            snapshot_every=1, on_snapshot=read)
+        simulate(params, init, controls)  # the grid's caches
+        tracemalloc.start()
+        try:
+            simulate(params, init, controls)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(seen) == 2 * (6 + 31)
+    array = 16 * half_k_squared(g).size
+    assert peaks[1] <= peaks[0] + 0.1 * array
+    assert max(peaks) <= 7.2 * array
 
 
 def _rejecting_case():
@@ -991,6 +1023,37 @@ def test_a_kept_snapshot_copies_each_field_once():
     assert not np.shares_memory(kept.u.values, u) and not np.shares_memory(kept._v_hat, v_hat)
     # the final state, of the last snapshot's row, reuses its samples
     assert ledger.final_state().u.values is kept.u.values
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_a_snapshot_the_hook_lets_go_copies_nothing(monkeypatch, tol):
+    # a hook that keeps every third state and reads no v: only the states
+    # it keeps copy their v coefficients out of the solver's rows
+    g = Grid(1, 128, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
+    init = make_initial_data(bump_data(g, 0.5, 0.0, 1.0), constant_data(g, 0.0))
+    controls = Controls(t_end=0.5, dt0=1e-2, tol=tol, snapshot_every=1, boundary_check=False)
+    every = simulate(params, init, controls).snapshots
+    settled = []
+    settle = State._settle_v
+
+    def counted(state):
+        settled.append(state)
+        settle(state)
+
+    handed, kept = [], []
+
+    def keep_every_third(state):
+        if len(handed) % 3 == 0:
+            kept.append(state)
+        handed.append(state.t)
+
+    monkeypatch.setattr(State, "_settle_v", counted)
+    simulate(params, init, replace(controls, on_snapshot=keep_every_third))
+    assert len(handed) == len(every) > 10 and len(kept) == len(every[::3])
+    assert [id(s) for s in settled] == [id(s) for s in kept]
+    assert all(s._v is not None or s._v_hat.flags.owndata for s in kept)
+    _assert_same_snapshots(kept, every[::3])
 
 
 def test_a_non_finite_attempt_is_retried_at_half_the_size(monkeypatch):
