@@ -191,6 +191,7 @@ def cmd_simulate(argv) -> int:
                 "rejected": report.rejected,
                 "dt_min": report.dt_min,
                 "dt_max": report.dt_max,
+                "solver_points": list(report.solver_points),
             },
             fh,
             indent=2,

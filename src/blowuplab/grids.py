@@ -11,11 +11,22 @@ axis keeps only its N/2 + 1 non-negative modes.  `half_spectrum` and
 `half_k_squared` is |k|^2 on them, and `parseval_weights` turns them into
 box integrals, so the solver can work on coefficients alone and every
 transform it makes runs here.
+
+A grid with `even` set holds fields that are even in every axis, by their
+N/2 + 1 samples per axis on [0, L]: `to_even_grid` and `to_full_grid` move
+a field between the two.  Its coefficients are the cosine (DCT-I)
+coefficients of those samples, which carry the wavenumbers pi m / L of the
+full grid's modes, and the same four functions (and `boundary_shell_mask`)
+follow the flag, so that the solver runs on either grid unchanged (Boyd,
+"Chebyshev and Fourier Spectral Methods", 2001, on parity-reduced bases).
+numpy's irfft of length N of N/2 + 1 real values is 1/N times their DCT-I,
+so the transform along each axis is one irfft, cut to N/2 + 1 samples.
 """
 
+import itertools
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -33,6 +44,8 @@ __all__ = [
     "l2_norm",
     "linf_norm",
     "boundary_shell_mask",
+    "to_even_grid",
+    "to_full_grid",
     "save_field_binary",
     "load_field_binary",
 ]
@@ -45,11 +58,14 @@ _HEADER = struct.Struct("<4sIII8xd")
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic lattice on [-half_width, half_width)^dim."""
+    """Uniform periodic lattice on [-half_width, half_width)^dim, or with
+    `even` set its samples on [0, half_width]^dim, which hold a field that
+    is even in every axis."""
 
     dim: int
     points_per_axis: int
     half_width: float
+    even: bool = False
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -66,31 +82,37 @@ class Grid:
 
     @property
     def shape(self) -> tuple:
-        return (self.points_per_axis,) * self.dim
+        n = self.points_per_axis
+        return (n // 2 + 1 if self.even else n,) * self.dim
 
     @property
     def num_points(self) -> int:
-        return self.points_per_axis**self.dim
+        return self.shape[0] ** self.dim
 
     def axis(self) -> np.ndarray:
         """Coordinates along one axis."""
+        if self.even:
+            return self.spacing * np.arange(self.shape[0])
         return -self.half_width + self.spacing * np.arange(self.points_per_axis)
 
-    def coords(self) -> list:
-        """Meshgrid coordinate arrays, one per axis, each of shape `shape`."""
-        return list(np.meshgrid(*([self.axis()] * self.dim), indexing="ij"))
+    def open_axes(self) -> tuple:
+        """The coordinates along each axis, shaped to broadcast against the
+        others (np.ix_): a sum over them is the only array of `shape`."""
+        return np.ix_(*[self.axis()] * self.dim)
 
     def radii(self) -> np.ndarray:
         """Euclidean distance from the origin at every grid point."""
-        return np.sqrt(sum(c**2 for c in self.coords()))
+        r2 = sum(x**2 for x in self.open_axes())
+        return np.sqrt(r2, out=r2)
 
 
 @lru_cache(maxsize=64)
 def half_k_squared(grid: Grid) -> np.ndarray:
-    """|k|^2 on the real-FFT coefficient grid of `half_spectrum`."""
+    """|k|^2 on the coefficient grid of `half_spectrum`: every axis holds the
+    non-negative wavenumbers pi m / L of the last on an even grid."""
     k1 = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_axis, d=grid.spacing)
     k_last = 2.0 * np.pi * np.fft.rfftfreq(grid.points_per_axis, d=grid.spacing)
-    axes = [k1] * (grid.dim - 1) + [k_last]
+    axes = [k_last if grid.even else k1] * (grid.dim - 1) + [k_last]
     # open axes, so that the sum is the only array of the grid's size
     k2 = sum(km**2 for km in np.ix_(*axes))
     k2.flags.writeable = False  # one cached array is shared by every caller
@@ -102,27 +124,47 @@ def parseval_weights(grid: Grid) -> np.ndarray:
     f, g and their `half_spectrum` coefficients.
 
     A coefficient off the zero and Nyquist columns of the last axis stands
-    for itself and its dropped complex conjugate, so it counts twice; the
-    factor spacing^dim / num_points is the rectangle rule under Parseval.
+    for itself and its dropped complex conjugate, so it counts twice, and
+    on an even grid so does one off them on any axis, for its dropped
+    mirror; the factor spacing^dim / N^dim is the full grid's rectangle
+    rule under Parseval.
     """
-    w = np.full(half_k_squared(grid).shape, 2.0)
-    w[..., 0] = 1.0
-    w[..., -1] = 1.0
-    w *= grid.spacing**grid.dim / grid.num_points
-    return w
+    halved = np.full(grid.points_per_axis // 2 + 1, 2.0)
+    halved[0] = halved[-1] = 1.0
+    whole = np.ones(grid.points_per_axis)
+    per_axis = [halved if grid.even else whole] * (grid.dim - 1) + [halved]
+    w = reduce(np.multiply, np.ix_(*per_axis))
+    return w * (grid.spacing**grid.dim / grid.points_per_axis**grid.dim)
 
 
 def _grid_axes(a: np.ndarray, grid: Grid) -> tuple:
     return tuple(range(a.ndim - grid.dim, a.ndim))
 
 
+def _cosine(a: np.ndarray, grid: Grid, out: np.ndarray | None, scale: float = 1.0) -> np.ndarray:
+    """scale times numpy's irfft of length N of the N/2 + 1 values along each
+    of an even grid's axes of a, cut to N/2 + 1: 1/N times the DCT-I per
+    axis, which takes cosine coefficients to samples and, with scale N^dim,
+    samples to coefficients.  Written to out, or a new array."""
+    n = grid.points_per_axis
+    for axis in _grid_axes(a, grid):
+        a = np.fft.irfft(a, n, axis)[(slice(None),) * axis + (slice(n // 2 + 1),)]
+    return np.multiply(a, scale, out=out)
+
+
 def half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Real-FFT coefficients (numpy.fft.rfftn) of samples on the grid,
-    written to out when it is given.
+    written to out when it is given; on an even grid, the cosine
+    coefficients of the samples, as a complex array with zero imaginary
+    parts, which are the full grid's coefficients up to the sign (-1)^m of
+    its shifted origin.
 
     The grid's axes are the trailing grid.dim axes of values; leading axes
     stack independent fields, which are transformed in one call.
     """
+    if grid.even:
+        out = np.empty(values.shape, complex) if out is None else out
+        return _cosine(values, grid, out, float(grid.points_per_axis) ** grid.dim)
     if grid.dim == 1:
         # the same coefficients as rfftn, without the n-D wrapper's per-call
         # axis handling, which at N = 256 costs as much as the transform
@@ -143,6 +185,8 @@ def from_half_spectrum(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = 
     so its bytes, but through one complex temporary, where irfftn makes a
     new one for each axis but the last."""
     n = grid.points_per_axis
+    if grid.even:
+        return _cosine(coeffs, grid, out)
     if grid.dim == 1:  # see half_spectrum
         return np.fft.irfft(coeffs, n, out=out)
     *axes, last = _grid_axes(coeffs, grid)
@@ -182,6 +226,8 @@ def laplacian(f: Field) -> Field:
 
 def integrate(f: Field) -> float:
     """Box integral by the rectangle rule (exact trapezoid on periodic grids)."""
+    if f.grid.even:
+        f = to_full_grid(f)
     return float(f.grid.spacing**f.grid.dim * f.values.sum())
 
 
@@ -193,6 +239,8 @@ def grad_sq_integral(f: Field) -> float:
 
 
 def l2_norm(f: Field) -> float:
+    if f.grid.even:
+        f = to_full_grid(f)
     return float(np.sqrt(f.grid.spacing**f.grid.dim * (f.values**2).sum()))
 
 
@@ -208,16 +256,39 @@ def boundary_shell_mask(grid: Grid) -> np.ndarray:
     strong damping propagates at infinite speed, so truncation error shows
     up there first.
     """
-    limit = 0.9 * grid.half_width
-    coords = grid.coords()
-    mask = np.abs(coords[0]) > limit
-    for c in coords[1:]:
-        mask |= np.abs(c) > limit
+    mask = np.zeros(grid.shape, bool)
+    for x in grid.open_axes():
+        mask |= np.abs(x) > 0.9 * grid.half_width
+    mask.flags.writeable = False  # one cached array is shared by every caller
     return mask
 
 
+def to_even_grid(f: Field) -> Field:
+    """A field that is even in every axis as its samples on [0, L]^dim, a
+    copy that shares nothing with f: sample i of an axis is f's at the
+    origin's index N/2 minus i, which equals the one at N/2 + i."""
+    m = f.grid.points_per_axis // 2
+    return Field(replace(f.grid, even=True), f.values[(slice(m, None, -1),) * f.grid.dim].copy())
+
+
+def to_full_grid(f: Field) -> Field:
+    """The full grid's samples of a field on an even grid: index j of an
+    axis takes sample |j - N/2|, copied block by block, 2^dim blocks."""
+    n = f.grid.points_per_axis
+    m = n // 2
+    full = np.empty((n,) * f.grid.dim)
+    # the index blocks below and above the origin, and their source samples
+    blocks = ((slice(0, m), slice(m, 0, -1)), (slice(m, n), slice(0, m)))
+    for parts in itertools.product(blocks, repeat=f.grid.dim):
+        full[tuple(dst for dst, _ in parts)] = f.values[tuple(src for _, src in parts)]
+    return Field(replace(f.grid, even=False), full)
+
+
 def save_field_binary(f: Field, path) -> None:
-    """Raw little-endian dump: 32-byte header then float64 values, C order."""
+    """Raw little-endian dump: 32-byte header then float64 values, C order;
+    a field on an even grid is written as its full grid's samples."""
+    if f.grid.even:
+        f = to_full_grid(f)
     header = _HEADER.pack(
         _MAGIC, _VERSION, f.grid.dim, f.grid.points_per_axis, f.grid.half_width
     )

@@ -74,12 +74,16 @@ def bump_data(grid: Grid, amplitude: float, center=0.0, radius: float = 1.0) -> 
         center = np.full(grid.dim, center[0])
     if center.size != grid.dim:
         raise ValueError(f"center has {center.size} components for dim {grid.dim}")
-    coords = grid.coords()
-    s2 = sum((c - center[a]) ** 2 for a, c in enumerate(coords)) / radius**2
-    values = np.zeros(grid.shape)
+    # on open axes, so that s2 is the one array of the grid's size, and the
+    # values overwrite it
+    s2 = sum((x - c) ** 2 for x, c in zip(grid.open_axes(), center))
+    s2 /= radius**2
     inside = s2 < 1.0
+    s2_inside = s2[inside]
+    values = s2
+    values.fill(0.0)
     with np.errstate(divide="ignore"):
-        values[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
+        values[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - s2_inside))
     return Field(grid, values)
 
 
@@ -106,8 +110,9 @@ def mode_data(grid: Grid, amplitude: float, mode: int = 1) -> Field:
             f"mode index {mode} exceeds the grid's Nyquist mode {grid.points_per_axis // 2}"
         )
     k = mode * np.pi / grid.half_width
-    x = grid.coords()[0]
-    return Field(grid, amplitude * np.cos(k * x))
+    values = np.empty(grid.shape)
+    values[...] = amplitude * np.cos(k * grid.open_axes()[0])
+    return Field(grid, values)
 
 
 @dataclass

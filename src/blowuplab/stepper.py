@@ -2,7 +2,8 @@
 detection.
 
 Every operator but the source is diagonal in Fourier space, so the state
-between steps is the real-FFT coefficients (u_hat, v_hat); physical u is
+between steps is the real-FFT coefficients (u_hat, v_hat), or the cosine
+coefficients on an even grid (see below); physical u is
 built only for the source |u|^p, the sup norm, the boundary shell and the
 adaptive error.
 
@@ -71,11 +72,24 @@ that no step is taken past a trip.  A block's step factors are built in
 the ring rows its steps then overwrite.  So a fixed-step run holds its
 ring, |k|^2, the Parseval columns and one scratch, of at most
 LEDGER_BLOCK_BYTES or one field; besides, the samples of the block it
-checks, and the initial samples until it keeps a step.
+checks, and the initial samples (the even grid's copies on one) until it
+keeps a step.
+
+Every operator of the equation keeps a field even in each axis, so 2-D
+and 3-D data whose u0 and u1 are even, bit for bit, march on the even
+grid of their samples on [0, L]^dim (`_solver_grid`, `grids.to_even_grid`),
+about 2^-dim of the full grid: the transforms, |k|^2, the Parseval columns
+and the shell mask follow the grid, and the kernels above, mode-wise or
+pointwise, run on it unchanged.  The run copies the data onto it and lets
+the full grid's samples go; its snapshots and final state are mirrored
+back to the full grid (`grids.to_full_grid`), and `RunReport.solver_points`
+names the grid it marched on.  1-D runs, where numpy's real FFT already
+halves the work, and other data march on their own grid.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 take one path: `_Ledger.snapshot` makes one `State` of u samples and v
-coefficients for each, which builds v only when read, and hands it to
+coefficients for each (v samples on an even grid, mirrored at once with
+u), which builds v only when read, and hands it to
 `Controls.on_snapshot` as the run goes, or else keeps it in
 `RunReport.snapshots` with a copy of u.  A hook may keep its snapshot: u
 views its block's samples (or the initial data), which no later step
@@ -90,7 +104,7 @@ state when that snapshot is of the final state.
 import math
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -104,6 +118,8 @@ from .grids import (
     half_k_squared,
     half_spectrum,
     parseval_weights,
+    to_even_grid,
+    to_full_grid,
 )
 from .model import InitialData, Params, damping_coeff
 
@@ -249,7 +265,9 @@ class Outcome(Enum):
 class RunReport:
     """How a run ended, its ledger, and its step statistics: `accepted`
     and `rejected` count steps and rejected adaptive attempts, and
-    `dt_min` / `dt_max` span the accepted step sizes (None without one)."""
+    `dt_min` / `dt_max` span the accepted step sizes (None without one).
+    `solver_points` is the shape of the grid the solver marched on: the
+    data's, or (N/2 + 1,) * dim for even 2-D and 3-D data."""
 
     outcome: Outcome
     t_stop: float
@@ -261,6 +279,7 @@ class RunReport:
     rejected: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+    solver_points: tuple = ()
 
     @property
     def exit_code(self) -> int:
@@ -555,10 +574,17 @@ class _Ledger:
         gets a copy of u, and of v's samples; one that is still referenced
         once the hook has returned, with v unread, gets a copy of its v
         coefficients from `State._settle_v`.  So a kept snapshot copies each
-        field once, and one the hook let go copies nothing."""
-        if self.snapshots is not None:
-            u, v = u.copy(), v.copy() if isinstance(v, Field) else v
-        snap = State(t, Field(self.grid, u), v)
+        field once, and one the hook let go copies nothing.  On an even
+        grid the state gets both fields' samples on the full grid, which
+        it owns."""
+        if self.grid.even:
+            v = v if isinstance(v, Field) else Field(self.grid, from_half_spectrum(v, self.grid))
+            u, v = to_full_grid(Field(self.grid, u)), to_full_grid(v)
+        else:
+            if self.snapshots is not None:
+                u, v = u.copy(), v.copy() if isinstance(v, Field) else v
+            u = Field(self.grid, u)
+        snap = State(t, u, v)
         held = weakref.ref(snap)
         self.hook(snap)
         del snap
@@ -572,13 +598,16 @@ class _Ledger:
         when the ledger keeps one of that row, else those the ledger holds
         or, failing them, ones built from the row; a hooked run's snapshots
         are the hook's.  Samples that view a ledger block or the initial
-        data are copied, so that the result holds neither."""
+        data are copied, so that the result holds neither; on an even grid
+        they are mirrored to the full grid."""
         if self.last is not None:
             u, v = self.last.u, self.last.v
         else:
             grid = self.grid
             u = Field(grid, from_half_spectrum(self.row[0], grid) if self.u is None else self.u)
             v = Field(grid, from_half_spectrum(self.row[1], grid) if self.v is None else self.v)
+            if grid.even:
+                u, v = to_full_grid(u), to_full_grid(v)
         own = [f if f.values.flags.owndata else f.copy() for f in (u, v)]
         return State(self.t, *own)
 
@@ -776,6 +805,24 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
     return None
 
 
+def _solver_grid(init: InitialData) -> Grid:
+    """The grid a run marches on: the even grid of 2-D and 3-D data whose u0
+    and u1 equal their mirror images in every axis bit for bit, u[1:] ==
+    u[:0:-1] (so -0.0 is no mirror of 0.0), else the data's grid.  Every
+    operator of the equation keeps a field even.  In 1-D numpy's real FFT
+    already halves the work, and the cosine transform is no faster."""
+    grid = init.u0.grid
+    if grid.dim == 1 or grid.even:
+        return grid
+    for f in (init.u0, init.u1):
+        bits = f.values.view(np.int64)
+        for axis in range(grid.dim):
+            along = np.moveaxis(bits, axis, 0)
+            if not np.array_equal(along[1:], along[:0:-1]):
+                return grid
+    return replace(grid, even=True)
+
+
 def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport:
     """Advance the problem from the given data until the horizon, blow-up,
     a step-size floor, or boundary contamination.
@@ -803,6 +850,11 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     sample below u_max with a fit_quality below FIT_FLOOR: its sup norm
     grew, but not at the rate of a blow-up (a fixed step above the CFL cap
     with weak damping, for one).
+
+    2-D and 3-D data that are even in every axis march on the even grid of
+    their samples on [0, L]^dim (`_solver_grid`), with the same steps,
+    ledger and monitors, and only the snapshots and the final state are
+    mirrored back to the full grid.
     """
     grid = init.u0.grid
     if init.u1.grid != grid:
@@ -815,13 +867,18 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         if controls.boundary_check is not None
         else init.compact_support
     )
-    shell = boundary_shell_mask(grid) if check_boundary else None
+    solver = _solver_grid(init)
+    shell = boundary_shell_mask(solver) if check_boundary else None
+    fields = [init.u0, init.u1]
+    if solver != grid:
+        fields = [to_even_grid(f) for f in fields]  # copies, of the full grid's data
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
-        ledger = _Ledger(State(0.0, init.u0, init.u1), params, controls, shell)
+        ledger = _Ledger(State(0.0, *fields), params, controls, shell)
         # the ledger holds the initial samples until it keeps a step, and a
-        # caller that hands init over lets them go then
-        del init
+        # caller that hands init over lets them go then, or at once on an
+        # even grid
+        del init, fields
         if controls.tol is None:
             outcome, rejected = _march(ledger, params, controls), 0
         else:
@@ -847,6 +904,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         rejected=rejected,
         dt_min=ledger.dt_lo if ledger.accepted else None,
         dt_max=ledger.dt_hi if ledger.accepted else None,
+        solver_points=solver.shape,
     )
 
 

@@ -196,6 +196,28 @@ def test_simulate_zero_amplitude(tmp_path, capsys):
     assert u.grid.points_per_axis == 32
 
 
+@pytest.mark.parametrize("argv, points", [
+    ((), [32]),
+    # even data in 3-D march on the 9^3 samples of [0, L]^3
+    (("--grid.dim", "3", "--grid.points", "16", "--init.kind", "mode"), [9, 9, 9]),
+    # a 3-D grid whose coordinates do not mirror exactly: 2 * 2.2 / 16 is
+    # not a binary fraction, so the centred bump's samples are not even
+    (("--grid.dim", "3", "--grid.points", "16", "--grid.half_width", "2.2"), [16, 16, 16]),
+])
+def test_report_names_the_grid_the_solver_marched_on(tmp_path, capsys, argv, points):
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--grid.points", "32", "--grid.half_width", "4",
+        "--time.t_end", "0.05", "--time.tol", "0", "--model.nonlinear", "false",
+        *argv, "--output.dir", str(out_dir),
+    )
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["solver_points"] == points
+    # the fields are written on the full grid
+    u = load_field_binary(out_dir / "final_u.blwp")
+    assert u.values.size == u.grid.points_per_axis ** len(points)
+
+
 @pytest.mark.parametrize("dt0, code, outcome", [
     # 3.2 times the CFL cap: the top modes grow until the sup norm passes
     # u_max at t = 1.9, and the crooked fit's t* = 1.787 precedes the last

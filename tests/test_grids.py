@@ -131,7 +131,7 @@ def test_grad_sq_mode_orthogonality():
 def test_grad_sq_2d():
     g = Grid(2, 64, 4.0)
     k = np.pi / g.half_width
-    x, y = g.coords()
+    x, y = g.open_axes()
     f = Field(g, np.cos(k * x) * np.cos(2 * k * y))
     # separable integrals: (k^2 + 4 k^2) * L^2 / ... compute analytically
     # int cos^2(kx) dx = L, int sin^2 = L over [-L, L)
@@ -173,7 +173,7 @@ def test_boundary_shell_mask():
 def test_boundary_shell_mask_in_several_dimensions(dim):
     # the shell is where the largest coordinate passes 0.9 L
     g = Grid(dim, 16, 5.0)
-    biggest = np.max(np.abs(np.stack(g.coords())), axis=0)
+    biggest = np.max(np.abs(np.stack(np.meshgrid(*[g.axis()] * dim, indexing="ij"))), axis=0)
     assert np.array_equal(boundary_shell_mask(g), biggest > 4.5)
     assert 0 < boundary_shell_mask(g).sum() < g.num_points
 
