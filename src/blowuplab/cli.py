@@ -3,7 +3,10 @@
 Exit codes: simulate reports its outcome (0 horizon reached, 10 blow-up,
 20 step floor, 30 boundary contamination, 40 numerical instability);
 configuration problems exit 2; an unknown subcommand prints usage and exits
-64.  `python -m blowuplab.cli` runs the same entry point as `blwp`.
+64.  A configuration problem is a value that does not parse, or that the
+objects a command builds from it refuse; an error raised once the command
+runs propagates.  `python -m blowuplab.cli` runs the same entry point as
+`blwp`.
 
 Each subcommand imports the library modules it runs inside its `cmd_*`
 function, so importing this module, and `blwp simulate`, load only config,
@@ -16,6 +19,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import __version__
 from .config import (
@@ -97,6 +101,16 @@ def _parse_flags(tokens, spec, overrides=False):
     return flags, pairs
 
 
+@contextmanager
+def _building():
+    """Reports a ValueError that a command's objects raise while it builds
+    them from flag and config values as the ConfigError it is."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _load_config(argv, spec, unread):
     """Config file (if given) plus dotted-key overrides; returns the config
     and the command's flags, which are --config plus those of spec.  A key
@@ -160,12 +174,13 @@ def _snapshot_writer(snap_dir: str):
 def cmd_simulate(argv) -> int:
     cfg, flags = _load_config(argv, {"force": (_bool, False)}, POINT_KEYS)
 
-    grid = build_grid(cfg)
-    params = build_params(cfg)
-    # handed to simulate, not held here, so that the initial samples are
-    # freed once the run has kept a step
-    init = [build_initial_data(cfg, grid)]
-    controls = build_controls(cfg)
+    with _building():
+        grid = build_grid(cfg)
+        params = build_params(cfg)
+        # handed to simulate, not held here, so that the initial samples are
+        # freed once the run has kept a step
+        init = [build_initial_data(cfg, grid)]
+        controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
@@ -229,7 +244,7 @@ def cmd_sweep(argv) -> int:
 
 
 def cmd_slopes(argv) -> int:
-    from .weakform import measure_term_slopes
+    from .weakform import _windows, measure_term_slopes
 
     flags, _ = _parse_flags(argv, {
         "p": (float, 2.0),
@@ -241,7 +256,9 @@ def cmd_slopes(argv) -> int:
         "eta": (int, None),
         "out": (str, None),
     })
-    params = Params(n=flags["n"], p=flags["p"], beta=flags["beta"])
+    with _building():
+        params = Params(n=flags["n"], p=flags["p"], beta=flags["beta"])
+        _windows(params, flags["d"], flags["Ts"], flags["ell"], flags["eta"])
     table = measure_term_slopes(
         params, flags["d"], flags["Ts"], ell=flags["ell"], eta=flags["eta"]
     )
@@ -269,7 +286,12 @@ def cmd_scaling(argv) -> int:
         "resolution": (_csv_ints, (256,)),
     })
     lam = flags["lambda"]
-    params = Params(n=1, p=2.0, beta=flags["beta"], b0=1.0, nonlinear=False)
+    if not lam >= 1.0:
+        raise ConfigError(f"--lambda must be at least 1, got {lam}: lambda < 1 starts before t = 0")
+    with _building():
+        params = Params(n=1, p=2.0, beta=flags["beta"], b0=1.0, nonlinear=False)
+        for res in flags["resolution"]:
+            Grid(1, res, 1.0)  # each resolution is the points of a grid
     # every resolution runs before the header, so rejected input prints nothing
     errors = [invariance_error(params, lam=lam, resolution=res) for res in flags["resolution"]]
     print("lambda,resolution,error")
@@ -286,12 +308,13 @@ def cmd_exponents(argv) -> int:
         "beta": (_csv_floats, (0.0,)),
     })
     # every row is built before the header, so rejected input prints nothing
-    rows = [
-        (n, beta, kato_threshold(n), strauss_exponent(n) if n >= 2 else math.nan,
-         beta_threshold(n, beta))
-        for n in flags["n"]
-        for beta in flags["beta"]
-    ]
+    with _building():
+        rows = [
+            (n, beta, kato_threshold(n), strauss_exponent(n) if n >= 2 else math.nan,
+             beta_threshold(n, beta))
+            for n in flags["n"]
+            for beta in flags["beta"]
+        ]
     print("n,beta,kato,strauss,beta_threshold")
     for row in rows:
         print(",".join(map(format_cell, row)))
@@ -314,9 +337,13 @@ def cmd_weakcheck(argv) -> int:
     })
     T = flags["T"]
     half = 2.0 * T if flags["half_width"] is None else flags["half_width"]
-    params = Params(n=1, p=flags["p"], beta=flags["beta"], b0=flags["b0"])
-    spec = CutoffSpec(ell=flags["ell"], eta=flags["eta"], d=1.0, T=T)
-    grid = Grid(1, flags["points"], half)
+    if flags["nt"] < 1:
+        raise ConfigError(f"--nt must be at least 1, got {flags['nt']}")
+    with _building():
+        params = Params(n=1, p=flags["p"], beta=flags["beta"], b0=flags["b0"])
+        spec = CutoffSpec(ell=flags["ell"], eta=flags["eta"], d=1.0, T=T)
+        spec.check_exponents(params.p)
+        grid = Grid(1, flags["points"], half)
     result = manufactured_crosscheck(grid, params, spec, flags["nt"])
     print("weak_residual,strong_form,rel_diff")
     print(",".join(format_cell(result[key]) for key in ("weak", "strong", "rel_diff")))
@@ -327,7 +354,9 @@ def cmd_oracle(argv) -> int:
     from .oracles import OdeProblem, ode_blowup_time
 
     flags, _ = _parse_flags(argv, {"u0": (float, 1.0), "v0": (float, 0.0), "p": (float, 2.0)})
-    t_star = ode_blowup_time(OdeProblem(flags["u0"], flags["v0"], flags["p"]))
+    with _building():
+        prob = OdeProblem(flags["u0"], flags["v0"], flags["p"])
+    t_star = ode_blowup_time(prob)
     print(f"t_star,{format_cell(t_star)}")
     return 0
 
@@ -355,7 +384,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return handler(argv[1:])
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
 

@@ -805,6 +805,20 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
     return None
 
 
+def _imex_margin(grid: Grid, params: Params, controls: Controls) -> float:
+    """The fixed step's stability margin dt^2 K - 2 dt b K - 4, with K the
+    largest |k|^2, dt the first step and b the least damping at the end of
+    a step: at dt or at t_end, as b is monotone.  Mode by mode the IMEX
+    step's matrix has det 1/D and trace 1 + (1 - dt^2 k^2)/D, with
+    D = 1 + dt b k^2, so it amplifies no mode when the margin is at most 0
+    (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995); the margin is
+    convex in dt, so a shorter last step keeps it."""
+    k2_max = float(half_k_squared(grid).max())
+    dt = min(controls.dt0, controls.t_end)
+    b_min = min(damping_coeff(dt, params), damping_coeff(controls.t_end, params))
+    return dt * dt * k2_max - 2.0 * dt * b_min * k2_max - 4.0
+
+
 def _solver_grid(init: InitialData) -> Grid:
     """The grid a run marches on: the even grid of 2-D and 3-D data whose u0
     and u1 equal their mirror images in every axis bit for bit, u[1:] ==
@@ -846,10 +860,11 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
 
     A linear run cannot blow up: its energy never grows.  When one turns
     non-finite or exceeds u_max, the outcome is NumericalInstability.  So
-    is that of a nonlinear run whose blow-up estimate precedes its own last
-    sample below u_max with a fit_quality below FIT_FLOOR: its sup norm
-    grew, but not at the rate of a blow-up (a fixed step above the CFL cap
-    with weak damping, for one).
+    is that of a nonlinear fixed-step run whose step amplifies a mode of
+    the linear part (`_imex_margin` above 0), and that of a nonlinear run
+    whose blow-up estimate precedes its own last sample below u_max with a
+    fit_quality below FIT_FLOOR: its sup norm grew, but not at the rate of
+    a blow-up (a fixed step above the CFL cap with weak damping, for one).
 
     2-D and 3-D data that are even in every axis march on the even grid of
     their samples on [0, L]^dim (`_solver_grid`), with the same steps,
@@ -872,6 +887,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     fields = [init.u0, init.u1]
     if solver != grid:
         fields = [to_even_grid(f) for f in fields]  # copies, of the full grid's data
+    # a fixed step that amplifies a mode of the linear part blows up no run
+    unstable = controls.tol is None and _imex_margin(solver, params, controls) > 0
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = _Ledger(State(0.0, *fields), params, controls, shell)
@@ -885,6 +902,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
             outcome, rejected = _adapt(ledger, params, controls)
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
+    if outcome is Outcome.BLOWUP_DETECTED and unstable:
+        outcome = Outcome.NUMERICAL_INSTABILITY
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
         estimate = _estimate_from_trace(ledger.trace, params)

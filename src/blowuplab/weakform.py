@@ -415,17 +415,26 @@ def predicted_exponents(params: Params, d: float) -> dict:
     }
 
 
+def _windows(params: Params, d: float, horizons, ell=None, eta=None) -> list:
+    """The window of each horizon that measure_term_slopes integrates,
+    checked before any is: ell and eta default to ceil(2 p') + 2, each
+    window's powers must suit p, and a slope fit takes 4 horizons."""
+    k = math.ceil(2.0 * conjugate_exponent(params.p)) + 2
+    ell, eta = (k if power is None else power for power in (ell, eta))
+    specs = [CutoffSpec(ell=ell, eta=eta, d=d, T=float(T)) for T in horizons]
+    for spec in specs:
+        spec.check_exponents(params.p)
+    if len(specs) < 4:
+        raise ValueError(f"need at least 4 horizons for a slope fit, got {len(specs)}")
+    return specs
+
+
 def measure_term_slopes(params: Params, d: float, horizons, ell=None, eta=None) -> dict:
     """Bundle values over the given horizons plus fitted and predicted
     slopes, keyed by term name."""
-    horizons = [float(T) for T in horizons]
-    k = math.ceil(2.0 * conjugate_exponent(params.p)) + 2
-    ell = k if ell is None else ell
-    eta = k if eta is None else eta
-    bundles = []
-    for T in horizons:
-        spec = CutoffSpec(ell=ell, eta=eta, d=d, T=T)
-        bundles.append(term_bundle(spec, params))
+    specs = _windows(params, d, horizons, ell, eta)
+    horizons = [spec.T for spec in specs]
+    bundles = [term_bundle(spec, params) for spec in specs]
     predicted = predicted_exponents(params, d)
     out = {}
     for name in TERM_NAMES:

@@ -104,14 +104,38 @@ def test_unread_flag_is_a_config_error(capsys, argv, bad):
         # an infinite lambda would double the source grid forever
         (("scaling", "--lambda", "inf", "--resolution", "32"), "--lambda"),
         (("slopes", "--p", "x"), "--p"),
+        # values that the objects a command builds from them refuse
+        (("oracle", "--p", "1"), "p must exceed 1"),
+        (("weakcheck", "--nt", "0"), "--nt"),
+        (("weakcheck", "--p", "1.2"), "window powers too small"),
+        (("slopes", "--Ts", "8,16"), "4 horizons"),
+        (("scaling", "--resolution", "100"), "power of two"),
     ],
-    ids=["oracle-u0-nan", "oracle-p-inf", "weakcheck-T-inf", "scaling-lambda-inf", "slopes-p-x"],
+    ids=["oracle-u0-nan", "oracle-p-inf", "weakcheck-T-inf", "scaling-lambda-inf", "slopes-p-x",
+         "oracle-p-1", "weakcheck-nt-0", "weakcheck-p-window", "slopes-two-Ts", "scaling-resolution-100"],
 )
 def test_a_flag_value_gets_the_checks_of_a_config_value(capsys, argv, bad):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("config error") and bad in err
+
+
+@pytest.mark.parametrize("command, target", [
+    (("oracle", "--u0", "1"), "blowuplab.oracles.ode_blowup_time"),
+    (("simulate", "--grid.points", "16", "--time.t_end", "0.1", "--output.dir", "{tmp}"),
+     "blowuplab.cli.simulate"),
+])
+def test_a_value_error_inside_a_run_is_no_config_error(tmp_path, capsys, monkeypatch, command, target):
+    # only values refused while a command builds its objects are config
+    # errors; one raised once the run is under way propagates
+    def fail(*args, **kwargs):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(target, fail)
+    with pytest.raises(ValueError, match="inside the run"):
+        main([arg.format(tmp=tmp_path / "run") for arg in command])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_exponents_prints_nothing_for_a_bad_dimension(capsys):

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad, solve_ivp
 
+from blowuplab import oracles
 from blowuplab.oracles import (
     OdeProblem,
     blowup_time_from_trajectory,
@@ -45,26 +47,26 @@ def test_blowup_time_decreases_with_larger_data():
     assert ode_blowup_time(OdeProblem(1.0, 1.0, 2.0)) < base
 
 
-@pytest.mark.parametrize(
-    "prob",
-    [
-        OdeProblem(1.0, math.sqrt(2.0 / 3.0), 2.0),
-        OdeProblem(1.0, 0.0, 2.0),
-        OdeProblem(0.5, 0.3, 3.0),
-        # the other sign patterns, with turning points above and below 0
-        OdeProblem(-0.5, 0.0, 2.0),
-        OdeProblem(-0.5, 0.3, 3.0),
-        OdeProblem(-1.5, 0.2, 2.0),
-        OdeProblem(1.0, -0.5, 2.0),
-        OdeProblem(0.5, -2.0, 2.0),
-        OdeProblem(0.0, -0.5, 2.0),
-        OdeProblem(-0.5, -0.3, 3.0),
-        # at p = 4 the default thresholds come down with p
-        OdeProblem(1.0, 0.0, 4.0),
-        OdeProblem(2.0, 1.0, 4.0),
-        OdeProblem(2.0, -1.0, 4.0),
-    ],
-)
+SIGN_PATTERNS = [
+    OdeProblem(1.0, math.sqrt(2.0 / 3.0), 2.0),
+    OdeProblem(1.0, 0.0, 2.0),
+    OdeProblem(0.5, 0.3, 3.0),
+    # the other sign patterns, with turning points above and below 0
+    OdeProblem(-0.5, 0.0, 2.0),
+    OdeProblem(-0.5, 0.3, 3.0),
+    OdeProblem(-1.5, 0.2, 2.0),
+    OdeProblem(1.0, -0.5, 2.0),
+    OdeProblem(0.5, -2.0, 2.0),
+    OdeProblem(0.0, -0.5, 2.0),
+    OdeProblem(-0.5, -0.3, 3.0),
+    # at p = 4 the default thresholds come down with p
+    OdeProblem(1.0, 0.0, 4.0),
+    OdeProblem(2.0, 1.0, 4.0),
+    OdeProblem(2.0, -1.0, 4.0),
+]
+
+
+@pytest.mark.parametrize("prob", SIGN_PATTERNS)
 def test_quadrature_matches_trajectory_extrapolation(prob):
     t_quad = ode_blowup_time(prob)
     t_traj = blowup_time_from_trajectory(prob)
@@ -211,12 +213,25 @@ def test_package_import_leaves_scipy_unloaded():
     src = os.path.dirname(os.path.dirname(blowuplab.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     probe = "import sys, blowuplab, blowuplab.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    # every oracle, and the oracle command, run on numpy alone
+    calls = (
+        "import sys, numpy as np\n"
+        "from blowuplab import cli, oracles as o\n"
+        "prob = o.OdeProblem(1.0, 0.5, 2.0)\n"
+        "o.ode_blowup_time(prob)\n"
+        "o.ode_trajectory(prob, np.linspace(0.0, 1.0, 5))\n"
+        "o.linear_mode_trajectory(1.0, 0.0, 1.0, 1.0, 0.0, np.linspace(0.0, 1.0, 5))\n"
+        "o.blowup_time_from_trajectory(prob)\n"
+        "assert cli.main(['oracle', '--u0', '-0.5', '--v0', '-0.3', '--p', '3']) == 0\n"
+        "print('scipy' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for code in (probe, calls):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_trajectory_grid_validation():
@@ -226,3 +241,94 @@ def test_trajectory_grid_validation():
         ode_trajectory(OdeProblem(1.0, 0.0, 2.0), [0.0, 0.0])
     with pytest.raises(ValueError):
         linear_mode_trajectory(1.0, 0.0, 1.0, 1.0, 0.0, [-1.0, 2.0])
+
+
+def _scipy_escape_time(prob):
+    """The escape integral by scipy's quad in the plain variables: at unit
+    scale, u = a + s^2 next to each start, and [u0 + 1, inf) in u, with no
+    substitution for the tail."""
+    u0, v0, p = prob.u0, prob.v0, prob.p
+    a = max(abs(u0), abs(v0) ** (2.0 / (p + 1.0)))
+    u0, v0 = u0 / a, v0 / a ** (0.5 * (p + 1.0))
+    e0 = ode_energy(u0, v0, p)
+
+    def speed_sq(u):
+        return 2.0 * e0 + 2.0 * math.copysign(abs(u) ** (p + 1.0), u) / (p + 1.0)
+
+    def rise(a, s_max):
+        near = lambda s: 2.0 * s / math.sqrt(speed_sq(a + s * s))
+        return quad(near, 0.0, s_max, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    t_turn = 0.0
+    if v0 < 0.0:
+        level = -(p + 1.0) * e0
+        m = math.copysign(abs(level) ** (1.0 / (p + 1.0)), level)
+        t_turn = 2.0 * rise(m, math.sqrt(u0 - m))
+    far = quad(lambda u: 1.0 / math.sqrt(speed_sq(u)), u0 + 1.0, np.inf, epsabs=0.0, epsrel=1e-12,
+               limit=200)[0]
+    return (t_turn + rise(u0, 1.0) + far) * a ** (-0.5 * (p - 1.0))
+
+
+@pytest.mark.parametrize("prob", SIGN_PATTERNS + [
+    OdeProblem(1e4, 0.0, 2.0),
+    OdeProblem(-1e-4, 0.0, 3.0),
+    # near p = 1 the tail's energy term rises within (p - 1)/4 of x = 1
+    OdeProblem(1.0, 0.0, 1.001),
+    OdeProblem(-0.5, 0.2, 1.01),
+])
+def test_quadrature_matches_scipy_quad(prob):
+    assert ode_blowup_time(prob) == pytest.approx(_scipy_escape_time(prob), rel=1e-11)
+
+
+def test_gauss_kronrod_rule_is_exact_to_its_degrees():
+    # the 15 Kronrod nodes integrate polynomials of degree 22 exactly, the
+    # 7 Gauss nodes among them those of degree 13, and no more
+    x, (kronrod, gauss) = oracles._GK_NODES, oracles._GK_WEIGHTS.T
+    for degree in range(24):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        assert kronrod @ x**degree == pytest.approx(exact, abs=1e-15)
+        if degree <= 13:
+            assert gauss @ x**degree == pytest.approx(exact, abs=1e-15)
+    assert abs(gauss @ x**14 - 2.0 / 15.0) > 1e-5
+
+
+def _dop853(rhs, y0, t_grid):
+    sol = solve_ivp(rhs, (t_grid[0], t_grid[-1]), y0, method="DOP853", t_eval=t_grid,
+                    rtol=1e-13, atol=1e-14)
+    assert sol.success
+    return sol.y
+
+
+def test_source_trajectory_matches_dop853():
+    prob = OdeProblem(1.0, 0.2, 2.0)
+    t_grid = np.linspace(0.0, 2.5, 26)
+    res = ode_trajectory(prob, t_grid)
+    assert not res.diverged
+    # every step lands on the samples: no interpolation
+    assert res.t.tolist() == t_grid.tolist()
+    u, v = _dop853(lambda t, y: (y[1], abs(y[0]) ** prob.p), [prob.u0, prob.v0], t_grid)
+    assert np.abs(res.u / u - 1.0).max() < 1e-10
+    assert np.abs(res.v / v - 1.0).max() < 1e-10
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("k, b0", [(1.0, 1.0), (2.5, 0.3), (0.7, 3.0)])
+def test_linear_mode_trajectory_matches_dop853(beta, k, b0):
+    t_grid = np.linspace(0.0, 6.0, 31)
+    res = linear_mode_trajectory(k, beta, b0, 1.0, -0.4, t_grid)
+    assert not res.diverged and res.t.tolist() == t_grid.tolist()
+
+    def rhs(t, y):
+        return y[1], -k * k * y[0] - b0 * (1.0 + t) ** (-beta) * k * k * y[1]
+
+    u, v = _dop853(rhs, [1.0, -0.4], t_grid)
+    # relative to the size of each component over the run, which decays
+    assert np.abs(res.u - u).max() < 1e-10 * np.abs(u).max()
+    assert np.abs(res.v - v).max() < 1e-10 * np.abs(v).max()
+
+
+def test_trajectory_extrapolation_is_exact_on_the_zero_energy_escape():
+    # u = 6 / (sqrt(6) - t)^2 makes u^(-1/2) linear in t, so the two
+    # crossings extrapolate to sqrt(6) up to how well each is located
+    t_star = blowup_time_from_trajectory(OdeProblem(1.0, math.sqrt(2.0 / 3.0), 2.0))
+    assert t_star == pytest.approx(math.sqrt(6.0), rel=1e-12)

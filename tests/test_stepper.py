@@ -308,6 +308,62 @@ def test_linear_instability_is_not_reported_as_blowup():
     assert report.energy_trace[-1].linf > controls.u_max
 
 
+def _mode_four_run(b0, dt0):
+    # the CLI's instability reproduction: a mode-4 velocity of amplitude 0.1
+    # on N = 256, L = 8, to t = 20; at b0 = 1e-6 an adaptive run at tol
+    # 1e-10 blows up at t* = 19.3162
+    g = Grid(1, 256, 8.0)
+    init = make_initial_data(constant_field(g, 0.0), mode_data(g, 0.1, 4))
+    params = Params(n=1, p=2.0, beta=0.0, b0=b0)
+    controls = Controls(t_end=20.0, dt0=dt0, tol=None)
+    return params, controls, simulate(params, init, controls)
+
+
+@pytest.mark.parametrize("b0, dt0", [
+    (1e-6, 0.04), (1e-6, 0.0405), (1e-6, 0.2), (1e-3, 0.041), (1e-3, 0.15), (1e-3, 0.2),
+])
+def test_a_fixed_step_that_amplifies_a_mode_is_no_blowup(b0, dt0):
+    # each of these steps breaks dt^2 K - 2 dt b K <= 4 and ended
+    # BlowupDetected with a straight fit at a wrong t*, between 2.4 and 13.2
+    params, controls, report = _mode_four_run(b0, dt0)
+    assert stepper._imex_margin(Grid(1, 256, 8.0), params, controls) > 0
+    assert report.outcome is Outcome.NUMERICAL_INSTABILITY
+    assert report.exit_code == 40
+    assert report.estimate is None
+
+
+@pytest.mark.parametrize("b0, dt0", [(1e-6, 0.0395), (1e-3, 0.0405), (1e-2, 0.05)])
+def test_a_fixed_step_within_the_bound_keeps_its_blowup(b0, dt0):
+    params, controls, report = _mode_four_run(b0, dt0)
+    assert stepper._imex_margin(Grid(1, 256, 8.0), params, controls) <= 0
+    assert report.outcome is Outcome.BLOWUP_DETECTED
+    assert 19.3 < report.estimate.t_star < 19.9
+
+
+def test_the_fixed_step_margin_takes_the_least_damping():
+    # K = (16 pi)^2 at N = 256 and L = 8; dt0 = 0.04 and 0.0395 at
+    # b0 = 1e-6 sit on either side of the bound
+    g = Grid(1, 256, 8.0)
+    k2 = float(half_k_squared(g).max())
+    assert k2 == pytest.approx((16.0 * math.pi) ** 2)
+    weak = Params(n=1, p=2.0, beta=0.0, b0=1e-6)
+    for dt0, margin in ((0.04, 0.042), (0.0395, -0.058)):
+        controls = Controls(t_end=20.0, dt0=dt0, tol=None)
+        assert stepper._imex_margin(g, weak, controls) == pytest.approx(margin, abs=1e-3)
+    # b0 (1+t)^(-beta) is least at t_end for beta > 0 and at dt0 for beta < 0
+    controls = Controls(t_end=20.0, dt0=0.01, tol=None)
+    for beta, t_least in ((1.0, 20.0), (-1.0, 0.01)):
+        b = 1.0 * (1.0 + t_least) ** (-beta)
+        expected = 0.01**2 * k2 - 2.0 * 0.01 * b * k2 - 4.0
+        params = Params(n=1, p=2.0, beta=beta, b0=1.0)
+        assert stepper._imex_margin(g, params, controls) == pytest.approx(expected, rel=1e-12)
+    # a horizon shorter than dt0 is one step of that length
+    short = Controls(t_end=0.02, dt0=0.04, tol=None)
+    assert stepper._imex_margin(g, weak, short) == pytest.approx(
+        0.02**2 * k2 - 2.0 * 0.02 * 1e-6 * k2 - 4.0, rel=1e-12
+    )
+
+
 def test_nonfinite_fixed_step_keeps_last_finite_state():
     g = Grid(1, 256, 8.0)
     params = Params(n=1, p=2.0, beta=0.0, b0=1e-6, nonlinear=False)
