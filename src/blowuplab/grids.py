@@ -15,12 +15,15 @@ transform it makes runs here.
 A grid with `even` set holds fields that are even in every axis, by their
 N/2 + 1 samples per axis on [0, L]: `to_even_grid` and `to_full_grid` move
 a field between the two.  Its coefficients are the cosine (DCT-I)
-coefficients of those samples, which carry the wavenumbers pi m / L of the
-full grid's modes, and the same four functions (and `boundary_shell_mask`)
-follow the flag, so that the solver runs on either grid unchanged (Boyd,
-"Chebyshev and Fourier Spectral Methods", 2001, on parity-reduced bases).
-numpy's irfft of length N of N/2 + 1 real values is 1/N times their DCT-I,
-so the transform along each axis is one irfft, cut to N/2 + 1 samples.
+coefficients of those samples, float64, which carry the wavenumbers
+pi m / L of the full grid's modes, and the same four functions (and
+`boundary_shell_mask`) follow the flag, so that the solver runs on either
+grid unchanged (Boyd, "Chebyshev and Fourier Spectral Methods", 2001, on
+parity-reduced bases).  The DCT-I along an axis is a product with one
+cached matrix of its (N/2 + 1)^2 values, split at one even/odd level
+(`_dct_halves`), which halves its flops: up to 513^2 and 65^3 points these
+BLAS products beat numpy's FFT, whose irfft would cast the real values to
+complex (Boyd, ch. 10, on matrix-multiplication transforms).
 """
 
 import itertools
@@ -141,30 +144,74 @@ def _grid_axes(a: np.ndarray, grid: Grid) -> tuple:
     return tuple(range(a.ndim - grid.dim, a.ndim))
 
 
-def _cosine(a: np.ndarray, grid: Grid, out: np.ndarray | None, scale: float = 1.0) -> np.ndarray:
-    """scale times numpy's irfft of length N of the N/2 + 1 values along each
-    of an even grid's axes of a, cut to N/2 + 1: 1/N times the DCT-I per
-    axis, which takes cosine coefficients to samples and, with scale N^dim,
-    samples to coefficients.  Written to out, or a new array."""
-    n = grid.points_per_axis
-    for axis in _grid_axes(a, grid):
-        a = np.fft.irfft(a, n, axis)[(slice(None),) * axis + (slice(n // 2 + 1),)]
-    return np.multiply(a, scale, out=out)
+@lru_cache(maxsize=16)
+def _dct_halves(points: int, scale: float) -> tuple:
+    """The DCT-I of M + 1 = points/2 + 1 values c_m times scale,
+    x_j = scale * sum_m w_m cos(pi j m / M) c_m with w = 1 at m = 0 and M and
+    2 between, split one even/odd level: as cos(pi j (M - m) / M) is
+    (-1)^j cos(pi j m / M), an even j's x_j is its row of the first matrix
+    times s_m = c_m + c_(M-m), m <= M/2 (the middle m's column halved, as
+    s holds its value twice), and an odd j's its row of the second times
+    d_m = c_m - c_(M-m), m < M/2."""
+    m = points // 2
+    j = np.arange(m + 1)
+    c = np.cos(np.pi / m * (np.outer(j, j) % (2 * m)))
+    c[:, 1:m] *= 2.0
+    c *= scale
+    even, odd = c[0::2, : m // 2 + 1].copy(), c[1::2, : (m + 1) // 2].copy()
+    if m % 2 == 0:
+        even[:, m // 2] *= 0.5
+    even.flags.writeable = odd.flags.writeable = False  # shared by every caller
+    return even, odd
+
+
+def _cosine(a: np.ndarray, grid: Grid, out: np.ndarray | None, scale: float) -> np.ndarray:
+    """scale times the DCT-I along each of an even grid's axes of a (see
+    `_dct_halves`), field by field over its leading axes, written to out,
+    or a new array.  A pass folds the first axis of a field's
+    (M + 1, rest) view into s and d and writes their products to the even
+    and odd columns of a (rest, M + 1) view: the axes rotate, and after
+    dim passes stand as they were.  A pass has read its input before it
+    writes, so out may be a."""
+    if out is not None and not out.flags.c_contiguous:
+        out[...] = _cosine(a, grid, None, scale)
+        return out
+    even, odd = _dct_halves(grid.points_per_axis, scale)
+    m = grid.points_per_axis // 2
+    rest = grid.num_points // (m + 1)
+    folded = np.empty(grid.num_points)
+    s = folded[: len(even) * rest].reshape(len(even), rest)
+    d = folded[len(even) * rest :].reshape(len(odd), rest)
+    out = np.empty(a.shape) if out is None else out
+    scratch = np.empty(grid.shape)
+    for field in np.ndindex(a.shape[: a.ndim - grid.dim]):
+        x = a[field]
+        for i in range(grid.dim):
+            rows = x.reshape(m + 1, rest)
+            np.add(rows[: len(even)], rows[m : m - len(even) : -1], s)
+            np.subtract(rows[: len(odd)], rows[m : m - len(odd) : -1], d)
+            # the passes alternate between out and scratch, the last into out
+            x = out[field] if (grid.dim - i) % 2 else scratch
+            cols = x.reshape(rest, m + 1)
+            np.matmul(s.T, even.T, cols[:, 0::2])
+            np.matmul(d.T, odd.T, cols[:, 1::2])
+    return out
 
 
 def half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Real-FFT coefficients (numpy.fft.rfftn) of samples on the grid,
-    written to out when it is given; on an even grid, the cosine
-    coefficients of the samples, as a complex array with zero imaginary
-    parts, which are the full grid's coefficients up to the sign (-1)^m of
-    its shifted origin.
+    written to out when it is given; on an even grid, the cosine (DCT-I)
+    coefficients of the samples, a float64 array of the grid's shape made
+    by a matrix product along each axis, which are the full grid's
+    coefficients up to the sign (-1)^m of its shifted origin.
 
     The grid's axes are the trailing grid.dim axes of values; leading axes
-    stack independent fields, which are transformed in one call.
+    stack independent fields, which are transformed in one call (on an even
+    grid, one field at a time, so that a field's bits do not depend on the
+    stack).
     """
     if grid.even:
-        out = np.empty(values.shape, complex) if out is None else out
-        return _cosine(values, grid, out, float(grid.points_per_axis) ** grid.dim)
+        return _cosine(values, grid, out, 1.0)
     if grid.dim == 1:
         # the same coefficients as rfftn, without the n-D wrapper's per-call
         # axis handling, which at N = 256 costs as much as the transform
@@ -179,14 +226,15 @@ def half_spectrum(values: np.ndarray, grid: Grid, out: np.ndarray | None = None)
 def from_half_spectrum(coeffs: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """Samples on the grid from `half_spectrum` coefficients (irfftn), written
     to out when it is given; leading axes stack independent fields as in
-    `half_spectrum`.
+    `half_spectrum`.  On an even grid the coefficients are float64 and the
+    inverse is 1/N times the DCT-I, as a matrix product along each axis.
 
     In 2-D and 3-D these are irfftn's per-axis transforms in irfftn's order,
     so its bytes, but through one complex temporary, where irfftn makes a
     new one for each axis but the last."""
     n = grid.points_per_axis
     if grid.even:
-        return _cosine(coeffs, grid, out)
+        return _cosine(coeffs, grid, out, 1.0 / n)
     if grid.dim == 1:  # see half_spectrum
         return np.fft.irfft(coeffs, n, out=out)
     *axes, last = _grid_axes(coeffs, grid)

@@ -2,8 +2,8 @@
 detection.
 
 Every operator but the source is diagonal in Fourier space, so the state
-between steps is the real-FFT coefficients (u_hat, v_hat), or the cosine
-coefficients on an even grid (see below); physical u is
+between steps is the real-FFT coefficients (u_hat, v_hat), complex, or the
+cosine coefficients on an even grid (see below), float64; physical u is
 built only for the source |u|^p, the sup norm, the boundary shell and the
 adaptive error.
 
@@ -51,7 +51,8 @@ trapezoid rule over accepted steps only.
 
 The ledger is columnar.  `_ledger_rows` computes the rows of a block with
 array operations: the quadratic sums row by row, squared into one scratch
-and contracted with the Parseval columns of `_ledger_weights`, finiteness
+and contracted with the Parseval columns of `_ledger_weights` (one column
+of float64 coefficients, the (re, im) pairs of complex ones), finiteness
 from those sums, and the sup norm and boundary shell from one stacked
 inverse transform, or from samples already built (for a source or an
 adaptive error estimate).  The rows are walked in order to extend the
@@ -78,9 +79,12 @@ keeps a step.
 Every operator of the equation keeps a field even in each axis, so 2-D
 and 3-D data whose u0 and u1 are even, bit for bit, march on the even
 grid of their samples on [0, L]^dim (`_solver_grid`, `grids.to_even_grid`),
-about 2^-dim of the full grid: the transforms, |k|^2, the Parseval columns
-and the shell mask follow the grid, and the kernels above, mode-wise or
-pointwise, run on it unchanged.  The run copies the data onto it and lets
+about 2^-dim of the full grid: the transforms (there a DCT-I as a matrix
+product along each axis), |k|^2, the Parseval columns and the shell mask
+follow the grid, and the kernels above, mode-wise or pointwise, run on
+its float64 coefficients unchanged: the ring, the step factors, the
+adaptive chains and the ledger take the dtype of the rows, which halves
+their memory and work there.  The run copies the data onto it and lets
 the full grid's samples go; its snapshots and final state are mirrored
 back to the full grid (`grids.to_full_grid`), and `RunReport.solver_points`
 names the grid it marched on.  1-D runs, where numpy's real FFT already
@@ -356,8 +360,9 @@ def _factors(dts: list, dtb: list, k2: np.ndarray, block: np.ndarray) -> None:
     """The kernel's dtk2 for steps of sizes dts and den for steps whose
     dt * b are dtb, built by np.multiply.outer into the (u_hat, v_hat) rows
     of the block those steps fill: den in the u rows, dtk2 in the v rows.
-    Complex, as the kernel's mixed real-complex products would cast them,
-    but once, and in no array of their own."""
+    In the rows' dtype: complex on a real-FFT grid, as the kernel's mixed
+    real-complex products would cast them, but once, and float64 on an even
+    grid; in no array of their own."""
     np.multiply.outer(dts, k2, out=block[:, 1])
     np.multiply.outer(dtb, k2, out=block[:, 0])
     block[:, 0] += 1.0
@@ -379,14 +384,16 @@ def step(state: State, params: Params, dt: float) -> State:
 def _block_rows(grid: Grid) -> int:
     """Rows per ledger block in a fixed-step run: LEDGER_BLOCK_BYTES over
     eight complex arrays of the coefficients' size per row, so that a 1-D
-    run at N = 256 takes 63 rows and a 3-D run at 64^3 one."""
+    run at N = 256 takes 63 rows and a 3-D run at 64^3 one (whose even
+    grid's float64 rows take half of that)."""
     return max(1, LEDGER_BLOCK_BYTES // (8 * 16 * half_k_squared(grid).size))
 
 
 @lru_cache(maxsize=64)
 def _ledger_weights(grid: Grid) -> np.ndarray:
     """The Parseval columns, rows w and w |k|^2 of one weight per
-    coefficient: int f^2 = sum w * (re^2 + im^2) over f's coefficients.
+    coefficient: int f^2 = sum w * (re^2 + im^2) over f's coefficients
+    (sum w * f_hat^2 for the float64 ones of an even grid).
     Besides its ring, a fixed-step run holds these, |k|^2 and the ledger's
     one scratch."""
     w = parseval_weights(grid).ravel()
@@ -409,9 +416,10 @@ def _fields(state: State, params: Params) -> tuple:
     return state.u_hat, state.v_hat
 
 
-def _pairs(coeffs: np.ndarray) -> np.ndarray:
-    """A field's coefficients as a (size, 2) array of (re, im) pairs."""
-    return np.asarray(coeffs, dtype=complex).reshape(-1, 1).view(np.float64)
+def _columns(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients as a (size, 1) column of float64, or complex ones as a
+    (size, 2) array of (re, im) pairs."""
+    return coeffs.reshape(-1, 1).view(np.float64)
 
 
 def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None) -> tuple:
@@ -430,25 +438,26 @@ def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None)
     rows, fields = len(t), len(block[0])
     cols = _ledger_weights(grid)
     size = cols.shape[1]
-    # u u, v v and, with a source, F[|u|^p] v, squared as (re, im) pairs
-    # into the scratch and contracted with the columns a field at a time,
-    # the same product whatever the block's size: a small block in one
-    # call, so that one-row blocks stay cheap, a large one field by field
+    # u u, v v and, with a source, F[|u|^p] v, squared as `_columns` into
+    # the scratch and contracted with the Parseval columns a field at a
+    # time, the same product whatever the block's size: a block of at most
+    # LEDGER_BLOCK_BYTES as complex rows in one call, so that one-row
+    # blocks stay cheap, a larger one field by field
     if rows * fields * size * 16 <= LEDGER_BLOCK_BYTES:
-        pairs = np.asarray(block, dtype=complex).reshape(rows, fields, size, 1).view(np.float64)
+        pairs = _columns(np.asarray(block)).reshape(rows, fields, size, -1)
         scratch = np.empty(pairs.shape)
         np.multiply(pairs[:, :2], pairs[:, :2], scratch[:, :2])
         if params.nonlinear:
             np.multiply(pairs[:, 2], pairs[:, 1], scratch[:, 2])
         sums = cols @ scratch
     else:
-        scratch = np.empty((size, 2))
-        sums = np.empty((rows, fields, 2, 2))
+        scratch = np.empty(_columns(block[0][0]).shape)
+        sums = np.empty((rows, fields, 2, scratch.shape[1]))
         for j, f in np.ndindex(rows, fields):
-            pair = (_pairs(block[j][f]), _pairs(block[j][min(f, 1)]))
+            pair = (_columns(block[j][f]), _columns(block[j][min(f, 1)]))
             np.matmul(cols, np.multiply(*pair, scratch), sums[j, f])
-    # the real parts' sums plus the imaginary parts'
-    sums = np.add(sums[..., 0], sums[..., 1]).reshape(rows, -1).tolist()
+    # the real parts' sums plus the imaginary parts', if any
+    sums = sums.sum(axis=-1).reshape(rows, -1).tolist()
     del scratch  # before the samples are built
     if samples is None:
         samples = from_half_spectrum(block[:, 0], grid)
@@ -680,7 +689,7 @@ def _extrapolated_step(t: float, row, grid: Grid, params: Params, dt: float) -> 
         bs = [damping_coeff(t + (i + at) * h, params) for h in hs[i:]]
         return _half_flows([0.5 * h for h in hs[i:]], bs, k2)
 
-    chains = np.empty((len(hs), 2) + k2.shape, complex)
+    chains = np.empty((len(hs), 2) + k2.shape, row[0].dtype)
     chains[:, 0], chains[:, 1] = row[0], row[1]
     # a column of each chain's step, which scales its rows' kicks
     cols = np.array(hs).reshape((-1,) + (1,) * k2.ndim)
@@ -769,7 +778,7 @@ def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | No
     k2 = half_k_squared(grid)
     block_rows = _block_rows(grid)
     shape = (block_rows, 3 if params.nonlinear else 2) + k2.shape
-    halves = [np.empty(shape, dtype=complex) for _ in range(2)]
+    halves = [np.empty(shape, ledger.row[0].dtype) for _ in range(2)]
     halves[0][0] = ledger.row
     ledger.row = halves[0][0]  # so that the initial coefficients are freed
     # (u_hat, v_hat, source or None) of every row, as views made once

@@ -75,7 +75,7 @@ def test_cosine_coefficients_are_the_full_grids_up_to_sign(dim):
     f = _even_noise(dim, seed=dim)
     half = to_even_grid(f)
     coeffs = half_spectrum(half.values, half.grid)
-    assert coeffs.dtype == complex and not coeffs.imag.any()
+    assert coeffs.dtype == np.float64
     m = np.arange(9)
     sign = sum(np.ix_(*[m] * dim)) % 2 * -2 + 1
     full = half_spectrum(f.values, f.grid)[(slice(0, 9),) * dim]
@@ -86,13 +86,50 @@ def test_cosine_coefficients_are_the_full_grids_up_to_sign(dim):
     square = (parseval_weights(half.grid) * abs(coeffs) ** 2).sum()
     assert square == pytest.approx(integrate(Field(f.grid, f.values**2)), rel=1e-13)
     stack = np.stack([half.values, 2.0 * half.values])
-    out = np.empty(stack.shape, complex)
+    out = np.empty(stack.shape)
     assert half_spectrum(stack, half.grid, out=out) is out
     assert out[0].tobytes() == coeffs.tobytes()
     samples = np.empty(stack.shape)
     assert from_half_spectrum(out, half.grid, out=samples) is samples
     assert np.abs(samples[0] - half.values).max() <= 1e-14 * np.abs(half.values).max()
     assert from_half_spectrum(out[1], half.grid).tobytes() == samples[1].tobytes()
+
+
+def _irfft_cosine(a, grid, scale):
+    """The reference for the matrix products: scale times numpy's irfft of
+    length N of the N/2 + 1 values along each of an even grid's axes of a,
+    cut to N/2 + 1, which is 1/N times the DCT-I per axis."""
+    n = grid.points_per_axis
+    for axis in range(a.ndim - grid.dim, a.ndim):
+        a = np.fft.irfft(a, n, axis)[(slice(None),) * axis + (slice(n // 2 + 1),)]
+    return a * scale
+
+
+@pytest.mark.parametrize("dim, points", [
+    (1, 2), (1, 4), (1, 64), (1, 1024), (2, 2), (2, 8), (2, 256), (2, 1024),
+    (3, 2), (3, 4), (3, 32), (3, 128),
+])
+def test_the_cosine_transform_matches_irfft(dim, points):
+    grid = Grid(dim, points, 3.0, even=True)
+    stack = np.random.default_rng(points + dim).standard_normal((2,) + grid.shape)
+    for transform, scale in ((half_spectrum, float(points) ** dim), (from_half_spectrum, 1.0)):
+        for values in (stack[0], stack):
+            want = _irfft_cosine(values, grid, scale)
+            got = transform(values, grid)
+            assert got.dtype == np.float64 and got.shape == values.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            # into out: a new array, the input itself, or a strided view
+            out = np.empty(values.shape)
+            assert transform(values, grid, out=out) is out
+            assert out.tobytes() == got.tobytes()
+            out = values.copy()
+            assert transform(out, grid, out=out) is out
+            assert out.tobytes() == got.tobytes()
+            out = np.empty(values.shape + (2,))[..., 0]
+            assert transform(values, grid, out=out) is out
+            assert out.tobytes() == got.tobytes()
+        # a field of the stack is transformed as it is alone
+        assert transform(stack, grid)[1].tobytes() == transform(stack[1], grid).tobytes()
 
 
 def _compact_bump_init(grid, amplitude, radius):

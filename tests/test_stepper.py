@@ -519,15 +519,16 @@ def _fixed_run_peak(dim, points):
     return peak / (16 * half_k_squared(g).size)
 
 
-@pytest.mark.parametrize("dim, points, bound", [(3, 32, 6.3), (1, 4096, 18.5)])
+@pytest.mark.parametrize("dim, points, bound", [(3, 32, 2.6), (1, 4096, 18.5)])
 def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
     # neither the initial coefficients, once copied into the ring, nor the
     # samples the ledger builds for a linear block outlive their use; the
     # initial samples are not copied, the step factors live in the ring and
-    # the ledger squares into one scratch: 18.18 coefficient arrays at
+    # the ledger squares into one scratch: 18.17 coefficient arrays at
     # N = 4096, and the bound leaves about 0.3 of one; the 32^3 data are
-    # even and march on the 17^3 even grid, 2.76 arrays (see the next test
-    # for the full grid)
+    # even and march on the 17^3 even grid's float64 coefficients, 2.48
+    # arrays, most of them the final state mirrored to the full grid (see
+    # the next test for the full grid)
     assert _fixed_run_peak(dim, points) <= bound
 
 
@@ -536,6 +537,38 @@ def test_a_full_grid_3d_run_holds_no_spare_arrays(monkeypatch):
     # march: 6.02 coefficient arrays
     _full_grid_only(monkeypatch)
     assert _fixed_run_peak(3, 32) <= 6.3
+
+
+def test_a_large_even_block_is_squared_field_by_field(monkeypatch):
+    # a 64^3 run's one-row blocks pass LEDGER_BLOCK_BYTES as complex rows,
+    # so the ledger squares them a field at a time, into a scratch of one
+    # column of its even grid's float64 coefficients, and agrees with the
+    # run of the same data on the full grid
+    g = Grid(3, 64, 8.0)
+    params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
+    init = make_initial_data(mode_data(g, 0.5, 3), mode_data(g, 0.2, 1))
+    controls = Controls(t_end=4 / 64, dt0=1 / 64, tol=None, boundary_check=False)
+    squared = []
+    columns = stepper._columns
+
+    def spy(coeffs):
+        squared.append((coeffs.shape, coeffs.dtype))
+        return columns(coeffs)
+
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_columns", spy)
+        even = simulate(params, init, controls)
+    assert even.solver_points == (33, 33, 33) and even.accepted == 4
+    assert ((33, 33, 33), np.float64) in squared
+    _full_grid_only(monkeypatch)
+    full = simulate(params, init, controls)
+    assert len(even.energy_trace) == len(full.energy_trace) == 5
+    for column in stepper.ENERGY_CSV_COLUMNS:
+        got = np.array([getattr(r, column) for r in even.energy_trace])
+        want = np.array([getattr(r, column) for r in full.energy_trace])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), column
+    for a, b in ((even.final_state.u, full.final_state.u), (even.final_state.v, full.final_state.v)):
+        assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
 
 
 def test_a_hooked_fixed_run_holds_no_snapshot():

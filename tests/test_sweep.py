@@ -3,8 +3,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from blowuplab import sweep
-from blowuplab.config import build_grid
+from blowuplab import stepper, sweep
+from blowuplab.config import build_grid, build_initial_data
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
     SweepConfig,
@@ -69,16 +69,22 @@ def test_failed_point_is_recorded_not_raised():
 
 
 def test_csv_deterministic_across_worker_counts(tmp_path):
-    cfg = small_config()
-    serial = run_sweep(cfg, workers=1)
-    parallel = run_sweep(cfg, workers=2)
-    p1 = tmp_path / "serial.csv"
-    p2 = tmp_path / "parallel.csv"
-    write_sweep_csv(serial, p1)
-    write_sweep_csv(parallel, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == ",".join(SWEEP_CSV_COLUMNS)
+    # the second config's centred 2-D bumps march on the 129^2 even grid,
+    # whose transforms are BLAS products: its serial run marches it here,
+    # so the pool forks a process that has already used BLAS
+    even = small_config(n_values=(2,), points_per_axis=256, half_width=20.0)
+    point = even.point_config(sweep_points(even)[-1])
+    assert stepper._solver_grid(build_initial_data(point, build_grid(point))).even
+    for name, cfg in (("1-d", small_config()), ("2-d", even)):
+        serial = run_sweep(cfg, workers=1)
+        parallel = run_sweep(cfg, workers=2)
+        p1 = tmp_path / f"serial-{name}.csv"
+        p2 = tmp_path / f"parallel-{name}.csv"
+        write_sweep_csv(serial, p1)
+        write_sweep_csv(parallel, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        header = p1.read_text().splitlines()[0]
+        assert header == ",".join(SWEEP_CSV_COLUMNS)
 
 
 def test_format_cell():
