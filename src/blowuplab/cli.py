@@ -39,7 +39,7 @@ from .config import (
     default_config,
     parse_config_text,
 )
-from .grids import Grid, save_field_binary
+from .grids import Grid, save_field_binary, to_full_grid
 from .model import Params
 from .stepper import format_cell, simulate, write_energy_csv
 
@@ -157,16 +157,35 @@ def _write_manifest(path: str, cfg_hash: str, wall: float, extra=None) -> None:
         fh.write("\n")
 
 
-def _snapshot_writer(snap_dir: str):
+def _field_writer():
+    """`save_field_binary` for the fields of one run.  A run on an even
+    grid keeps its states there, and a file holds the full grid's samples:
+    each field is mirrored into one full-grid buffer, made at the first
+    write and reused by the later ones, where a fresh array per field
+    would take its page faults anew."""
+    buffer = None
+
+    def save(f, path) -> None:
+        nonlocal buffer
+        if f.grid.even:
+            f = to_full_grid(f, buffer)
+            buffer = f.values
+        save_field_binary(f, path)
+
+    return save
+
+
+def _snapshot_writer(snap_dir: str, save):
     """A `Controls.on_snapshot` hook that writes the i-th snapshot as
-    u_<i>.blwp and v_<i>.blwp in snap_dir while the run goes on."""
+    u_<i>.blwp and v_<i>.blwp in snap_dir with `save`, from
+    `_field_writer`, while the run goes on."""
     os.makedirs(snap_dir, exist_ok=True)
     count = itertools.count()
 
     def write(state) -> None:
         i = next(count)
-        save_field_binary(state.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
-        save_field_binary(state.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
+        save(state.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
+        save(state.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
 
     return write
 
@@ -184,16 +203,17 @@ def cmd_simulate(argv) -> int:
 
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
+    save = _field_writer()
     if controls.snapshot_every:
-        controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
+        controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"), save)
     t0 = time.monotonic()
     report = simulate(params, init.pop(), controls)
     wall = time.monotonic() - t0
 
     write_energy_csv(report, os.path.join(out_dir, "energy_trace.csv"))
     if report.final_state is not None:
-        save_field_binary(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
-        save_field_binary(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
+        save(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
+        save(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(
             {
@@ -227,8 +247,16 @@ def cmd_sweep(argv) -> int:
         unread[key] = "blwp simulate, as a sweep runs the theorem's velocity bump"
     cfg, flags = _load_config(argv, {"force": (_bool, False), "workers": (int, 1)}, unread)
     sweep_cfg = SweepConfig.from_config(cfg)
+    # each point's grid and data, built as simulate builds them, so that a
+    # point they refuse is a config error, named, before any output;
+    # validate covers what Params and Controls check
     for point in sweep_points(sweep_cfg):
-        sweep_cfg.point_config(point).validate()
+        run_cfg = sweep_cfg.point_config(point).validate()
+        try:
+            with _building():
+                build_initial_data(run_cfg, build_grid(run_cfg))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep point (n, p, beta, b0, amplitude) = {point}: {exc}") from None
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
     t0 = time.monotonic()

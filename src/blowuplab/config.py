@@ -11,7 +11,6 @@ A number that is not finite (nan, inf) is an error, in a list too.
 Command-line overrides use the same dotted keys: --model.p 2.0.
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +179,8 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
 
 
 def config_hash(cfg: RunConfig) -> str:
+    import hashlib  # here, as only the manifest writers hash, and it costs 5 ms at import
+
     canon = "\n".join(f"{k}={cfg.entries[k]!r}" for k in sorted(cfg.entries))
     return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -14,11 +14,13 @@ transform it makes runs here.
 
 A grid with `even` set holds fields that are even in every axis, by their
 N/2 + 1 samples per axis on [0, L]: `to_even_grid` and `to_full_grid` move
-a field between the two.  Its coefficients are the cosine (DCT-I)
-coefficients of those samples, float64, which carry the wavenumbers
-pi m / L of the full grid's modes, and the same four functions (and
-`boundary_shell_mask`) follow the flag, so that the solver runs on either
-grid unchanged (Boyd, "Chebyshev and Fourier Spectral Methods", 2001, on
+a field between the two.  A solver run on the even grid keeps its
+snapshots and final state there, and only a consumer of the full grid (a
+field file, a rescale's FFT) mirrors them.  Its coefficients are the
+cosine (DCT-I) coefficients of those samples, float64, which carry the
+wavenumbers pi m / L of the full grid's modes, and the same four functions
+(and `boundary_shell_mask`) follow the flag, so that the solver runs on
+either grid unchanged (Boyd, "Chebyshev and Fourier Spectral Methods", 2001, on
 parity-reduced bases).  The DCT-I along an axis is a product with one
 cached matrix of its (N/2 + 1)^2 values, split at one even/odd level
 (`_dct_halves`), which halves its flops: up to 513^2 and 65^3 points these
@@ -319,12 +321,17 @@ def to_even_grid(f: Field) -> Field:
     return Field(replace(f.grid, even=True), f.values[(slice(m, None, -1),) * f.grid.dim].copy())
 
 
-def to_full_grid(f: Field) -> Field:
-    """The full grid's samples of a field on an even grid: index j of an
-    axis takes sample |j - N/2|, copied block by block, 2^dim blocks."""
+def to_full_grid(f: Field, out: np.ndarray | None = None) -> Field:
+    """The full grid's samples of a field on an even grid, written to out
+    when it is given: index j of an axis takes sample |j - N/2|, copied
+    block by block, 2^dim blocks.  A caller that mirrors many fields can
+    pass one buffer for all of them, which spares a fresh array's page
+    faults, most of the cost of a new one at 64^3."""
+    if not f.grid.even:
+        raise ValueError("to_full_grid takes a field on an even grid")
     n = f.grid.points_per_axis
     m = n // 2
-    full = np.empty((n,) * f.grid.dim)
+    full = np.empty((n,) * f.grid.dim) if out is None else out
     # the index blocks below and above the origin, and their source samples
     blocks = ((slice(0, m), slice(m, 0, -1)), (slice(m, n), slice(0, m)))
     for parts in itertools.product(blocks, repeat=f.grid.dim):

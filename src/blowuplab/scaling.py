@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Field, Grid, l2_norm
+from .grids import Field, Grid, l2_norm, to_full_grid
 from .model import InitialData, Params, bump_box_half_width, bump_data, make_initial_data
 from .stepper import Controls, simulate
 
@@ -148,8 +148,9 @@ def rescale_trajectory(
     Space uses spectral interpolation, time a cubic stencil.  The chain rule
     multiplies the stored velocity by the time stretch factor.  The scaled
     target box lam*[-L, L) must be the source box, and the grids must share
-    their dimension.  All target times go through one fold of the source
-    spectrum together (see the module docstring).
+    their dimension; snapshots on an even grid are mirrored to the full
+    grid after the time stencil.  All target times go through one fold of
+    the source spectrum together (see the module docstring).
     """
     lam = mapping.lam
     src = traj.grid
@@ -161,7 +162,10 @@ def rescale_trajectory(
         )
     times = np.asarray(target_times, dtype=float)
     pulled = [mapping.pullback_time(t) for t in times]
-    stack = np.stack([_time_interp(traj.times, fs, s) for fs in (traj.u, traj.v) for s in pulled])
+    stack = [_time_interp(traj.times, fs, s) for fs in (traj.u, traj.v) for s in pulled]
+    if src.even:  # the snapshots of a run on the even grid, mirrored for the FFT
+        stack = [to_full_grid(Field(src, a)).values for a in stack]
+    stack = np.stack(stack)
     axes = tuple(range(1, stack.ndim))
     spec = np.fft.fftn(stack, axes=axes)
     res = target_grid.points_per_axis
@@ -260,6 +264,8 @@ def invariance_error(
 
     a = rescaled.u[1]
     b = evolved.final_state.u
+    if b.grid.even:
+        b = to_full_grid(b)
     denom = l2_norm(a)
     if denom == 0.0:
         return 0.0

@@ -85,16 +85,16 @@ follow the grid, and the kernels above, mode-wise or pointwise, run on
 its float64 coefficients unchanged: the ring, the step factors, the
 adaptive chains and the ledger take the dtype of the rows, which halves
 their memory and work there.  The run copies the data onto it and lets
-the full grid's samples go; its snapshots and final state are mirrored
-back to the full grid (`grids.to_full_grid`), and `RunReport.solver_points`
-names the grid it marched on.  1-D runs, where numpy's real FFT already
-halves the work, and other data march on their own grid.
+the full grid's samples go.  Its snapshots and final state stay on the
+grid it marched on, which `RunReport.solver_points` names: a consumer
+that needs the full grid's samples mirrors them (`grids.to_full_grid`,
+as a field file does).  1-D runs, where numpy's real FFT already halves
+the work, and other data march on their own grid.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
-take one path: `_Ledger.snapshot` makes one `State` of u samples and v
-coefficients for each (v samples on an even grid, mirrored at once with
-u), which builds v only when read, and hands it to
-`Controls.on_snapshot` as the run goes, or else keeps it in
+take one path on every grid: `_Ledger.snapshot` makes one `State` of u
+samples and v coefficients for each, which builds v only when read, and
+hands it to `Controls.on_snapshot` as the run goes, or else keeps it in
 `RunReport.snapshots` with a copy of u.  A hook may keep its snapshot: u
 views its block's samples (or the initial data), which no later step
 writes, and the v coefficients view the ring while the hook runs and are
@@ -123,7 +123,6 @@ from .grids import (
     half_spectrum,
     parseval_weights,
     to_even_grid,
-    to_full_grid,
 )
 from .model import InitialData, Params, damping_coeff
 
@@ -271,7 +270,9 @@ class RunReport:
     and `rejected` count steps and rejected adaptive attempts, and
     `dt_min` / `dt_max` span the accepted step sizes (None without one).
     `solver_points` is the shape of the grid the solver marched on: the
-    data's, or (N/2 + 1,) * dim for even 2-D and 3-D data."""
+    data's, or (N/2 + 1,) * dim for even 2-D and 3-D data.  The snapshots
+    and the final state are on that grid: for even data, the even grid of
+    their samples on [0, L]^dim, which `grids.to_full_grid` mirrors."""
 
     outcome: Outcome
     t_stop: float
@@ -306,10 +307,11 @@ class Controls:
     snapshot_every = k passes the initial state and every k-th accepted
     state to on_snapshot(state) as soon as the ledger has checked it, in
     order, and `RunReport.snapshots` is None; without on_snapshot,
-    `RunReport.snapshots` keeps them.  The hook may keep the state (see the
-    module docstring; one that keeps many copies u, a view of its ledger
-    block).  No hook sees a state after one that tripped a monitor, nor a
-    non-finite one.
+    `RunReport.snapshots` keeps them.  A state is on the solver's grid
+    (`RunReport.solver_points`), and v is transformed only when read.  The
+    hook may keep the state (see the module docstring; one that keeps many
+    copies u, a view of its ledger block).  No hook sees a state after one
+    that tripped a monitor, nor a non-finite one.
     """
 
     t_end: float
@@ -506,7 +508,8 @@ class _Ledger:
     row that trips a monitor.  The run continues from the last row kept: its
     time `t`, its `_fields` `row`, and its u samples `u` where the driver
     built them, else None; `v` holds the initial v samples until a step is
-    kept.  Every snapshot goes through `snapshot`.
+    kept.  Every snapshot goes through `snapshot`, and the snapshots and
+    the final state are on the grid the run marches on.
     """
 
     def __init__(self, state: State, params: Params, controls: Controls, shell):
@@ -583,17 +586,11 @@ class _Ledger:
         gets a copy of u, and of v's samples; one that is still referenced
         once the hook has returned, with v unread, gets a copy of its v
         coefficients from `State._settle_v`.  So a kept snapshot copies each
-        field once, and one the hook let go copies nothing.  On an even
-        grid the state gets both fields' samples on the full grid, which
-        it owns."""
-        if self.grid.even:
-            v = v if isinstance(v, Field) else Field(self.grid, from_half_spectrum(v, self.grid))
-            u, v = to_full_grid(Field(self.grid, u)), to_full_grid(v)
-        else:
-            if self.snapshots is not None:
-                u, v = u.copy(), v.copy() if isinstance(v, Field) else v
-            u = Field(self.grid, u)
-        snap = State(t, u, v)
+        field once, and one the hook let go copies nothing.  The state is
+        on the solver's grid, the even grid for even data."""
+        if self.snapshots is not None:
+            u, v = u.copy(), v.copy() if isinstance(v, Field) else v
+        snap = State(t, Field(self.grid, u), v)
         held = weakref.ref(snap)
         self.hook(snap)
         del snap
@@ -607,16 +604,14 @@ class _Ledger:
         when the ledger keeps one of that row, else those the ledger holds
         or, failing them, ones built from the row; a hooked run's snapshots
         are the hook's.  Samples that view a ledger block or the initial
-        data are copied, so that the result holds neither; on an even grid
-        they are mirrored to the full grid."""
+        data are copied, so that the result holds neither.  The state is
+        on the solver's grid."""
         if self.last is not None:
             u, v = self.last.u, self.last.v
         else:
             grid = self.grid
             u = Field(grid, from_half_spectrum(self.row[0], grid) if self.u is None else self.u)
             v = Field(grid, from_half_spectrum(self.row[1], grid) if self.v is None else self.v)
-            if grid.even:
-                u, v = to_full_grid(u), to_full_grid(v)
         own = [f if f.values.flags.owndata else f.copy() for f in (u, v)]
         return State(self.t, *own)
 
@@ -877,8 +872,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
 
     2-D and 3-D data that are even in every axis march on the even grid of
     their samples on [0, L]^dim (`_solver_grid`), with the same steps,
-    ledger and monitors, and only the snapshots and the final state are
-    mirrored back to the full grid.
+    ledger and monitors, and their snapshots and final state are on that
+    grid too.
     """
     grid = init.u0.grid
     if init.u1.grid != grid:

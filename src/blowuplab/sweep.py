@@ -13,7 +13,6 @@ deterministic function of the configuration, whatever the worker count.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import product
@@ -155,6 +154,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> list:
     workers = max(1, min(workers, len(points)))
     if workers == 1:
         return [_run_point(config, pt) for pt in points]
+    # imported here, as the pool's modules cost 10-15 ms at import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(_run_point, config), points))
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import conjugate_exponent
-from .grids import Field, Grid, laplacian
+from .grids import Field, Grid, laplacian, to_full_grid
 from .model import Params, bump_data, damping_coeff
 
 __all__ = [
@@ -192,6 +192,9 @@ def weak_identity_terms(u_traj, u0: Field, u1: Field, spec: CutoffSpec, params: 
         raise ValueError(f"horizon mismatch: T = {T} but window has T = {spec.T}")
     if len(u_traj) < 2:
         raise ValueError("need at least two time samples")
+    # the rectangle rule below sums the full grid: fields on an even grid,
+    # such as the snapshots of a run of even 2-D or 3-D data, are mirrored
+    u0, u1, *u_traj = [to_full_grid(f) if f.grid.even else f for f in (u0, u1, *u_traj)]
     grid = u0.grid
     for f in (u1, *u_traj):
         if f.grid != grid:

@@ -19,7 +19,7 @@ from blowuplab.config import (
     build_params,
     default_config,
 )
-from blowuplab.grids import load_field_binary, save_field_binary
+from blowuplab.grids import load_field_binary, save_field_binary, to_full_grid
 from blowuplab.stepper import simulate
 from blowuplab.sweep import SweepConfig, run_sweep, write_sweep_csv
 
@@ -413,7 +413,8 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 
 def test_sweep_says_why_a_point_failed(tmp_path, capsys):
-    # a box too small for the bump fails every point, each with one line
+    # a box too small for the bump is a config error of the first point, as
+    # it is for simulate, named in one line before any output
     argv = [
         "sweep",
         "--sweep.amplitude", "0.0,0.5",
@@ -423,15 +424,15 @@ def test_sweep_says_why_a_point_failed(tmp_path, capsys):
         "--time.tol", "1e-5",
         "--workers", "1",
     ]
-    code, _, err = run_cli(capsys, *argv, "--output.dir", str(tmp_path / "sweep"))
-    assert code == 0
-    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
-    assert [line.split(",")[7] for line in lines[1:]] == ["Error", "Error"]
-    assert err.count("\n") == 2
-    assert err.splitlines()[0] == (
-        "sweep point (n, p, beta, b0, amplitude) = (1, 2.0, 0.0, 1.0, 0.0): "
-        "ValueError: bump radius 1.0 too large for box half-width 1.5"
+    code, out, err = run_cli(capsys, *argv, "--output.dir", str(tmp_path / "sweep"))
+    assert code == EXIT_CONFIG
+    assert out == "" and not (tmp_path / "sweep").exists()
+    assert err == (
+        "config error: sweep point (n, p, beta, b0, amplitude) = (1, 2.0, 0.0, 1.0, 0.0): "
+        "bump radius 1.0 too large for box half-width 1.5\n"
     )
+    code, _, _ = run_cli(capsys, "simulate", *argv[3:9], "--output.dir", str(tmp_path / "run"))
+    assert code == EXIT_CONFIG
 
 
 def test_simulate_rejects_fit_points_below_two(tmp_path, capsys):
@@ -657,6 +658,34 @@ def test_simulate_writes_snapshots(tmp_path, capsys):
             assert streamed.read_bytes() == kept.read_bytes()
     save_field_binary(report.final_state.v, kept)
     assert (out_dir / "final_v.blwp").read_bytes() == kept.read_bytes()
+
+
+def test_an_even_run_writes_its_kept_snapshots_mirrored(tmp_path, capsys):
+    # a 3-D mode on its 9^3 even grid, a snapshot every step: every field
+    # file goes through one reused full-grid buffer, and holds the bytes of
+    # the kept snapshot mirrored alone, so no field's samples leak into the next
+    run = [
+        ("grid.dim", "3"), ("grid.points", "16"), ("grid.half_width", "4"),
+        ("model.nonlinear", "false"), ("init.kind", "mode"), ("init.on", "both"),
+        ("time.tol", "0"), ("time.dt0", "0.0125"), ("time.t_end", "0.1"), ("output.every", "1"),
+    ]
+    out_dir = tmp_path / "run"
+    argv = [token for key, value in run for token in (f"--{key}", value)]
+    code, _, _ = run_cli(capsys, "simulate", *argv, "--output.dir", str(out_dir))
+    assert code == 0
+    cfg = default_config()
+    apply_overrides(cfg, run)
+    grid = build_grid(cfg)
+    report = simulate(build_params(cfg), build_initial_data(cfg, grid), build_controls(cfg))
+    assert report.solver_points == (9, 9, 9) and len(report.snapshots) == 9
+    assert len(os.listdir(out_dir / "snapshots")) == 2 * 9
+    kept = tmp_path / "kept.blwp"
+    states = [(f"snapshots/{{}}_{i:06d}", s) for i, s in enumerate(report.snapshots)]
+    for name, state in states + [("final_{}", report.final_state)]:
+        for field, values in (("u", state.u), ("v", state.v)):
+            assert values.grid.even
+            save_field_binary(to_full_grid(values), kept)
+            assert (out_dir / f"{name.format(field)}.blwp").read_bytes() == kept.read_bytes()
 
 
 def test_simulate_does_not_hold_its_snapshots(tmp_path, capsys):

@@ -95,6 +95,17 @@ def test_cosine_coefficients_are_the_full_grids_up_to_sign(dim):
     assert from_half_spectrum(out[1], half.grid).tobytes() == samples[1].tobytes()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_full_grid_buffer_takes_the_mirror(dim):
+    half = to_even_grid(_even_noise(dim, seed=dim))
+    buffer = np.full((16,) * dim, np.nan)
+    full = to_full_grid(half, buffer)
+    assert full.values is buffer and full.grid == replace(half.grid, even=False)
+    assert buffer.tobytes() == to_full_grid(half).values.tobytes()
+    with pytest.raises(ValueError, match="even grid"):
+        to_full_grid(full)
+
+
 def _irfft_cosine(a, grid, scale):
     """The reference for the matrix products: scale times numpy's irfft of
     length N of the N/2 + 1 values along each of an even grid's axes of a,
@@ -200,13 +211,56 @@ def test_an_even_run_matches_its_full_grid_run(monkeypatch, case, params, init, 
     if outcome is Outcome.BLOWUP_DETECTED:
         assert _relative_gap(even.estimate.t_star, full.estimate.t_star) <= rel
     assert len(even.snapshots) == len(full.snapshots) > 2
+    # the even run's states stay on its grid, and mirror to the full grid's
     for a, b in zip(even.snapshots + [even.final_state], full.snapshots + [full.final_state]):
-        assert a.grid == b.grid == grid and a.t == pytest.approx(b.t, rel=rel)
-        assert _relative_gap(a.u.values, b.u.values) <= rel
-        assert _relative_gap(a.v.values, b.v.values) <= rel
+        assert a.grid == replace(grid, even=True) and b.grid == grid
+        assert a.t == pytest.approx(b.t, rel=rel)
+        assert _relative_gap(to_full_grid(a.u).values, b.u.values) <= rel
+        assert _relative_gap(to_full_grid(a.v).values, b.v.values) <= rel
     # the first snapshot is the data, mirrored back bit for bit
-    assert even.snapshots[0].u.values.tobytes() == init.u0.values.tobytes()
-    assert even.snapshots[0].v.values.tobytes() == init.u1.values.tobytes()
+    assert to_full_grid(even.snapshots[0].u).values.tobytes() == init.u0.values.tobytes()
+    assert to_full_grid(even.snapshots[0].v).values.tobytes() == init.u1.values.tobytes()
+
+
+def _hook_cases():
+    g2, g3 = Grid(2, 32, 4.0), Grid(3, 16, 3.0)
+    return [
+        ("2d-fixed-linear", Params(n=2, p=2.0, beta=0.0, nonlinear=False),
+         make_initial_data(mode_data(g2, 0.5, 1), mode_data(g2, 0.5, 2)),
+         Controls(t_end=0.2, dt0=1e-2, tol=None)),
+        ("3d-adaptive-nonlinear", Params(n=3, p=2.0, beta=-1.0),
+         make_initial_data(bump_data(g3, 0.5, 0.0, 1.2), mode_data(g3, 0.3, 1)),
+         Controls(t_end=0.2, tol=1e-6)),
+    ]
+
+
+@pytest.mark.parametrize("case, params, init, controls", _hook_cases(),
+                         ids=[c[0] for c in _hook_cases()])
+def test_an_even_snapshot_transforms_v_only_when_read(monkeypatch, case, params, init, controls):
+    # a hook that reads only u makes the inverse transforms of a run without
+    # snapshots, and reading v adds one for each snapshot but the initial
+    # one, whose v is the data's samples
+    calls = []
+    inverse = stepper.from_half_spectrum
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "from_half_spectrum", spy)
+
+    def transforms(read):
+        hooked = controls if read is None else replace(controls, snapshot_every=1, on_snapshot=read)
+        calls.clear()
+        report = simulate(params, init, hooked)
+        assert report.solver_points == (init.u0.grid.points_per_axis // 2 + 1,) * params.n
+        return len(calls), report.accepted
+
+    seen = []
+    plain, accepted = transforms(None)
+    assert transforms(lambda state: seen.append(state.u.grid)) == (plain, accepted)
+    assert accepted >= 5 and seen == [replace(init.u0.grid, even=True)] * (accepted + 1)
+    assert transforms(lambda state: (state.u, state.v)) == (plain + accepted, accepted)
 
 
 def _uneven_cases():

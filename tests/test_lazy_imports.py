@@ -55,10 +55,18 @@ def test_simulate_loads_only_what_it_runs(tmp_path):
 
 
 def test_the_first_package_name_loads_the_whole_library():
+    # but not the process pool, which a sweep imports when it starts one
     loaded = _fresh("import blowuplab; blowuplab.Grid")
-    assert loaded == sorted(
-        ["blowuplab", "blowuplab.config", *(f"blowuplab.{m}" for m in LIBRARY), "concurrent.futures"]
+    assert loaded == sorted(["blowuplab", "blowuplab.config", *(f"blowuplab.{m}" for m in LIBRARY)])
+
+
+def test_a_sweep_on_two_workers_loads_the_pool():
+    run = (
+        "from blowuplab.sweep import SweepConfig, run_sweep\n"
+        "cfg = SweepConfig(amplitudes=(0.0, 0.5), points_per_axis=16, half_width=4.0, t_end=0.05)\n"
+        "assert len(run_sweep(cfg, workers=2)) == 2"
     )
+    assert "concurrent.futures" in _fresh(run)
 
 
 def test_star_import_and_dir_cover_every_public_name():

@@ -21,6 +21,7 @@ from blowuplab.grids import (
     l2_norm,
     linf_norm,
     parseval_weights,
+    to_full_grid,
 )
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
 from blowuplab.oracles import linear_mode_trajectory
@@ -526,9 +527,9 @@ def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
     # initial samples are not copied, the step factors live in the ring and
     # the ledger squares into one scratch: 18.17 coefficient arrays at
     # N = 4096, and the bound leaves about 0.3 of one; the 32^3 data are
-    # even and march on the 17^3 even grid's float64 coefficients, 2.48
-    # arrays, most of them the final state mirrored to the full grid (see
-    # the next test for the full grid)
+    # even and march on the 17^3 even grid's float64 coefficients, 1.37
+    # arrays, the final state on that grid among them (see the next test
+    # for the full grid)
     assert _fixed_run_peak(dim, points) <= bound
 
 
@@ -568,14 +569,15 @@ def test_a_large_even_block_is_squared_field_by_field(monkeypatch):
         want = np.array([getattr(r, column) for r in full.energy_trace])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), column
     for a, b in ((even.final_state.u, full.final_state.u), (even.final_state.v, full.final_state.v)):
+        a = to_full_grid(a)
         assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
 
 
 def test_a_hooked_fixed_run_holds_no_snapshot():
     # a hook that reads u and v and keeps nothing: no snapshot outlives its
     # hook, so the peak does not grow with their number (6.9 coefficient
-    # arrays for 6 or 31 snapshots on the full grid, 4.4 on the even grid
-    # these data march on, whose snapshots are mirrored to the full grid)
+    # arrays for 6 or 31 snapshots on the full grid, 1.5 on the even grid
+    # these data march on, where the snapshots stay)
     g = Grid(3, 32, 6.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
     init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))

@@ -1,9 +1,10 @@
+import concurrent.futures
 import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from blowuplab import stepper, sweep
+from blowuplab import stepper
 from blowuplab.config import build_grid, build_initial_data
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
@@ -102,7 +103,8 @@ def test_pool_is_capped_at_the_number_of_points(monkeypatch):
         sizes.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", pool)
+    # run_sweep imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     cfg = small_config()
     assert len(sweep_points(cfg)) == 2
     serial = run_sweep(cfg, workers=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from blowuplab.exponents import beta_threshold, conjugate_exponent, scaling_d
-from blowuplab.grids import Field, Grid, laplacian
+from blowuplab.grids import Field, Grid, laplacian, to_even_grid, to_full_grid
 from blowuplab.model import Params, bump_data, constant_data, damping_coeff
 from blowuplab.stepper import Controls, simulate
 from blowuplab.model import make_initial_data
@@ -597,6 +597,24 @@ def test_crosscheck_stacks_stay_small():
     spec = CutoffSpec(ell=6, eta=6, d=1.0, T=4.0)
     peak = _traced_peak(manufactured_crosscheck, Grid(1, 256, 8.0), params, spec, 2000)
     assert peak <= 5.0 * 2**20
+
+
+def test_weak_residual_reads_the_snapshots_of_an_even_run():
+    # a centred 2-D bump marches on the even grid, where its snapshots stay;
+    # the residual mirrors them, and is that of the mirrored trajectory
+    params = Params(n=2, p=2.0, beta=0.0)
+    spec = CutoffSpec(ell=6, eta=6, d=1.0, T=2.0)
+    grid = Grid(2, 32, 8.0)
+    init = make_initial_data(
+        bump_data(grid, 0.5, 0.0, 1.0), constant_data(grid, 0.0), compact_support=True
+    )
+    controls = Controls(t_end=2.0, dt0=0.05, tol=None, snapshot_every=1, boundary_check=False)
+    traj = [s.u for s in simulate(params, init, controls).snapshots]
+    assert traj[0].grid.even and len(traj) == 41
+    mirrored = [to_full_grid(f) for f in traj]
+    want = weak_residual(mirrored, init.u0, init.u1, spec, params, 2.0)
+    assert weak_residual(traj, init.u0, init.u1, spec, params, 2.0) == want
+    assert weak_residual(traj, to_even_grid(init.u0), init.u1, spec, params, 2.0) == want
 
 
 def test_weak_residual_of_2001_snapshots_stays_small():
