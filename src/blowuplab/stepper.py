@@ -14,8 +14,8 @@ unbounded in k.  Mode by mode, with b = b0 (1 + t + dt)^(-beta), `_imex` does
     v_hat <- (v_hat - dt k^2 u_hat + dt F[|u|^p]) / (1 + dt b k^2)
     u_hat <- u_hat + dt v_hat
 
-for `step` and for the marcher, whose linear steps cost a share of one
-inverse transform (see below) and nonlinear ones the transform pair of |u|^p.
+in the marcher, whose linear steps cost a share of one inverse transform
+(see below) and nonlinear ones the transform pair of |u|^p.
 
 An adaptive attempt of size H runs chains of 1, 2 and 3 Strang substeps from
 one state.  A substep of size h is half a step of each mode's exact damped
@@ -60,7 +60,7 @@ trapezoid sums and check the monitors, and the run ends at the first row
 that trips one.  A non-finite row is dropped, a row above u_max or with a
 contaminated shell is kept, and later rows are discarded, so the outcome,
 the ledger and the final state are those of checking every step.  An
-adaptive run, and `energy`, use blocks of one row.
+adaptive run uses blocks of one row.
 
 No run makes a `State` per step: the state between steps is one ledger
 row, (u_hat, v_hat) and F[|u|^p] with a source, plus its u samples, and
@@ -133,8 +133,6 @@ __all__ = [
     "Outcome",
     "RunReport",
     "Controls",
-    "step",
-    "energy",
     "simulate",
     "detect_blowup",
     "write_energy_csv",
@@ -155,12 +153,10 @@ DT_MIN = 1e-12
 
 # detect_blowup fits a line through the last FIT_POINTS samples above
 # RISE_FACTOR times the initial sup norm, and needs at least MIN_SAMPLES of
-# them; a run's fit below FIT_FLOOR whose estimate precedes its last sample
-# below u_max is no blow-up
+# them
 FIT_POINTS = 12
 RISE_FACTOR = 10.0
 MIN_SAMPLES = 8
-FIT_FLOOR = 0.95
 
 # exit codes used by the command-line front end
 EXIT_CODES = {
@@ -188,7 +184,6 @@ class State:
         self.grid = grid if grid is not None else (u if u_samples else v).grid
         self._u, self._u_hat = (u, None) if u_samples else (None, u)
         self._v, self._v_hat = (v, None) if v_samples else (None, v)
-        self._source = None  # (p, F[|u|^p]) once computed
 
     @property
     def u(self) -> Field:
@@ -213,12 +208,6 @@ class State:
         if self._v_hat is None:
             self._v_hat = half_spectrum(self._v.values, self.grid)
         return self._v_hat
-
-    def source_hat(self, p: float) -> np.ndarray:
-        """F[|u|^p], computed once per state and exponent."""
-        if self._source is None or self._source[0] != p:
-            self._source = (p, _source(self.u.values, self.grid, p))
-        return self._source[1]
 
     def _settle_v(self) -> None:
         """Own v apart from the solver's ring: its samples if they were
@@ -248,8 +237,7 @@ class BlowupEstimate:
     samples: how straight that curve is, not how accurate t_star is (at
     N = 512 t_star is 0.2-0.4 % low while fit_quality >= 1 - 1.1e-7, on the
     samples of sixth-order adaptive steps, about 150 to blow-up at tol
-    1e-6).  `simulate` keeps no estimate below FIT_FLOOR that precedes the
-    run's last sample below u_max: such a run ends NumericalInstability."""
+    1e-6)."""
 
     t_star: float
     fit_quality: float
@@ -342,17 +330,15 @@ def _imex(u, v, src, dtk2, den, dt, u_out=None, v_out=None) -> tuple:
     u_out = u + dt v_out, with dtk2 = dt |k|^2, den = 1 + dt b |k|^2 and
     src = F[|u|^p] or None.  The marcher passes factors that `_factors`
     built in the step's own outputs, den in u_out and dtk2 in v_out, which
-    the kernel reads before it overwrites them.  `step` passes functions
-    that build them when needed: it holds at most two new arrays at once,
-    and dt * src takes the second while the first holds v_out, so den
-    cannot exist before it.  v - x, not v + (-x), keeps signed zeros.
+    the kernel reads before it overwrites them.  v - x, not v + (-x),
+    keeps signed zeros.
     """
     # outputs passed by position, which numpy parses faster than out=
-    v_out = np.multiply(dtk2() if callable(dtk2) else dtk2, u, v_out)
+    v_out = np.multiply(dtk2, u, v_out)
     np.subtract(v, v_out, v_out)
     if src is not None:
         np.add(v_out, dt * src, v_out)
-    np.divide(v_out, den() if callable(den) else den, v_out)
+    np.divide(v_out, den, v_out)
     u_out = np.multiply(dt, v_out, u_out)
     np.add(u_out, u, u_out)
     return u_out, v_out
@@ -368,19 +354,6 @@ def _factors(dts: list, dtb: list, k2: np.ndarray, block: np.ndarray) -> None:
     np.multiply.outer(dts, k2, out=block[:, 1])
     np.multiply.outer(dtb, k2, out=block[:, 0])
     block[:, 0] += 1.0
-
-
-def step(state: State, params: Params, dt: float) -> State:
-    """One IMEX step of size dt from the given state."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    k2 = half_k_squared(state.grid)
-    b = damping_coeff(state.t + dt, params)
-    src = state.source_hat(params.p) if params.nonlinear else None
-    u_hat, v_hat = _imex(
-        state.u_hat, state.v_hat, src, lambda: dt * k2, lambda: 1.0 + (dt * b) * k2, dt
-    )
-    return State(state.t + dt, u_hat, v_hat, state.grid)
 
 
 def _block_rows(grid: Grid) -> int:
@@ -414,7 +387,7 @@ def _fields(state: State, params: Params) -> tuple:
     """A state's coefficients as a ledger row holds them: (u_hat, v_hat),
     and F[|u|^p] with a source."""
     if params.nonlinear:
-        return state.u_hat, state.v_hat, state.source_hat(params.p)
+        return state.u_hat, state.v_hat, _source(state.u.values, state.grid, params.p)
     return state.u_hat, state.v_hat
 
 
@@ -483,22 +456,6 @@ def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None)
     return table, samples
 
 
-def _state_row(state: State, params: Params) -> tuple:
-    """`_ledger_rows` of the one-row block of a state.  u's samples are the
-    state's when it holds them, which F[|u|^p] builds, or else come from a
-    transform that is not cached on the state."""
-    block = [_fields(state, params)]
-    u = state._u.values if state._u is not None else from_half_spectrum(state.u_hat, state.grid)
-    return _ledger_rows([state.t], block, state.grid, params, u[np.newaxis])
-
-
-def energy(state: State, params: Params, dissipated_cum: float = 0.0, work_cum: float = 0.0) -> EnergyRecord:
-    """Energy-ledger row for one state; the cumulative columns are passed in
-    because they belong to the run, not to the snapshot."""
-    t, kinetic, potential, linf, l2 = _state_row(state, params)[0][0][:5]
-    return EnergyRecord(t, kinetic, potential, dissipated_cum, work_cum, linf, l2)
-
-
 class _Ledger:
     """The energy ledger and monitors of one run.
 
@@ -519,13 +476,15 @@ class _Ledger:
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        table, samples = _state_row(state, params)
+        self.row = _fields(state, params)
+        u = state.u.values
+        table, samples = _ledger_rows([state.t], [self.row], self.grid, params, u[np.newaxis])
         t, kinetic, potential, linf, l2, g, w = table[0][:7]
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
         # views of the initial samples, which `final_state` copies
-        self.t, self.row = t, _fields(state, params)
-        self.u, self.v = state.u.values[...], state.v.values[...]
+        self.t = t
+        self.u, self.v = u[...], state.v.values[...]
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook, self.snapshots = controls.on_snapshot, None
@@ -865,10 +824,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     A linear run cannot blow up: its energy never grows.  When one turns
     non-finite or exceeds u_max, the outcome is NumericalInstability.  So
     is that of a nonlinear fixed-step run whose step amplifies a mode of
-    the linear part (`_imex_margin` above 0), and that of a nonlinear run
-    whose blow-up estimate precedes its own last sample below u_max with a
-    fit_quality below FIT_FLOOR: its sup norm grew, but not at the rate of
-    a blow-up (a fixed step above the CFL cap with weak damping, for one).
+    the linear part (`_imex_margin` above 0): its sup norm grows, but not
+    at the rate of a blow-up.
 
     2-D and 3-D data that are even in every axis march on the even grid of
     their samples on [0, L]^dim (`_solver_grid`), with the same steps,
@@ -911,11 +868,6 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
         estimate = _estimate_from_trace(ledger.trace, params)
-        # a crooked line that crosses zero before the run's own last sample
-        # below u_max fits no blow-up: the run grew some other way
-        below = next((r.t for r in reversed(ledger.trace) if r.linf <= controls.u_max), -math.inf)
-        if estimate and estimate.t_star < below and estimate.fit_quality < FIT_FLOOR:
-            outcome, estimate = Outcome.NUMERICAL_INSTABILITY, None
     return RunReport(
         outcome=outcome,
         t_stop=ledger.t,
@@ -940,20 +892,18 @@ def _estimate_from_trace(trace, params: Params):
         return None
 
 
-def detect_blowup(times, linfs, p: float, fit_points: int = FIT_POINTS):
+def detect_blowup(times, linfs, p: float):
     """Extrapolate a blow-up time from a sup-norm history.
 
     Near blow-up the source equation forces u ~ C (t* - t)^(-2/(p-1)), so
     w = linf^(-(p-1)/2) decays linearly; a least-squares line through the
-    last fit_points samples (restricted to linf above RISE_FACTOR times the
+    last FIT_POINTS samples (restricted to linf above RISE_FACTOR times the
     initial value) crosses zero at the estimate.  Returns None when w is not
     decreasing, i.e. no blow-up trend.  Raises ValueError with fewer than
-    MIN_SAMPLES qualifying samples, or with fit_points below 2, which fit no
-    line.  A history that turns non-finite has diverged, so where it gives
-    no estimate its last finite time is returned, with fit_quality 0.
+    MIN_SAMPLES qualifying samples.  A history that turns non-finite has
+    diverged, so where it gives no estimate its last finite time is
+    returned, with fit_quality 0.
     """
-    if fit_points < 2:
-        raise ValueError(f"fit_points must be at least 2, got {fit_points}")
     times = np.asarray(times, dtype=float)
     linfs = np.asarray(linfs, dtype=float)
     if times.shape != linfs.shape or times.ndim != 1:
@@ -968,7 +918,7 @@ def detect_blowup(times, linfs, p: float, fit_points: int = FIT_POINTS):
     eligible = np.nonzero(linfs > RISE_FACTOR * base)[0]
     slope = 0.0  # too few samples, or a w that does not fall: no blow-up trend
     if len(eligible) >= MIN_SAMPLES:
-        sel = eligible[-fit_points:]
+        sel = eligible[-FIT_POINTS:]
         t_fit = times[sel]
         w = linfs[sel] ** (-0.5 * (p - 1.0))
         if w[-1] < w[0]:

@@ -18,7 +18,7 @@ from blowuplab.exponents import (
 from blowuplab.grids import Field, Grid, constant_field
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data
 from blowuplab.oracles import linear_mode_trajectory
-from blowuplab.stepper import Controls, Outcome, State, simulate, step
+from blowuplab.stepper import Controls, Outcome, simulate
 from blowuplab.sweep import SweepConfig, run_sweep
 from blowuplab.weakform import (
     TERM_NAMES,
@@ -101,11 +101,11 @@ def test_criterion_4_linear_mode_order():
     oracle = linear_mode_trajectory(k, 0.0, 1.0, 1.0, 0.0, [0.0, 5.0])
     profile = np.cos(k * grid.axis())
     errors = []
+    init = make_initial_data(Field(grid, profile), constant_field(grid, 0.0))
     for dt in (1e-2, 5e-3, 2.5e-3):
-        state = State(0.0, Field(grid, profile.copy()), constant_field(grid, 0.0))
-        for _ in range(round(5.0 / dt)):
-            state = step(state, params, dt)
-        errors.append(float(np.abs(state.u.values - oracle.u[-1] * profile).max()))
+        report = simulate(params, init, Controls(t_end=5.0, dt0=dt, tol=None))
+        assert report.outcome is Outcome.COMPLETED_HORIZON
+        errors.append(float(np.abs(report.final_state.u.values - oracle.u[-1] * profile).max()))
     for coarse, fine in zip(errors, errors[1:]):
         order = math.log2(coarse / fine)
         assert 0.8 <= order <= 1.2, f"observed order {order:.3f}"

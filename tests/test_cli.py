@@ -243,9 +243,9 @@ def test_report_names_the_grid_the_solver_marched_on(tmp_path, capsys, argv, poi
 
 
 @pytest.mark.parametrize("dt0, code, outcome", [
-    # 3.2 times the CFL cap: the top modes grow until the sup norm passes
-    # u_max at t = 1.9, and the crooked fit's t* = 1.787 precedes the last
-    # sample below u_max, at t = 1.8
+    # 3.2 times the CFL cap: the step amplifies the top modes, its margin
+    # dt0^2 K - 2 dt0 b K - 4 is +21.3, so the sup norm's pass of u_max at
+    # t = 1.9 is no blow-up
     ("0.1", 40, "NumericalInstability"),
     # resolved: a straight fit, t* = 19.328 just before that sample
     ("0.01", 10, "BlowupDetected"),

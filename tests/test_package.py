@@ -24,7 +24,7 @@ EXPORTED = {
     ),
     "stepper": (
         "State", "EnergyRecord", "BlowupEstimate", "Outcome", "RunReport", "Controls",
-        "step", "simulate", "energy", "detect_blowup",
+        "simulate", "detect_blowup",
     ),
     "weakform": (
         "CutoffSpec", "cutoff", "cutoff_d1", "cutoff_d2",
@@ -40,7 +40,7 @@ EXPORTED = {
 REMOVED = (
     "helmholtz_solve", "gradient", "save_field_csv", "load_field_csv", "nonlinearity", "ScaleKind",
     "TermBundle", "Threshold", "SlopeFit", "default_cutoff_spec", "psi_parts",
-    "local_existence_bound",
+    "local_existence_bound", "step", "energy",
 )
 
 
