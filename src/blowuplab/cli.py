@@ -211,9 +211,8 @@ def cmd_simulate(argv) -> int:
     wall = time.monotonic() - t0
 
     write_energy_csv(report, os.path.join(out_dir, "energy_trace.csv"))
-    if report.final_state is not None:
-        save(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
-        save(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
+    save(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
+    save(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(
             {

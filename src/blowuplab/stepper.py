@@ -63,11 +63,12 @@ the ledger and the final state are those of checking every step.  An
 adaptive run uses blocks of one row.
 
 No run makes a `State` per step: the state between steps is one ledger
-row, (u_hat, v_hat) and F[|u|^p] with a source, plus its u samples, and
-both drivers continue from the last row `_Ledger` kept.  `_march` runs
-`_imex` through a ring of coefficient rows allocated once per run, a block
-of about LEDGER_BLOCK_BYTES at a time, and the ledger reads each block in
-place.  A nonlinear step builds its new row's samples and source at once,
+row, (u_hat, v_hat) and F[|u|^p] with a source, plus its u samples.
+`_Ledger` builds the first from the data, which it refuses when that row
+is not finite, and both drivers continue from the last row it kept.
+`_march` runs `_imex` through a ring of coefficient rows allocated once
+per run, a block of about LEDGER_BLOCK_BYTES at a time, and the ledger
+reads each block in place.  A nonlinear step builds its new row's samples and source at once,
 and samples that pass u_max, or are not finite, end the block there, so
 that no step is taken past a trip.  A block's step factors are built in
 the ring rows its steps then overwrite.  So a fixed-step run holds its
@@ -100,9 +101,10 @@ views its block's samples (or the initial data), which no later step
 writes, and the v coefficients view the ring while the hook runs and are
 copied when it returns with v unread and the snapshot still referenced.
 The solver does not hold a hooked snapshot: one the hook lets go is freed
-when it returns, and the final state is built from the last row.  A run
-that keeps its snapshots reuses the samples of the last one for the final
-state when that snapshot is of the final state.
+when it returns.  The final state is the last snapshot when the run keeps
+its snapshots and that one is of the last row kept; else it is built from
+that row, u's samples and a copy of v's coefficients, again transformed
+only when read.
 """
 
 import math
@@ -169,50 +171,27 @@ EXIT_CODES = {
 
 
 class State:
-    """The solution (u, v) at time t.
+    """The solution (u, v) at time t, on u's grid: u a `Field` of samples,
+    v a `Field` or its `half_spectrum` coefficients, which the first read
+    of `v` transforms and drops."""
 
-    Each field is given as a `Field` of samples or as its `half_spectrum`
-    coefficients, which need the grid.  `u`, `v`, `u_hat` and `v_hat` each
-    build their representation from the other on first use and keep it.
-    """
-
-    def __init__(self, t: float, u, v, grid: Grid | None = None):
-        u_samples, v_samples = isinstance(u, Field), isinstance(v, Field)
-        if u_samples and v_samples and u.grid != v.grid:
+    def __init__(self, t: float, u: Field, v):
+        if isinstance(v, Field) and v.grid != u.grid:
             raise ValueError("u and v live on different grids")
-        self.t = t
-        self.grid = grid if grid is not None else (u if u_samples else v).grid
-        self._u, self._u_hat = (u, None) if u_samples else (None, u)
-        self._v, self._v_hat = (v, None) if v_samples else (None, v)
-
-    @property
-    def u(self) -> Field:
-        if self._u is None:
-            self._u = Field(self.grid, from_half_spectrum(self._u_hat, self.grid))
-        return self._u
+        self.t, self.u, self.grid = t, u, u.grid
+        self._v = v
 
     @property
     def v(self) -> Field:
-        if self._v is None:
-            self._v = Field(self.grid, from_half_spectrum(self._v_hat, self.grid))
+        if not isinstance(self._v, Field):
+            self._v = Field(self.grid, from_half_spectrum(self._v, self.grid))
         return self._v
 
-    @property
-    def u_hat(self) -> np.ndarray:
-        if self._u_hat is None:
-            self._u_hat = half_spectrum(self._u.values, self.grid)
-        return self._u_hat
-
-    @property
-    def v_hat(self) -> np.ndarray:
-        if self._v_hat is None:
-            self._v_hat = half_spectrum(self._v.values, self.grid)
-        return self._v_hat
-
     def _settle_v(self) -> None:
-        """Own v apart from the solver's ring: its samples if they were
-        read, else a copy of its coefficients."""
-        self._v_hat = None if self._v is not None else self._v_hat.copy()
+        """Own v apart from the solver's ring: copy its coefficients if
+        they were never read."""
+        if not isinstance(self._v, Field):
+            self._v = self._v.copy()
 
 
 @dataclass
@@ -265,9 +244,9 @@ class RunReport:
     outcome: Outcome
     t_stop: float
     energy_trace: list
+    final_state: State
     estimate: BlowupEstimate | None = None
     snapshots: list | None = None
-    final_state: "State | None" = None
     accepted: int = 0
     rejected: int = 0
     dt_min: float | None = None
@@ -311,8 +290,8 @@ class Controls:
     on_snapshot: Callable[[State], None] | None = None
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if not self.dt0 >= DT_MIN:
             raise ValueError(f"dt0 must be at least the step floor DT_MIN = {DT_MIN}, got {self.dt0}")
         if not self.u_max > 0:
@@ -383,14 +362,6 @@ def _sup(x: np.ndarray) -> np.ndarray:
     return np.abs(np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
-def _fields(state: State, params: Params) -> tuple:
-    """A state's coefficients as a ledger row holds them: (u_hat, v_hat),
-    and F[|u|^p] with a source."""
-    if params.nonlinear:
-        return state.u_hat, state.v_hat, _source(state.u.values, state.grid, params.p)
-    return state.u_hat, state.v_hat
-
-
 def _columns(coeffs: np.ndarray) -> np.ndarray:
     """Coefficients as a (size, 1) column of float64, or complex ones as a
     (size, 2) array of (re, im) pairs."""
@@ -400,9 +371,10 @@ def _columns(coeffs: np.ndarray) -> np.ndarray:
 def _ledger_rows(t, block, grid: Grid, params: Params, samples=None, shell=None) -> tuple:
     """The ledger of a block of rows, computed with array operations.
 
-    Row j is the state at time t[j] whose `_fields` are block[j] and whose u
-    samples are samples[j]; without samples, they come from one stacked
-    inverse transform of block[:, 0].  The quadratic sums read a block
+    Row j is the state at time t[j] whose coefficients are block[j],
+    (u_hat, v_hat) and F[|u|^p] with a source, and whose u samples are
+    samples[j]; without samples, they come from one stacked inverse
+    transform of block[:, 0].  The quadratic sums read a block
     array in place and hold one scratch of at most LEDGER_BLOCK_BYTES or
     one field.  Returns one tuple per row, (t, kinetic, potential, linf,
     l2, dissipation rate b int |grad v|^2, work rate int |u|^p v, whether
@@ -463,28 +435,34 @@ class _Ledger:
     them in order as a per-step check would: it extends the trapezoid sums,
     records the row, its step size and its snapshot, and stops at the first
     row that trips a monitor.  The run continues from the last row kept: its
-    time `t`, its `_fields` `row`, and its u samples `u` where the driver
-    built them, else None; `v` holds the initial v samples until a step is
-    kept.  Every snapshot goes through `snapshot`, and the snapshots and
-    the final state are on the grid the run marches on.
+    time `t`, its `row` of coefficients as `_ledger_rows` takes them, and
+    its u samples `u` where the driver built them, else None; `v` holds the
+    initial v samples until a step is kept.  The initial row, at t = 0, is
+    the `half_spectrum` of the data u and v, and their source with one.
+    Every snapshot goes through `snapshot`, and the snapshots and the final
+    state are on the grid the run marches on, u's.
     """
 
-    def __init__(self, state: State, params: Params, controls: Controls, shell):
+    def __init__(self, u: Field, v: Field, params: Params, controls: Controls, shell):
         self.params, self.controls, self.shell = params, controls, shell
-        self.grid = state.grid
+        grid = self.grid = u.grid
         # a linear run cannot blow up, so its divergence is numerical
         self.diverged = (
             Outcome.BLOWUP_DETECTED if params.nonlinear else Outcome.NUMERICAL_INSTABILITY
         )
-        self.row = _fields(state, params)
-        u = state.u.values
-        table, samples = _ledger_rows([state.t], [self.row], self.grid, params, u[np.newaxis])
-        t, kinetic, potential, linf, l2, g, w = table[0][:7]
+        values = u.values
+        self.row = (half_spectrum(values, grid), half_spectrum(v.values, grid))
+        if params.nonlinear:
+            self.row += (_source(values, grid, params.p),)
+        table, samples = _ledger_rows([0.0], [self.row], grid, params, values[np.newaxis])
+        t, kinetic, potential, linf, l2, g, w, finite = table[0][:8]
+        if not finite:
+            raise ValueError("the initial data, or their coefficients, are not finite")
         self.trace = [EnergyRecord(t, kinetic, potential, 0.0, 0.0, linf, l2)]
         self.rates = g, w
         # views of the initial samples, which `final_state` copies
         self.t = t
-        self.u, self.v = u[...], state.v.values[...]
+        self.u, self.v = values[...], v.values[...]
         self.accepted = 0
         self.dt_lo, self.dt_hi = math.inf, 0.0
         self.hook, self.snapshots = controls.on_snapshot, None
@@ -494,7 +472,7 @@ class _Ledger:
             self.hook = self.snapshots.append
         self.last = None  # the kept snapshot of the last row kept, if it has one
         if controls.snapshot_every:
-            self.snapshot(t, samples[0], state.v)
+            self.snapshot(t, samples[0], v)
 
     def flush(self, t, dts, block, samples=None) -> "Outcome | None":
         """Compute and check the rows of a block, as `_ledger_rows` takes
@@ -559,20 +537,19 @@ class _Ledger:
             self.last = self.snapshots[-1]
 
     def final_state(self) -> State:
-        """The last row kept as a state of samples: those of its snapshot
-        when the ledger keeps one of that row, else those the ledger holds
-        or, failing them, ones built from the row; a hooked run's snapshots
-        are the hook's.  Samples that view a ledger block or the initial
-        data are copied, so that the result holds neither.  The state is
-        on the solver's grid."""
+        """The last row kept as a state: its snapshot when the ledger keeps
+        one of that row (a hooked run's snapshots are the hook's), else a
+        copy of the u samples the ledger holds or, failing them, those
+        built from the row, and a copy of the initial v samples or of the
+        row's v coefficients, transformed when read.  So the result views
+        neither a ledger block nor the initial data, and a v never read is
+        never transformed.  The state is on the solver's grid."""
         if self.last is not None:
-            u, v = self.last.u, self.last.v
-        else:
-            grid = self.grid
-            u = Field(grid, from_half_spectrum(self.row[0], grid) if self.u is None else self.u)
-            v = Field(grid, from_half_spectrum(self.row[1], grid) if self.v is None else self.v)
-        own = [f if f.values.flags.owndata else f.copy() for f in (u, v)]
-        return State(self.t, *own)
+            return self.last
+        grid = self.grid
+        u = from_half_spectrum(self.row[0], grid) if self.u is None else self.u.copy()
+        v = self.row[1].copy() if self.v is None else Field(grid, self.v.copy())
+        return State(self.t, Field(grid, u), v)
 
 
 def _half_flows(halves: list, bs: list, k2: np.ndarray) -> np.ndarray:
@@ -623,9 +600,9 @@ def _flow(flows: np.ndarray, y: np.ndarray) -> None:
 
 def _extrapolated_step(t: float, row, grid: Grid, params: Params, dt: float) -> tuple:
     """One adaptive attempt of size dt from the state at time t whose
-    `_fields` are row (see the module docstring): the (u_hat, v_hat) stack
-    at t + dt, its u samples and the relative error, or None and inf when
-    the attempt is not finite.  The chains advance in place in one buffer.
+    ledger row is row, of which it reads (u_hat, v_hat): the (u_hat, v_hat)
+    stack at t + dt, its u samples and the relative error, or None and inf
+    when the attempt is not finite.  The chains advance in place in one buffer.
     With constant damping each chain's half-steps share one flow, built
     once; else each half-step's flows are built as it starts, so that an
     attempt holds one set at a time.  T[2,2] overwrites T[1,1], T[3,2]
@@ -724,10 +701,10 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
 
 def _march(ledger: _Ledger, params: Params, controls: Controls) -> "Outcome | None":
     """The fixed-step run from the ledger's last row: its outcome, or None
-    at the horizon.  The ring is two halves of `_block_rows` rows of
-    `_fields`; a block fills the half its start row is not in, so that the
-    ledger reads it as one array and a dropped first row leaves the last
-    row kept intact."""
+    at the horizon.  The ring is two halves of `_block_rows` ledger rows;
+    a block fills the half its start row is not in, so that the ledger
+    reads it as one array and a dropped first row leaves the last row kept
+    intact."""
     grid = ledger.grid
     k2 = half_k_squared(grid)
     block_rows = _block_rows(grid)
@@ -831,6 +808,9 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     their samples on [0, L]^dim (`_solver_grid`), with the same steps,
     ledger and monitors, and their snapshots and final state are on that
     grid too.
+
+    Data with a sample, or a coefficient, that is not finite raise
+    ValueError before any step.
     """
     grid = init.u0.grid
     if init.u1.grid != grid:
@@ -852,7 +832,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     unstable = controls.tol is None and _imex_margin(solver, params, controls) > 0
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
-        ledger = _Ledger(State(0.0, *fields), params, controls, shell)
+        ledger = _Ledger(*fields, params, controls, shell)
         # the ledger holds the initial samples until it keeps a step, and a
         # caller that hands init over lets them go then, or at once on an
         # even grid

@@ -201,6 +201,11 @@ def test_controls_validation():
         Controls(t_end=1.0, tol=0.0)
     with pytest.raises(ValueError, match="snapshot_every"):
         Controls(t_end=1.0, on_snapshot=print)
+    # an infinite horizon gave a fixed run an OverflowError from its step
+    # count and an adaptive linear run no end
+    for t_end, tol in ((math.inf, None), (math.inf, 1e-6), (math.nan, None)):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            Controls(t_end=t_end, tol=tol)
 
 
 def test_exit_codes():
@@ -393,6 +398,22 @@ def test_a_run_that_keeps_no_step_returns_its_initial_data(tol, init, outcome):
     assert final.v.values.tobytes() == init.u1.values.tobytes()
 
 
+@pytest.mark.parametrize("nonlinear", [False, True])
+@pytest.mark.parametrize("tol", [None, 1e-6], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_data_are_refused(bad, tol, nonlinear):
+    # one bad velocity sample once ended a fixed nonlinear run BlowupDetected
+    # at t = 0, a fixed linear one NumericalInstability and an adaptive one
+    # StepFloorReached after 34 rejected attempts
+    g = Grid(1, 64, 8.0)
+    u1 = bump_data(g, 1.0).values.copy()
+    u1[20] = bad
+    init = make_initial_data(bump_data(g, 1.0), Field(g, u1))
+    params = Params(n=1, p=2.0, beta=0.0, nonlinear=nonlinear)
+    with pytest.raises(ValueError, match="not finite"):
+        simulate(params, init, Controls(t_end=1.0, dt0=1e-2, tol=tol))
+
+
 def test_fixed_step_time_comes_from_step_index():
     # 10 / 2.5e-4 is 40000 in exact arithmetic; accumulating t in floating
     # point used to leave a 6e-13 sliver step and a near-duplicate row
@@ -430,7 +451,7 @@ def test_spectral_ledger_matches_public_functions(params, init, controls):
     assert report.outcome is Outcome.COMPLETED_HORIZON
     last = report.energy_trace[-1]
     final = report.final_state
-    again = _energy(final, params)
+    again = _energy(final.t, final.u, _row(final.u, final.v), params)
     for name, value in zip(("t", "kinetic", "potential", "linf", "l2"), again):
         assert getattr(last, name) == pytest.approx(value, rel=1e-12, abs=0.0)
     # and against the sample-space quadratures
@@ -471,8 +492,7 @@ def test_a_marched_step_writes_in_place(nonlinear):
     # the kernel writes the new row over its factors: only dt * src, with a
     # source, is a new coefficient array
     g = Grid(3, 32, 6.0)
-    state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
-    u, v = state.u_hat, state.v_hat
+    u, v = _row(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
     src = u.copy() if nonlinear else None
     row = np.empty((2,) + u.shape, u.dtype)
     stepper._factors([1e-2], [1e-2], half_k_squared(g), row[np.newaxis])
@@ -622,59 +642,53 @@ def test_half_flows_hold_at_k_zero_and_critical_damping():
         assert (np.abs(got - want).max(axis=(1, 2)) <= 1e-13 * np.abs(want).max(axis=(1, 2))).all()
 
 
-def _reference_attempt(state, params, dt):
+def _reference_attempt(t, row, grid, params, dt):
     """An adaptive attempt as the module docstring defines it: Strang chains
-    of 1, 2 and 3 substeps from the state, each a half-step of the linear
-    flow with b at its midpoint, a kick by the source and another half-step;
-    Aitken-Neville in h^2 on their coefficients; and the relative sup-norm
-    gap between T[3,3] and T[3,2].  Returns T[3,3] as (u_hat, v_hat) and
-    the gap."""
-    grid, shape = state.grid, state.u_hat.shape
+    of 1, 2 and 3 substeps from the state at time t of coefficients
+    row = (u_hat, v_hat), each a half-step of the linear flow with b at its
+    midpoint, a kick by the source and another half-step; Aitken-Neville in
+    h^2 on their coefficients; and the relative sup-norm gap between T[3,3]
+    and T[3,2].  Returns T[3,3] as (u_hat, v_hat) and the gap."""
+    shape = row[0].shape
     k2 = half_k_squared(grid).ravel()
     table = []
     for j, n in enumerate((1, 2, 3)):
         h = dt / n
-        y = np.stack((state.u_hat.ravel(), state.v_hat.ravel()), axis=-1)
+        y = np.stack((row[0].ravel(), row[1].ravel()), axis=-1)
         for i in range(n):
             for at in (0.25, 0.75):
-                flow = _mode_flows(k2, 0.5 * h, stepper.damping_coeff(state.t + (i + at) * h, params))
+                flow = _mode_flows(k2, 0.5 * h, stepper.damping_coeff(t + (i + at) * h, params))
                 y = np.einsum("mij,mj->mi", flow, y)
                 if at == 0.25 and params.nonlinear:
                     u = from_half_spectrum(y[:, 0].reshape(shape), grid)
                     y[:, 1] += h * half_spectrum(np.abs(u) ** params.p, grid).ravel()
-        row = [np.stack((y[:, 0].reshape(shape), y[:, 1].reshape(shape)))]
+        entries = [np.stack((y[:, 0].reshape(shape), y[:, 1].reshape(shape)))]
         for k in range(1, j + 1):
             ratio = (n / (j - k + 1)) ** 2 - 1.0
-            row.append(row[k - 1] + (row[k - 1] - table[j - 1][k - 1]) / ratio)
-        table.append(row)
+            entries.append(entries[k - 1] + (entries[k - 1] - table[j - 1][k - 1]) / ratio)
+        table.append(entries)
     high, low = table[2][2], table[2][1]
     hu, hv, lu, lv = from_half_spectrum(np.concatenate((high, low)), grid)
     scale = max(np.abs(hu).max(), np.abs(hv).max(), 1e-30)
     return high, max(np.abs(hu - lu).max(), np.abs(hv - lv).max()) / scale
 
 
-def _attempt(state, params, dt):
-    """An adaptive attempt from the state's ledger row: the new (u_hat,
-    v_hat), their u samples and the error."""
-    return stepper._extrapolated_step(state.t, stepper._fields(state, params), state.grid,
-                                      params, dt)
+def _row(*fields):
+    """The `half_spectrum` coefficients of sample fields, as a ledger row
+    holds them."""
+    return tuple(half_spectrum(f.values, f.grid) for f in fields)
 
 
-def _row_state(t, row, grid):
-    """The state whose ledger row is row, as an attempt starts from it."""
-    return State(t, row[0], row[1], grid)
-
-
-def _assert_attempt_is_the_reference(state, params, dt, attempt):
+def _assert_attempt_is_the_reference(t, row, grid, params, dt, attempt):
     (u_hat, v_hat), u, err = attempt
-    high, gap = _reference_attempt(state, params, dt)
+    high, gap = _reference_attempt(t, row, grid, params, dt)
     scale = np.abs(high).max()
     assert np.abs(u_hat - high[0]).max() <= 1e-12 * scale
     assert np.abs(v_hat - high[1]).max() <= 1e-12 * scale
     # a gap between orders six and four, of nearly equal results
     assert err == pytest.approx(gap, rel=1e-6, abs=1e-13)
     # the samples the monitors read are those of the coefficients
-    assert u.tobytes() == from_half_spectrum(u_hat, state.grid).tobytes()
+    assert u.tobytes() == from_half_spectrum(u_hat, grid).tobytes()
 
 
 def _attempt_cases():
@@ -686,18 +700,19 @@ def _attempt_cases():
             # beta = -1: b grows inside an attempt, so each half-step's b counts
             params = Params(n=dim, p=3.0 if dim == 2 else 2.0, beta=-1.0, b0=0.8,
                             nonlinear=nonlinear)
-            cases.append(pytest.param(params, State(0.3, u0, u1), id=f"{dim}d-{nonlinear}"))
+            cases.append(pytest.param(params, g, 0.3, _row(u0, u1), id=f"{dim}d-{nonlinear}"))
     return cases
 
 
-@pytest.mark.parametrize("params, state", _attempt_cases())
-def test_attempt_equals_aitken_neville_of_public_step_chains(params, state):
+@pytest.mark.parametrize("params, grid, t, row", _attempt_cases())
+def test_attempt_equals_aitken_neville_of_public_step_chains(params, grid, t, row):
     for dt in (0.05, 1e-2 / 3):
-        attempt = _attempt(state, params, dt)
-        _assert_attempt_is_the_reference(state, params, dt, attempt)
+        attempt = stepper._extrapolated_step(t, row, grid, params, dt)
+        _assert_attempt_is_the_reference(t, row, grid, params, dt, attempt)
     # and again from the accepted state, whose coefficients view its stack
-    new = State(state.t + dt, *attempt[0], state.grid)
-    _assert_attempt_is_the_reference(new, params, 0.02, _attempt(new, params, 0.02))
+    t, new = t + dt, attempt[0]
+    again = stepper._extrapolated_step(t, new, grid, params, 0.02)
+    _assert_attempt_is_the_reference(t, new, grid, params, 0.02, again)
 
 
 def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
@@ -708,7 +723,7 @@ def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
     starts = []
     for (t, row, grid, _, dt), attempt in calls:
         # each attempt is Aitken-Neville over Strang chains
-        _assert_attempt_is_the_reference(_row_state(t, row, grid), params, dt, attempt)
+        _assert_attempt_is_the_reference(t, row, grid, params, dt, attempt)
         starts.append((t, row))
     # a rejected attempt is retried from the same row and adds no ledger row
     rejected = sum(a is b for (_, a), (_, b) in zip(starts, starts[1:]))
@@ -726,15 +741,15 @@ def test_adaptive_attempt_extrapolates_three_chains_of_step(monkeypatch):
 def test_an_adaptive_attempt_holds_at_most_26_coefficient_arrays(nonlinear):
     g = Grid(3, 32, 6.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=nonlinear)
-    state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
-    _attempt(state, params, 1e-2)  # the state's row and caches
+    row = _row(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    stepper._extrapolated_step(0.0, row, g, params, 1e-2)  # the grid's caches
     tracemalloc.start()
     try:
-        _attempt(state, params, 1e-2)
+        stepper._extrapolated_step(0.0, row, g, params, 1e-2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26.0 * state.u_hat.nbytes
+    assert peak <= 26.0 * row[0].nbytes
 
 
 def test_extrapolated_attempt_is_sixth_order():
@@ -749,8 +764,8 @@ def test_extrapolated_attempt_is_sixth_order():
     errors = []
     for dt in (0.1, 0.05, 0.025):
         u, v = exact(t0)
-        start = State(t0, constant_field(g, u), constant_field(g, v))
-        (_, v_hat), u, _ = _attempt(start, params, dt)
+        start = _row(constant_field(g, u), constant_field(g, v))
+        (_, v_hat), u, _ = stepper._extrapolated_step(t0, start, g, params, dt)
         u_end, v_end = exact(t0 + dt)
         v = from_half_spectrum(v_hat, g)
         errors.append(max(np.abs(u - u_end).max(), np.abs(v - v_end).max()))
@@ -809,8 +824,8 @@ def test_stable_step_keeps_every_mode_from_growing(b0):
     for beta in (0.0, -1.0, -3.0):
         params = Params(n=1, p=2.0, beta=beta, b0=b0, nonlinear=False)
         for t in (0.0, 5.0):
-            from_u = _attempt(State(t, ones, zeros, g), params, dt)[0]
-            from_v = _attempt(State(t, zeros, ones, g), params, dt)[0]
+            from_u = stepper._extrapolated_step(t, (ones, zeros), g, params, dt)[0]
+            from_v = stepper._extrapolated_step(t, (zeros, ones), g, params, dt)[0]
             amp = np.moveaxis(np.array([[from_u[0], from_v[0]], [from_u[1], from_v[1]]]), -1, 0)
             assert np.abs(np.linalg.eigvals(amp)).max() <= 1.0 + 1e-12
 
@@ -984,44 +999,52 @@ def test_ledger_of_a_criterion_2_run_matches_energy_of_the_final_state():
     params = Params(n=1, p=2.0, beta=0.0, b0=1.0, nonlinear=False)
     report = simulate(params, init, Controls(t_end=1.0, dt0=5e-4, tol=None))
     last = report.energy_trace[-1]
-    again = _energy(report.final_state, params)
+    final = report.final_state
+    again = _energy(final.t, final.u, _row(final.u, final.v), params)
     for name, value in zip(("t", "kinetic", "potential", "linf", "l2"), again):
         assert getattr(last, name) == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
-def _energy(state, params):
-    """(t, kinetic, potential, linf, l2) of one state, as the ledger
-    computes a block of that one row."""
-    row = stepper._fields(state, params)
-    table, _ = stepper._ledger_rows([state.t], [row], state.grid, params, state.u.values[np.newaxis])
+def _energy(t, u, row, params):
+    """(t, kinetic, potential, linf, l2) of the state at time t of u samples
+    u and coefficients row = (u_hat, v_hat), as the ledger computes a block
+    of that one row."""
+    if params.nonlinear:
+        row = (*row, stepper._source(u.values, u.grid, params.p))
+    table, _ = stepper._ledger_rows([t], [row], u.grid, params, u.values[np.newaxis])
     return table[0][:5]
 
 
-def _reference_step(state, params, dt):
-    """One IMEX step of size dt from the state, written out in numpy on its
-    `half_spectrum` coefficients apart from the solver's kernel:
-    v' = (v - dt k^2 u + dt F[|u|^p]) / (1 + dt b k^2), with b at the
-    step's end, and u' = u + dt v'."""
-    grid = state.grid
+def _reference_step(t, row, u, params, dt):
+    """One IMEX step of size dt from the state at time t of coefficients
+    row = (u_hat, v_hat) and u samples u, written out in numpy apart from
+    the solver's kernel: v' = (v - dt k^2 u + dt F[|u|^p]) / (1 + dt b k^2),
+    with b at the step's end, and u' = u + dt v'.  Returns (u', v')."""
+    grid = u.grid
     k2 = half_k_squared(grid)
-    b = stepper.damping_coeff(state.t + dt, params)
-    rhs = state.v_hat - dt * k2 * state.u_hat
+    b = stepper.damping_coeff(t + dt, params)
+    u_hat, v_hat = row
+    rhs = v_hat - dt * k2 * u_hat
     if params.nonlinear:
-        rhs = rhs + dt * half_spectrum(np.abs(state.u.values) ** params.p, grid)
+        rhs = rhs + dt * half_spectrum(np.abs(u.values) ** params.p, grid)
     v_hat = rhs / (1.0 + (dt * b) * k2)
-    return State(state.t + dt, state.u_hat + dt * v_hat, v_hat, grid)
+    return u_hat + dt * v_hat, v_hat
 
 
 def _reference_states(params, init, controls):
     """The states of a fixed-step run as a loop of `_reference_step` on
-    the run's time grid: the initial state, then one per step."""
-    states = [State(0.0, init.u0.copy(), init.u1.copy())]
+    the run's time grid, the initial state and then one per step: each a
+    `State`, u samples and v coefficients after the first, with its
+    (u_hat, v_hat)."""
+    grid = init.u0.grid
+    u, v = init.u0.copy(), init.u1.copy()
+    states = [(State(0.0, u, v), _row(u, v))]
     steps = max(1, math.ceil(controls.t_end / controls.dt0 - 1e-9))
     for n in range(1, steps + 1):
         t_new = controls.t_end if n == steps else n * controls.dt0
-        new = _reference_step(states[-1], params, t_new - states[-1].t)
-        new.t = t_new
-        states.append(new)
+        state, row = states[-1]
+        row = _reference_step(state.t, row, state.u, params, t_new - state.t)
+        states.append((State(t_new, Field(grid, from_half_spectrum(row[0], grid)), row[1]), row))
     return states
 
 
@@ -1057,8 +1080,10 @@ def test_fixed_run_equals_a_loop_of_public_steps(monkeypatch, params, init, cont
     assert report.outcome is Outcome.COMPLETED_HORIZON
     assert len(report.energy_trace) == len(states) == report.accepted + 1
     rates = []
-    for row, state in zip(report.energy_trace, states):
-        assert (row.t, row.kinetic, row.potential, row.linf, row.l2) == _energy(state, params)
+    for row, (state, coeffs) in zip(report.energy_trace, states):
+        assert (row.t, row.kinetic, row.potential, row.linf, row.l2) == _energy(
+            state.t, state.u, coeffs, params
+        )
         source = np.abs(state.u.values) ** params.p if params.nonlinear else 0.0
         rates.append((
             stepper.damping_coeff(state.t, params) * grad_sq_integral(state.v),
@@ -1066,6 +1091,7 @@ def test_fixed_run_equals_a_loop_of_public_steps(monkeypatch, params, init, cont
         ))
     # the cumulative columns are trapezoid sums of Parseval sums, which no
     # public function returns; the sample-space quadratures agree closely
+    states = [state for state, _ in states]
     dissipated = work = 0.0
     for row, state, prev, (g, w), (g0, w0) in zip(
         report.energy_trace[1:], states[1:], states, rates[1:], rates
@@ -1091,14 +1117,14 @@ def test_kept_snapshots_build_v_when_read(tol, every):
     kept = simulate(params, init, controls).snapshots
     assert len(kept) > 5
     later = kept[1:-1]  # the initial state has v samples; the last is the final state's
-    assert all(s._v is None for s in later)
+    assert not any(isinstance(s._v, Field) for s in later)
     for s in kept:
         assert s.u.values.flags.owndata
-        assert s._v_hat is None or s._v_hat.flags.owndata
+        assert isinstance(s._v, Field) or s._v.flags.owndata
     handed = []  # v as a hook reads it while the solver runs
     simulate(params, init, replace(controls, on_snapshot=lambda s: handed.append(s.v)))
     assert [v.values.tobytes() for v in handed] == [s.v.values.tobytes() for s in kept]
-    assert all(s._v is not None for s in later)
+    assert all(isinstance(s._v, Field) for s in later)
     # a hook that reads v only after the run gets the same bytes
     _, seen = _streamed_run(params, init, controls)
     _assert_same_snapshots(seen, kept)
@@ -1128,9 +1154,9 @@ def test_a_kept_snapshot_copies_each_field_once():
     # and one of the v coefficients, and no second state holds another
     g = Grid(3, 32, 6.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
-    state = State(0.0, bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    u0, u1 = bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5)
     controls = Controls(t_end=1.0, tol=None, snapshot_every=1, boundary_check=False)
-    ledger = stepper._Ledger(state, params, controls, None)
+    ledger = stepper._Ledger(u0, u1, params, controls, None)
     u, v_hat = np.zeros(g.shape), np.zeros(half_k_squared(g).shape, complex)
     tracemalloc.start()
     try:
@@ -1142,9 +1168,9 @@ def test_a_kept_snapshot_copies_each_field_once():
     assert held <= 1.1 * (u.nbytes + v_hat.nbytes)
     kept = ledger.snapshots[-1]
     assert kept is ledger.last and kept.t == 0.5
-    assert not np.shares_memory(kept.u.values, u) and not np.shares_memory(kept._v_hat, v_hat)
-    # the final state, of the last snapshot's row, reuses its samples
-    assert ledger.final_state().u.values is kept.u.values
+    assert not np.shares_memory(kept.u.values, u) and not np.shares_memory(kept._v, v_hat)
+    # the final state, of the last snapshot's row, is that snapshot
+    assert ledger.final_state() is kept
 
 
 @pytest.mark.parametrize("tol", [None, 1e-6])
@@ -1174,7 +1200,7 @@ def test_a_snapshot_the_hook_lets_go_copies_nothing(monkeypatch, tol):
     simulate(params, init, replace(controls, on_snapshot=keep_every_third))
     assert len(handed) == len(every) > 10 and len(kept) == len(every[::3])
     assert [id(s) for s in settled] == [id(s) for s in kept]
-    assert all(s._v is not None or s._v_hat.flags.owndata for s in kept)
+    assert all(isinstance(s._v, Field) or s._v.flags.owndata for s in kept)
     _assert_same_snapshots(kept, every[::3])
 
 
@@ -1196,3 +1222,42 @@ def test_a_non_finite_attempt_is_retried_at_half_the_size(monkeypatch):
     final = report.final_state
     assert final.u.values.tobytes() == init.u0.values.tobytes()
     assert final.v.values.tobytes() == init.u1.values.tobytes()
+
+
+def test_a_final_v_never_read_is_never_transformed(monkeypatch):
+    # a linear fixed run without snapshots holds no samples of its last
+    # row: the final state transforms u and keeps a copy of the v
+    # coefficients, which its first read transforms to the bytes that a
+    # hook reading v from the ring gets
+    g = Grid(1, 256, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, nonlinear=False)
+    init = make_initial_data(bump_data(g, 1.0), bump_data(g, 0.5, 0.3, 1.5))
+    controls = Controls(t_end=0.1, dt0=1e-2, tol=None, boundary_check=False)
+    read = []
+    hooked = replace(controls, snapshot_every=1, on_snapshot=lambda s: read.append(s.v))
+    simulate(params, init, hooked)
+    calls = _count_calls(monkeypatch, "from_half_spectrum")
+    final = simulate(params, init, controls).final_state
+    # one stacked transform for the ledger's one block, one for the final u
+    assert len(calls) == 2
+    assert not isinstance(final._v, Field) and final._v.flags.owndata
+    assert final.v.values.tobytes() == read[-1].values.tobytes()
+    assert len(calls) == 3 and isinstance(final._v, Field)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_a_run_that_ends_on_a_kept_snapshot_returns_it(tol):
+    g = Grid(1, 128, 8.0)
+    params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
+    init = make_initial_data(bump_data(g, 0.5, 0.0, 1.0), constant_data(g, 0.0))
+    controls = Controls(t_end=0.1, dt0=1e-2, tol=tol, snapshot_every=1, boundary_check=False)
+    report = simulate(params, init, controls)
+    assert report.final_state is report.snapshots[-1]
+    assert report.final_state.t == report.t_stop == 0.1
+
+
+def test_state_refuses_fields_on_different_grids():
+    u = constant_field(Grid(1, 16, 1.0), 0.0)
+    with pytest.raises(ValueError, match="different grids"):
+        State(0.0, u, constant_field(Grid(1, 16, 2.0), 0.0))
+    assert State(0.0, u, u.copy()).grid == u.grid
