@@ -214,6 +214,9 @@ def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
         shape = constant_data(grid, amp)
     else:
         shape = mode_data(grid, amp, cfg["init.mode"])
+    sup = max(shape.values.max(), -shape.values.min())  # 2 N sup bounds every coefficient
+    if not np.isfinite(2.0 * shape.values.size * float(sup)):
+        raise ValueError(f"init.amplitude {amp} makes the data's coefficients overflow")
     zero = Field(grid, np.zeros(grid.shape))
     on = cfg["init.on"]
     u0 = shape if on in ("u0", "both") else zero

@@ -31,12 +31,13 @@ Numerica 19, 2010),
 gives the accepted sixth-order T[3,3]; its relative sup-norm gap to the
 fourth-order T[3,2] is the error estimate.  A linear attempt is all but the
 exact flow, which amplifies no mode however weak the damping, so the step
-needs no stability cap: only CFL * spacing, so that H |k| <= sqrt(dim) pi/2
-stays clear of the splitting's resonances at h |k| = m pi, and GROWTH times
-the step before.  The chains advance in lockstep as stacked rows, all three
-through a substep, then the two longer, then the longest: one stacked
-transform each way per substep for the kicks, and one stacked inverse
-transform of T[3,3] and T[3,2] for the error, whose u samples are kept.
+needs no stability cap: tol alone sizes it, and GROWTH times the step
+before caps it.  Nor does it need a cap tied to the grid: the estimate sees
+the splitting's error, near its resonances at h |k| = m pi too.  The chains
+advance in lockstep as stacked rows, all three through a substep, then the
+two longer, then the longest: one stacked transform each way per substep
+for the kicks, and one stacked inverse transform of T[3,3] and T[3,2] for
+the error, whose u samples are kept.
 
 The energy ledger tracks, per accepted step,
 
@@ -146,10 +147,7 @@ ENERGY_CSV_COLUMNS = ("t", "kinetic", "potential", "dissipated_cum", "work_cum",
 # memory for one ledger block of a fixed-step run; see _block_rows
 LEDGER_BLOCK_BYTES = 2**20
 
-# the adaptive controller's caps: every step is at most CFL * spacing, and at
-# most GROWTH times the one before it; a run whose next step would fall below
-# DT_MIN stops there
-CFL = 0.5
+# an adaptive step is at most GROWTH times the one before; below DT_MIN a run stops
 GROWTH = 1.25
 DT_MIN = 1e-12
 
@@ -266,10 +264,11 @@ class Controls:
     step dt0 (used by refinement and order studies).  With tol set, dt0 is
     the first trial step, tol bounds the relative sup-norm error estimate of
     each accepted step, and GROWTH caps the factor by which one step may
-    exceed the last; CFL * spacing caps every step.  An attempt that
-    fails is retried smaller, and DT_MIN is the floor below which the run
-    stops.  boundary_check = None means: monitor the boundary shell exactly
-    when the initial data is compactly supported.
+    exceed the last, and no cap depends on the grid, as the estimate sees
+    the splitting's error at any step.  An attempt that fails is retried
+    smaller, and DT_MIN is the floor below which the run stops.
+    boundary_check = None means: monitor the boundary shell exactly when
+    the initial data is compactly supported.
 
     snapshot_every = k passes the initial state and every k-th accepted
     state to on_snapshot(state) as soon as the ledger has checked it, in
@@ -677,9 +676,7 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
     outcome, or None at the horizon, and the number of rejected attempts.
     Every row it flushes is finite, so the ledger keeps it."""
     grid = ledger.grid
-    cfl_cap = CFL * grid.spacing
-    dt = min(controls.dt0, cfl_cap)
-    t_end = controls.t_end
+    dt, t_end = controls.dt0, controls.t_end
     rejected = 0
     while ledger.t < t_end * (1.0 - 1e-14):
         t = ledger.t
@@ -687,7 +684,7 @@ def _adapt(ledger: _Ledger, params: Params, controls: Controls) -> tuple:
         if dt_step < DT_MIN:
             return Outcome.STEP_FLOOR_REACHED, rejected
         new, u, err = _extrapolated_step(t, ledger.row, grid, params, dt_step)
-        dt = min(dt_step * _step_factor(err, controls), cfl_cap)
+        dt = dt_step * _step_factor(err, controls)
         if err > controls.tol:
             rejected += 1
             continue
@@ -785,9 +782,9 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     chains to sixth order (see the module docstring) and accepts it when
     its error estimate err is at most tol.  Accepted or not, the next
     attempt has the size dt * min(GROWTH, max(0.2, 0.9 (tol/err)^(1/5))),
-    capped at CFL * spacing, the one other cap; an attempt that turned
-    non-finite is retried at half the size.  Rejected attempts never touch
-    the energy ledger.
+    and no cap tied to the grid: the estimate sees the splitting's error,
+    near its resonances too.  An attempt that turned non-finite is retried
+    at half the size.  Rejected attempts never touch the energy ledger.
 
     Fixed mode takes the step dt0; the time after step n is n * dt0, except
     that the last step ends exactly at t_end, and a remainder below

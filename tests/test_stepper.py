@@ -612,8 +612,8 @@ def test_a_hooked_fixed_run_holds_no_snapshot():
 
 
 def _rejecting_case():
-    # constant data does not see the box, so a wide box lifts the CFL cap
-    # above dt0, and the first attempts fail the tight tolerance
+    # constant data does not see the box; the first attempts, at dt0 = 1,
+    # fail the tight tolerance
     g = Grid(1, 8, 100.0)
     params = Params(n=1, p=2.0, beta=0.0)
     init = make_initial_data(constant_data(g, 1.0), constant_data(g, math.sqrt(2.0 / 3.0)))
@@ -795,12 +795,13 @@ def _top_third_energy_share(state):
 
 
 def test_weakly_damped_adaptive_run_stays_stable():
-    # b k^2 is small at the top of the spectrum, where the extrapolated
-    # wave step is unstable at the CFL cap; the top modes must still decay
+    # b k^2 is small at the top of the spectrum, and tol alone sizes the
+    # steps, up to hundreds of times the spacing in the 39 this run takes;
+    # the exact flows amplify no mode, so the top modes must still decay
     g = Grid(1, 256, 8.0)
     params = Params(n=1, p=2.0, beta=0.0, b0=1e-3, nonlinear=False)
     init = make_initial_data(constant_field(g, 0.0), bump_data(g, 1.0, 0.0, 2.0))
-    controls = Controls(t_end=200.0, boundary_check=False, snapshot_every=500)
+    controls = Controls(t_end=200.0, boundary_check=False, snapshot_every=1)
     report = simulate(params, init, controls)
     assert report.outcome is Outcome.COMPLETED_HORIZON
     totals = np.array([r.total for r in report.energy_trace])
@@ -812,11 +813,11 @@ def test_weakly_damped_adaptive_run_stays_stable():
 
 @pytest.mark.parametrize("b0", [1e-8, 1e-5, 1e-3, 1e-1])
 def test_stable_step_keeps_every_mode_from_growing(b0):
-    # a linear attempt at the CFL cap amplifies no mode, however weak the
-    # damping, and whether b is constant or grows inside the attempt
+    # a linear attempt amplifies no mode, however long, however weak the
+    # damping, and whether b is constant or grows inside the attempt: its
+    # chains are the exact flows
     g = Grid(1, 64, 8.0)
     k2 = half_k_squared(g)
-    dt = stepper.CFL * g.spacing
     # the attempt is linear and mode-wise: two unit starts give each
     # mode's 2 x 2 amplification matrix
     ones = np.ones(k2.shape, dtype=complex)
@@ -824,10 +825,25 @@ def test_stable_step_keeps_every_mode_from_growing(b0):
     for beta in (0.0, -1.0, -3.0):
         params = Params(n=1, p=2.0, beta=beta, b0=b0, nonlinear=False)
         for t in (0.0, 5.0):
-            from_u = stepper._extrapolated_step(t, (ones, zeros), g, params, dt)[0]
-            from_v = stepper._extrapolated_step(t, (zeros, ones), g, params, dt)[0]
-            amp = np.moveaxis(np.array([[from_u[0], from_v[0]], [from_u[1], from_v[1]]]), -1, 0)
-            assert np.abs(np.linalg.eigvals(amp)).max() <= 1.0 + 1e-12
+            for spacings in (0.5, 4.0, 64.0):
+                dt = spacings * g.spacing
+                from_u = stepper._extrapolated_step(t, (ones, zeros), g, params, dt)[0]
+                from_v = stepper._extrapolated_step(t, (zeros, ones), g, params, dt)[0]
+                amp = np.moveaxis(np.array([[from_u[0], from_v[0]], [from_u[1], from_v[1]]]), -1, 0)
+                assert np.abs(np.linalg.eigvals(amp)).max() <= 1.0 + 1e-12
+
+
+def test_tol_alone_sizes_the_steps_of_a_fine_grid():
+    # 1-D, L = 16, a bump of amplitude 10 on u1, p = 2: at N = 8192 a step
+    # cap of half the spacing took 1,140 steps, where tol takes 155, the
+    # count it takes at N = 2048
+    g = Grid(1, 8192, 16.0)
+    init = make_initial_data(constant_field(g, 0.0), bump_data(g, 10.0), compact_support=True)
+    params = Params(n=1, p=2.0, beta=0.0)
+    report = simulate(params, init, Controls(t_end=10.0, tol=1e-6, boundary_check=False))
+    assert report.outcome is Outcome.BLOWUP_DETECTED
+    assert report.accepted <= 200
+    assert report.estimate.t_star == pytest.approx(2.1127521, rel=1e-7)
 
 
 def test_step_statistics_of_a_fixed_run():
@@ -979,8 +995,8 @@ def test_on_snapshot_hook_sees_the_snapshots_of_an_adaptive_run():
     g = Grid(1, 64, 8.0)
     params = Params(n=1, p=2.0, beta=0.0, b0=1.0)
     init = make_initial_data(bump_data(g, 2.0, 0.0, 2.0), bump_data(g, 1.0, 0.5, 1.5))
-    # a first trial step near the CFL cap fails the tolerance, so that
-    # rejected attempts fall between the snapshots
+    # a first trial step of 0.1 fails the tolerance, so that rejected
+    # attempts fall between the snapshots
     controls = Controls(t_end=10.0, dt0=0.1, tol=1e-6, u_max=1e5, snapshot_every=3)
     kept = simulate(params, init, controls)
     assert kept.outcome is Outcome.BLOWUP_DETECTED and kept.rejected > 0
