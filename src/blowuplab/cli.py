@@ -39,7 +39,7 @@ from .config import (
     default_config,
     parse_config_text,
 )
-from .grids import Grid, save_field_binary, to_full_grid
+from .grids import Grid, save_field_binary
 from .model import Params
 from .stepper import format_cell, simulate, write_energy_csv
 
@@ -157,35 +157,16 @@ def _write_manifest(path: str, cfg_hash: str, wall: float, extra=None) -> None:
         fh.write("\n")
 
 
-def _field_writer():
-    """`save_field_binary` for the fields of one run.  A run on an even
-    grid keeps its states there, and a file holds the full grid's samples:
-    each field is mirrored into one full-grid buffer, made at the first
-    write and reused by the later ones, where a fresh array per field
-    would take its page faults anew."""
-    buffer = None
-
-    def save(f, path) -> None:
-        nonlocal buffer
-        if f.grid.even:
-            f = to_full_grid(f, buffer)
-            buffer = f.values
-        save_field_binary(f, path)
-
-    return save
-
-
-def _snapshot_writer(snap_dir: str, save):
+def _snapshot_writer(snap_dir: str):
     """A `Controls.on_snapshot` hook that writes the i-th snapshot as
-    u_<i>.blwp and v_<i>.blwp in snap_dir with `save`, from
-    `_field_writer`, while the run goes on."""
+    u_<i>.blwp and v_<i>.blwp in snap_dir while the run goes on."""
     os.makedirs(snap_dir, exist_ok=True)
     count = itertools.count()
 
     def write(state) -> None:
         i = next(count)
-        save(state.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
-        save(state.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
+        save_field_binary(state.u, os.path.join(snap_dir, f"u_{i:06d}.blwp"))
+        save_field_binary(state.v, os.path.join(snap_dir, f"v_{i:06d}.blwp"))
 
     return write
 
@@ -196,23 +177,23 @@ def cmd_simulate(argv) -> int:
     with _building():
         grid = build_grid(cfg)
         params = build_params(cfg)
-        # handed to simulate, not held here, so that the initial samples are
-        # freed once the run has kept a step
+        # on the even grid for data that march there; handed to simulate,
+        # not held here, so that the initial samples are freed once the run
+        # has kept a step
         init = [build_initial_data(cfg, grid)]
         controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
-    save = _field_writer()
     if controls.snapshot_every:
-        controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"), save)
+        controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
     t0 = time.monotonic()
     report = simulate(params, init.pop(), controls)
     wall = time.monotonic() - t0
 
     write_energy_csv(report, os.path.join(out_dir, "energy_trace.csv"))
-    save(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
-    save(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
+    save_field_binary(report.final_state.u, os.path.join(out_dir, "final_u.blwp"))
+    save_field_binary(report.final_state.v, os.path.join(out_dir, "final_v.blwp"))
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(
             {
@@ -226,6 +207,7 @@ def cmd_simulate(argv) -> int:
                 "dt_min": report.dt_min,
                 "dt_max": report.dt_max,
                 "solver_points": list(report.solver_points),
+                "imex_margin": report.imex_margin,
             },
             fh,
             indent=2,
@@ -255,7 +237,11 @@ def cmd_sweep(argv) -> int:
             with _building():
                 build_initial_data(run_cfg, build_grid(run_cfg))
         except ConfigError as exc:
-            raise ConfigError(f"sweep point (n, p, beta, b0, amplitude) = {point}: {exc}") from None
+            # named by the sweep keys that set the point's run keys
+            message = str(exc)
+            for swept, run in POINT_KEYS.items():
+                message = message.replace(run, swept)
+            raise ConfigError(f"sweep point (n, p, beta, b0, amplitude) = {point}: {message}") from None
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"])
     t0 = time.monotonic()

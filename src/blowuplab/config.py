@@ -11,11 +11,11 @@ A number that is not finite (nan, inf) is an error, in a list too.
 Command-line overrides use the same dotted keys: --model.p 2.0.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field, Grid, _is_mirrored
 from .model import InitialData, Params, bump_box_half_width, bump_data, constant_data
 from .model import make_initial_data, mode_data
 from .stepper import DT_MIN, Controls
@@ -205,9 +205,35 @@ def build_params(cfg: RunConfig) -> Params:
     )
 
 
+def _mirrored(cfg: RunConfig, grid: Grid) -> bool:
+    """Whether cfg's data on the full 2-D or 3-D grid equal their mirror
+    images in every axis bit for bit, as `stepper._solver_grid` scans them,
+    told from one axis of it: a mode's samples along the first axis, which
+    the others repeat, and a bump's squared coordinate where it is inside
+    the support, as the bump is 0.0 wherever one axis's alone is outside,
+    whatever the others add; a constant always."""
+    if grid.dim == 1:
+        return False
+    line = Grid(1, grid.points_per_axis, grid.half_width)
+    if cfg["init.kind"] == "mode":
+        profile = mode_data(line, cfg["init.amplitude"], cfg["init.mode"]).values
+    elif cfg["init.kind"] == "bump":
+        x2 = line.axis() ** 2
+        profile = np.where(x2 / cfg["init.radius"] ** 2 < 1.0, x2, np.inf)
+    else:
+        return True
+    return _is_mirrored(profile)
+
+
 def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
+    """The data of cfg on grid, or in 2-D and 3-D on its even grid, built
+    there, where the full grid's data would march on it (`_mirrored`): the
+    same samples as `grids.to_even_grid` keeps of those data, bit for bit."""
     kind = cfg["init.kind"]
     amp = cfg["init.amplitude"]
+    points = grid.points_per_axis**grid.dim
+    if _mirrored(cfg, grid):
+        grid = replace(grid, even=True)
     if kind == "bump":
         shape = bump_data(grid, amp, radius=cfg["init.radius"])
     elif kind == "constant":
@@ -215,7 +241,7 @@ def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
     else:
         shape = mode_data(grid, amp, cfg["init.mode"])
     sup = max(shape.values.max(), -shape.values.min())  # 2 N sup bounds every coefficient
-    if not np.isfinite(2.0 * shape.values.size * float(sup)):
+    if not np.isfinite(2.0 * points * float(sup)):
         raise ValueError(f"init.amplitude {amp} makes the data's coefficients overflow")
     zero = Field(grid, np.zeros(grid.shape))
     on = cfg["init.on"]

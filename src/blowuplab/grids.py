@@ -14,9 +14,12 @@ transform it makes runs here.
 
 A grid with `even` set holds fields that are even in every axis, by their
 N/2 + 1 samples per axis on [0, L]: `to_even_grid` and `to_full_grid` move
-a field between the two.  A solver run on the even grid keeps its
-snapshots and final state there, and only a consumer of the full grid (a
-field file, a rescale's FFT) mirrors them.  Its coefficients are the
+a field between the two.  Its coordinates are the full grid's at the
+indices the even grid keeps, N/2 down to 0, so that data built on it are
+bit for bit the full grid's data cut down.  A solver run on the even grid
+keeps its snapshots and final state there, and only a consumer of the
+full grid mirrors them: a rescale's FFT whole, a field file in slabs of
+at most an even field's size.  Its coefficients are the
 cosine (DCT-I) coefficients of those samples, float64, which carry the
 wavenumbers pi m / L of the full grid's modes, and the same four functions
 (and `boundary_shell_mask`) follow the flag, so that the solver runs on
@@ -95,10 +98,12 @@ class Grid:
         return self.shape[0] ** self.dim
 
     def axis(self) -> np.ndarray:
-        """Coordinates along one axis."""
-        if self.even:
-            return self.spacing * np.arange(self.shape[0])
-        return -self.half_width + self.spacing * np.arange(self.points_per_axis)
+        """Coordinates along one axis; on an even grid the full grid's at
+        indices N/2 down to 0, those of the samples `to_even_grid` keeps,
+        which are at most 0 (their mirrors span [0, L])."""
+        full = -self.half_width + self.spacing * np.arange(self.points_per_axis)
+        # a copy, as a reversed view may take other ufunc loops than the full axis
+        return full[self.points_per_axis // 2 :: -1].copy() if self.even else full
 
     def open_axes(self) -> tuple:
         """The coordinates along each axis, shaped to broadcast against the
@@ -313,6 +318,13 @@ def boundary_shell_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
+def _is_mirrored(values: np.ndarray, axis: int = 0) -> bool:
+    """Whether values equal their mirror image along axis bit for bit,
+    a[1:] == a[:0:-1], so that -0.0 is no mirror of 0.0."""
+    along = np.moveaxis(values.view(np.int64), axis, 0)
+    return np.array_equal(along[1:], along[:0:-1])
+
+
 def to_even_grid(f: Field) -> Field:
     """A field that is even in every axis as its samples on [0, L]^dim, a
     copy that shares nothing with f: sample i of an axis is f's at the
@@ -321,35 +333,51 @@ def to_even_grid(f: Field) -> Field:
     return Field(replace(f.grid, even=True), f.values[(slice(m, None, -1),) * f.grid.dim].copy())
 
 
-def to_full_grid(f: Field, out: np.ndarray | None = None) -> Field:
-    """The full grid's samples of a field on an even grid, written to out
-    when it is given: index j of an axis takes sample |j - N/2|, copied
-    block by block, 2^dim blocks.  A caller that mirrors many fields can
-    pass one buffer for all of them, which spares a fresh array's page
-    faults, most of the cost of a new one at 64^3."""
+def _mirror(values: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Rows start to stop of the first axis of the full grid's samples of
+    the even grid's values, into out: index j of an axis takes sample
+    |j - N/2|, copied block by block, 2^dim blocks (a block of rows that
+    spans the origin's row in two)."""
+    m = len(values) - 1
+    # the index blocks below and above the origin, and their source samples
+    blocks = ((slice(0, m), slice(m, 0, -1)), (slice(m, 2 * m), slice(0, m)))
+    for lo, hi, step in ((start, min(stop, m), -1), (max(start, m), stop, 1)):
+        if lo < hi:
+            rows = (slice(lo - start, hi - start), slice(abs(lo - m), abs(hi - m), step))
+            for parts in itertools.product(blocks, repeat=values.ndim - 1):
+                parts = (rows, *parts)
+                out[tuple(dst for dst, _ in parts)] = values[tuple(src for _, src in parts)]
+
+
+def to_full_grid(f: Field) -> Field:
+    """The full grid's samples of a field on an even grid: index j of an
+    axis takes sample |j - N/2|, copied block by block, 2^dim blocks."""
     if not f.grid.even:
         raise ValueError("to_full_grid takes a field on an even grid")
     n = f.grid.points_per_axis
-    m = n // 2
-    full = np.empty((n,) * f.grid.dim) if out is None else out
-    # the index blocks below and above the origin, and their source samples
-    blocks = ((slice(0, m), slice(m, 0, -1)), (slice(m, n), slice(0, m)))
-    for parts in itertools.product(blocks, repeat=f.grid.dim):
-        full[tuple(dst for dst, _ in parts)] = f.values[tuple(src for _, src in parts)]
+    full = np.empty((n,) * f.grid.dim)
+    _mirror(f.values, 0, n, full)
     return Field(replace(f.grid, even=False), full)
 
 
 def save_field_binary(f: Field, path) -> None:
     """Raw little-endian dump: 32-byte header then float64 values, C order;
-    a field on an even grid is written as its full grid's samples."""
-    if f.grid.even:
-        f = to_full_grid(f)
-    header = _HEADER.pack(
-        _MAGIC, _VERSION, f.grid.dim, f.grid.points_per_axis, f.grid.half_width
-    )
+    a field on an even grid is written as its full grid's samples, streamed
+    as slabs of whole rows of the first axis through one buffer of at most
+    the even field's size, each slab mirrored as `to_full_grid` mirrors."""
+    n = f.grid.points_per_axis
+    header = _HEADER.pack(_MAGIC, _VERSION, f.grid.dim, n, f.grid.half_width)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
+        if not f.grid.even:
+            fh.write(np.ascontiguousarray(f.values, dtype="<f8").data)
+            return
+        plane = n ** (f.grid.dim - 1)
+        slab = np.empty((max(1, f.values.size // plane),) + (n,) * (f.grid.dim - 1), "<f8")
+        for start in range(0, n, len(slab)):
+            stop = min(start + len(slab), n)
+            _mirror(f.values, start, stop, slab)
+            fh.write(slab[: stop - start].data)
 
 
 def load_field_binary(path) -> Field:

@@ -74,6 +74,9 @@ def bump_data(grid: Grid, amplitude: float, center=0.0, radius: float = 1.0) -> 
         center = np.full(grid.dim, center[0])
     if center.size != grid.dim:
         raise ValueError(f"center has {center.size} components for dim {grid.dim}")
+    if grid.even and center.any():
+        # an even grid's samples stand for a field even in every axis
+        raise ValueError(f"a bump on an even grid is centred at the origin, got {center}")
     # on open axes, so that s2 is the one array of the grid's size, and the
     # values overwrite it
     s2 = sum((x - c) ** 2 for x, c in zip(grid.open_axes(), center))

@@ -86,12 +86,15 @@ product along each axis), |k|^2, the Parseval columns and the shell mask
 follow the grid, and the kernels above, mode-wise or pointwise, run on
 its float64 coefficients unchanged: the ring, the step factors, the
 adaptive chains and the ledger take the dtype of the rows, which halves
-their memory and work there.  The run copies the data onto it and lets
-the full grid's samples go.  Its snapshots and final state stay on the
-grid it marched on, which `RunReport.solver_points` names: a consumer
-that needs the full grid's samples mirrors them (`grids.to_full_grid`,
-as a field file does).  1-D runs, where numpy's real FFT already halves
-the work, and other data march on their own grid.
+their memory and work there.  Data built from a config are built there
+(`config.build_initial_data`); other even data the run copies onto it,
+and it lets the full grid's samples go before its first snapshot.  Its
+snapshots and final state stay on the grid it marched on, which
+`RunReport.solver_points` names: a consumer that needs the full grid's
+samples mirrors them (`grids.to_full_grid`), and a field file streams
+them in mirrored slabs (`grids.save_field_binary`).  1-D runs, where
+numpy's real FFT already halves the work, and other data march on their
+own grid.
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 take one path on every grid: `_Ledger.snapshot` makes one `State` of u
@@ -120,6 +123,7 @@ import numpy as np
 from .grids import (
     Field,
     Grid,
+    _is_mirrored,
     boundary_shell_mask,
     from_half_spectrum,
     half_k_squared,
@@ -237,7 +241,9 @@ class RunReport:
     `solver_points` is the shape of the grid the solver marched on: the
     data's, or (N/2 + 1,) * dim for even 2-D and 3-D data.  The snapshots
     and the final state are on that grid: for even data, the even grid of
-    their samples on [0, L]^dim, which `grids.to_full_grid` mirrors."""
+    their samples on [0, L]^dim, which `grids.to_full_grid` mirrors.
+    `imex_margin` is a fixed-step run's `_imex_margin`, above 0 where its
+    step amplifies a mode of the linear part, and None for an adaptive run."""
 
     outcome: Outcome
     t_stop: float
@@ -250,6 +256,7 @@ class RunReport:
     dt_min: float | None = None
     dt_max: float | None = None
     solver_points: tuple = ()
+    imex_margin: float | None = None
 
     @property
     def exit_code(self) -> int:
@@ -766,11 +773,8 @@ def _solver_grid(init: InitialData) -> Grid:
     if grid.dim == 1 or grid.even:
         return grid
     for f in (init.u0, init.u1):
-        bits = f.values.view(np.int64)
-        for axis in range(grid.dim):
-            along = np.moveaxis(bits, axis, 0)
-            if not np.array_equal(along[1:], along[:0:-1]):
-                return grid
+        if not all(_is_mirrored(f.values, axis) for axis in range(grid.dim)):
+            return grid
     return replace(grid, even=True)
 
 
@@ -804,7 +808,8 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     2-D and 3-D data that are even in every axis march on the even grid of
     their samples on [0, L]^dim (`_solver_grid`), with the same steps,
     ledger and monitors, and their snapshots and final state are on that
-    grid too.
+    grid too.  A caller that hands init over, as `blwp simulate` does,
+    lets full-grid data go once their even copies exist.
 
     Data with a sample, or a coefficient, that is not finite raise
     ValueError before any step.
@@ -825,22 +830,23 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     fields = [init.u0, init.u1]
     if solver != grid:
         fields = [to_even_grid(f) for f in fields]  # copies, of the full grid's data
-    # a fixed step that amplifies a mode of the linear part blows up no run
-    unstable = controls.tol is None and _imex_margin(solver, params, controls) > 0
+    # a caller that hands init over lets the full grid's data go here, before
+    # the ledger's first snapshot; the ledger holds the samples it marches
+    # from until it keeps a step
+    del init
+    margin = _imex_margin(solver, params, controls) if controls.tol is None else None
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = _Ledger(*fields, params, controls, shell)
-        # the ledger holds the initial samples until it keeps a step, and a
-        # caller that hands init over lets them go then, or at once on an
-        # even grid
-        del init, fields
+        del fields
         if controls.tol is None:
             outcome, rejected = _march(ledger, params, controls), 0
         else:
             outcome, rejected = _adapt(ledger, params, controls)
     if outcome is None:
         outcome = Outcome.COMPLETED_HORIZON
-    if outcome is Outcome.BLOWUP_DETECTED and unstable:
+    # a fixed step that amplifies a mode of the linear part blows up no run
+    if outcome is Outcome.BLOWUP_DETECTED and margin is not None and margin > 0:
         outcome = Outcome.NUMERICAL_INSTABILITY
     estimate = None
     if outcome is Outcome.BLOWUP_DETECTED:
@@ -857,6 +863,7 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         dt_min=ledger.dt_lo if ledger.accepted else None,
         dt_max=ledger.dt_hi if ledger.accepted else None,
         solver_points=solver.shape,
+        imex_margin=margin,
     )
 
 

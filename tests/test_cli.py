@@ -565,6 +565,43 @@ def test_an_amplitude_whose_coefficients_overflow_is_refused_before_any_output(
     assert not out.exists()
 
 
+def test_a_sweep_point_whose_coefficients_overflow_names_the_sweep_key(tmp_path, capsys):
+    # the run key init.amplitude, which blwp sweep refuses, is named by the
+    # sweep key that set it
+    out = tmp_path / "sweep"
+    code, stdout, err = run_cli(capsys, "sweep", "--sweep.amplitude", "1e307", "--output.dir", str(out))
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err == (
+        "config error: sweep point (n, p, beta, b0, amplitude) = (1, 2.0, 0.0, 1.0, 1e+307):"
+        " sweep.amplitude 1e+307 makes the data's coefficients overflow\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt0, t_end, sign", [("0.01", "0.1", -1.0), ("0.1", "0.5", 1.0)])
+def test_report_records_the_fixed_step_margin(tmp_path, capsys, dt0, t_end, sign):
+    # dt0^2 K - 2 dt0 b0 K - 4 with K = (16 pi)^2 at N = 256 and L = 8 and
+    # b0 = 1e-6: -3.75 at dt0 = 0.01, and +21.3 at 0.1, a step that
+    # amplifies the top modes
+    out_dir = tmp_path / "run"
+    run_cli(
+        capsys, "simulate", "--grid.points", "256", "--grid.half_width", "8",
+        "--model.b0", "1e-6", "--init.kind", "mode", "--init.mode", "4",
+        "--init.amplitude", "0.1", "--time.tol", "0", "--time.dt0", dt0,
+        "--time.t_end", t_end, "--output.dir", str(out_dir),
+    )
+    report = json.loads((out_dir / "report.json").read_text())
+    dt, k2 = float(dt0), (16.0 * math.pi) ** 2
+    assert report["imex_margin"] == pytest.approx(dt * dt * k2 - 2.0 * dt * 1e-6 * k2 - 4.0, rel=1e-12)
+    assert math.copysign(1.0, report["imex_margin"]) == sign
+    # an adaptive run has no fixed step, and no margin
+    run_cli(capsys, "simulate", "--grid.points", "256", "--grid.half_width", "8", "--model.b0", "1e-6",
+            "--init.kind", "mode", "--init.mode", "4", "--init.amplitude", "0.1", "--time.t_end", t_end,
+            "--output.dir", str(out_dir), "--force")
+    assert json.loads((out_dir / "report.json").read_text())["imex_margin"] is None
+
+
 def test_sweep_row_is_the_simulate_run(tmp_path, capsys):
     # a sweep point is the simulate run with the point's keys set, so its
     # row holds simulate's numbers bit for bit; at 128 points the bump's
@@ -679,8 +716,8 @@ def test_simulate_writes_snapshots(tmp_path, capsys):
 
 def test_an_even_run_writes_its_kept_snapshots_mirrored(tmp_path, capsys):
     # a 3-D mode on its 9^3 even grid, a snapshot every step: every field
-    # file goes through one reused full-grid buffer, and holds the bytes of
-    # the kept snapshot mirrored alone, so no field's samples leak into the next
+    # file streams through its own slab buffer, and holds the bytes of the
+    # kept snapshot mirrored alone, so no field's samples leak into the next
     run = [
         ("grid.dim", "3"), ("grid.points", "16"), ("grid.half_width", "4"),
         ("model.nonlinear", "false"), ("init.kind", "mode"), ("init.on", "both"),

@@ -1,6 +1,9 @@
 """Even 2-D and 3-D data march on the even grid of their samples on
 [0, L]^dim; other data, and every 1-D run, march on their own grid."""
 
+import json
+import os
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -8,7 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blowuplab import stepper
+from blowuplab import config, stepper
+from blowuplab.cli import main
+from blowuplab.config import apply_overrides, build_grid, build_initial_data, default_config
 from blowuplab.grids import (
     Field,
     Grid,
@@ -49,8 +54,10 @@ def test_even_and_full_grids_hold_the_same_field(dim):
         assert np.array_equal(along[1:], along[:0:-1])
     back = to_full_grid(half)
     assert back.grid == f.grid and back.values.tobytes() == f.values.tobytes()
-    # the even grid's axis is the full grid's from the origin on
-    assert np.array_equal(half.grid.axis(), f.grid.axis()[8:].tolist() + [f.grid.half_width])
+    # the even grid's coordinates are the full grid's at the indices it
+    # keeps, 8 down to 0, whose mirrors run from the origin to L
+    assert half.grid.axis().tobytes() == f.grid.axis()[8::-1].tobytes()
+    assert np.array_equal(-half.grid.axis(), f.grid.axis()[8:].tolist() + [f.grid.half_width])
     # the functions of fields read either grid
     assert integrate(half) == integrate(f) and l2_norm(half) == l2_norm(f)
     assert grad_sq_integral(half) == pytest.approx(grad_sq_integral(f), rel=1e-13)
@@ -95,15 +102,31 @@ def test_cosine_coefficients_are_the_full_grids_up_to_sign(dim):
     assert from_half_spectrum(out[1], half.grid).tobytes() == samples[1].tobytes()
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_a_full_grid_buffer_takes_the_mirror(dim):
-    half = to_even_grid(_even_noise(dim, seed=dim))
-    buffer = np.full((16,) * dim, np.nan)
-    full = to_full_grid(half, buffer)
-    assert full.values is buffer and full.grid == replace(half.grid, even=False)
-    assert buffer.tobytes() == to_full_grid(half).values.tobytes()
+@pytest.mark.parametrize("dim, points", [(2, 2), (2, 4), (2, 8), (2, 16), (3, 2), (3, 4), (3, 16)])
+def test_a_field_file_streams_the_mirror(tmp_path, dim, points):
+    # slabs of whole rows of the first axis, as many as an even field's
+    # samples fill: at 2-D N = 8 and 16 a slab spans the origin's row, and
+    # the last slab is short
+    half = to_even_grid(_even_noise(dim, points, seed=points))
+    save_field_binary(half, tmp_path / "streamed.blwp")
+    save_field_binary(to_full_grid(half), tmp_path / "whole.blwp")
+    assert (tmp_path / "streamed.blwp").read_bytes() == (tmp_path / "whole.blwp").read_bytes()
     with pytest.raises(ValueError, match="even grid"):
-        to_full_grid(full)
+        to_full_grid(to_full_grid(half))
+
+
+def test_a_field_file_holds_no_more_than_an_even_field(tmp_path):
+    # at 64^3 the slab is 8 of the full grid's 64 planes, 256 KiB, where
+    # the even field's 33^3 samples take 281 KiB and the full grid's 2 MiB
+    half = to_even_grid(_even_noise(3, 64))
+    save_field_binary(half, tmp_path / "f.blwp")
+    tracemalloc.start()
+    try:
+        save_field_binary(half, tmp_path / "f.blwp")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= half.values.nbytes
 
 
 def _irfft_cosine(a, grid, scale):
@@ -302,7 +325,7 @@ def test_a_signed_zero_is_no_mirror():
 
 def test_an_even_run_lets_the_full_grid_data_go():
     # handed over, as the CLI hands its data: once the even grid's copies
-    # exist, the full grid's samples are freed, before the first step
+    # exist, the full grid's samples are freed, before the first snapshot
     g = Grid(3, 16, 3.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
     init = [make_initial_data(bump_data(g, 1.0, radius=1.2), mode_data(g, 0.5, 1))]
@@ -315,8 +338,8 @@ def test_an_even_run_lets_the_full_grid_data_go():
     controls = Controls(t_end=0.03, dt0=1e-2, tol=None, snapshot_every=1, on_snapshot=look)
     report = simulate(params, init.pop(), controls)
     assert report.solver_points == (9, 9, 9)
-    # the initial snapshot is taken while simulate still holds them
-    assert alive == [[True, True]] + [[False, False]] * 3
+    # gone before the ledger's first snapshot, the initial one
+    assert alive == [[False, False]] * 4
 
 
 @pytest.mark.parametrize("build", [
@@ -335,3 +358,108 @@ def test_data_builders_hold_about_one_field(build):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * g.num_points
+
+
+def _data_cases():
+    """Configs of every builder kind: the data of CI's 3-D mode, mode2d,
+    fixed2d and centred 3-D bump runs and of the benchmark's 64^3 run, and
+    boxes whose coordinates do not mirror exactly (-L + h j is not
+    -(-L + h (N - j)) for some j), where a bump's mismatches at 5.2 fall
+    outside its support and at 8.3 inside it."""
+    ci = [
+        "grid.dim=3 grid.points=16 grid.half_width=4 init.kind=mode init.on=u0",
+        "grid.dim=2 grid.points=32 grid.half_width=4 init.kind=mode init.on=both init.amplitude=0.5",
+        "grid.dim=2 grid.points=64 grid.half_width=8 init.kind=mode init.on=both",
+        "grid.dim=3 grid.points=32 grid.half_width=4 init.kind=bump init.on=u0 init.radius=1.5",
+        "grid.dim=3 grid.points=64 grid.half_width=8 init.kind=mode init.mode=3 init.on=u1",
+    ]
+    inexact = [
+        f"grid.dim={dim} grid.points=32 grid.half_width={half} init.kind={kind} init.mode=3"
+        for kind in ("bump", "mode", "constant") for dim in (2, 3) for half in (5.2, 8.3)
+    ]
+    return ci + inexact
+
+
+@pytest.mark.parametrize("entries", _data_cases())
+def test_data_are_built_on_the_grid_their_run_marches_on(monkeypatch, entries):
+    cfg = default_config()
+    apply_overrides(cfg, [pair.split("=") for pair in entries.split()])
+    grid = build_grid(cfg)
+    built = build_initial_data(cfg, grid)
+    with monkeypatch.context() as m:
+        m.setattr(config, "_mirrored", lambda cfg, grid: False)
+        full = build_initial_data(cfg, grid)
+    assert full.u0.grid == grid
+    # on the even grid exactly where the full grid's data would march there
+    solver = stepper._solver_grid(full)
+    assert built.u0.grid == built.u1.grid == solver
+    for a, b in ((built.u0, full.u0), (built.u1, full.u1)):
+        want = to_even_grid(b) if solver.even else b
+        assert a.values.tobytes() == want.values.tobytes()
+    assert repr(built.mean_u1) == repr(full.mean_u1)
+
+
+def test_a_bump_off_the_origin_is_refused_on_an_even_grid():
+    # its mirror images would be further bumps, not the one asked for
+    even = Grid(2, 16, 4.0, even=True)
+    with pytest.raises(ValueError, match="centred at the origin"):
+        bump_data(even, 1.0, center=[1.0, 0.0])
+    full = bump_data(Grid(2, 16, 4.0), 1.0)
+    assert bump_data(even, 1.0).values.tobytes() == to_even_grid(full).values.tobytes()
+
+
+def test_the_three_kinds_take_both_grids():
+    # the cases above are no one-sided test of the decision
+    decided = {}
+    for entries in _data_cases():
+        cfg = default_config()
+        apply_overrides(cfg, [pair.split("=") for pair in entries.split()])
+        decided.setdefault(cfg["init.kind"], set()).add(config._mirrored(cfg, build_grid(cfg)))
+    assert decided == {"bump": {True, False}, "mode": {True, False}, "constant": {True}}
+
+
+def _largest_rise(run, skip) -> int:
+    """The largest rise of traced memory over its level at the profiler
+    event before, over the events of run() outside calls of the function
+    skip: an array allocated between two calls, or inside one call,
+    shows whole (less what was freed in between)."""
+    state = {"rise": 0, "base": 0, "inside": 0}
+
+    def profile(frame, event, arg):
+        current, peak = tracemalloc.get_traced_memory()
+        if not state["inside"]:
+            state["rise"] = max(state["rise"], peak - state["base"])
+        if event in ("call", "return") and frame.f_code is skip.__code__:
+            state["inside"] += 1 if event == "call" else -1
+        tracemalloc.reset_peak()
+        state["base"] = current
+
+    tracemalloc.start()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return state["rise"]
+
+
+def test_an_even_simulate_makes_no_full_grid_allocation(tmp_path):
+    # blwp simulate in this process, a 3-D mode on u0 at 64^3: 4 steps of
+    # 2^-6, a snapshot every 2.  The data are built on the 33^3 grid and
+    # every file streams in slabs, so no array of the full grid's 2 MiB is
+    # made, but the mirror of u1 in `integrate`, whose full grid's sum
+    # gives mean_u1 its bits
+    out = tmp_path / "run"
+    argv = [
+        "simulate", "--grid.dim", "3", "--grid.points", "64", "--grid.half_width", "8",
+        "--model.nonlinear", "false", "--init.kind", "mode", "--init.on", "u0",
+        "--time.tol", "0", "--time.dt0", "0.015625", "--time.t_end", "0.0625",
+        "--output.every", "2", "--output.dir", str(out),
+    ]
+    codes = []
+    rise = _largest_rise(lambda: codes.append(main(argv)), integrate)
+    assert codes == [0]
+    assert json.loads((out / "report.json").read_text())["solver_points"] == [33, 33, 33]
+    assert len(os.listdir(out / "snapshots")) == 2 * 3
+    assert rise < 8 * 64**3
