@@ -13,6 +13,7 @@ function, so importing this module, and `blwp simulate`, load only config,
 grids, model and stepper.
 """
 
+import glob
 import itertools
 import json
 import math
@@ -134,13 +135,19 @@ def _load_config(argv, spec, unread):
     return cfg, flags
 
 
-def _prepare_output_dir(path: str, force: bool) -> None:
+def _prepare_output_dir(path: str, force: bool, written) -> None:
+    """Make the output directory, refused where it holds a finished run
+    (its manifest.json) without force, and remove the files there that the
+    command writes (glob patterns `written`): none of an earlier run's stays."""
     manifest = os.path.join(path, "manifest.json")
     if os.path.exists(manifest) and not force:
         raise ConfigError(
             f"output directory {path} already holds a finished run; use --force to overwrite"
         )
     os.makedirs(path, exist_ok=True)
+    for pattern in written:
+        for name in glob.glob(os.path.join(glob.escape(path), pattern)):
+            os.remove(name)
 
 
 def _write_manifest(path: str, cfg_hash: str, wall: float, extra=None) -> None:
@@ -177,14 +184,15 @@ def cmd_simulate(argv) -> int:
     with _building():
         grid = build_grid(cfg)
         params = build_params(cfg)
-        # on the even grid for data that march there; handed to simulate,
-        # not held here, so that the initial samples are freed once the run
-        # has kept a step
+        # on the even grid in 2-D and 3-D, where the run marches; handed to
+        # simulate, not held here, so that the initial samples are freed
+        # once the run has kept a step
         init = [build_initial_data(cfg, grid)]
         controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
-    _prepare_output_dir(out_dir, flags["force"])
+    _prepare_output_dir(out_dir, flags["force"], (
+        "manifest.json", "report.json", "energy_trace.csv", "final_[uv].blwp", "snapshots/[uv]_*.blwp"))
     if controls.snapshot_every:
         controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
     t0 = time.monotonic()
@@ -206,7 +214,7 @@ def cmd_simulate(argv) -> int:
                 "rejected": report.rejected,
                 "dt_min": report.dt_min,
                 "dt_max": report.dt_max,
-                "solver_points": list(report.solver_points),
+                "solver_points": list(report.final_state.grid.shape),
                 "imex_margin": report.imex_margin,
             },
             fh,
@@ -228,13 +236,14 @@ def cmd_sweep(argv) -> int:
         unread[key] = "blwp simulate, as a sweep runs the theorem's velocity bump"
     cfg, flags = _load_config(argv, {"force": (_bool, False), "workers": (int, 1)}, unread)
     sweep_cfg = SweepConfig.from_config(cfg)
-    # each point's grid and data, built as simulate builds them, so that a
-    # point they refuse is a config error, named, before any output;
-    # validate covers what Params and Controls check
+    # each point's config, grid and data, checked and built as simulate
+    # builds them, so that a point they refuse is a config error, named,
+    # before any output; validate covers what Params and Controls check
     for point in sweep_points(sweep_cfg):
-        run_cfg = sweep_cfg.point_config(point).validate()
+        run_cfg = sweep_cfg.point_config(point)
         try:
             with _building():
+                run_cfg.validate()
                 build_initial_data(run_cfg, build_grid(run_cfg))
         except ConfigError as exc:
             # named by the sweep keys that set the point's run keys
@@ -243,7 +252,7 @@ def cmd_sweep(argv) -> int:
                 message = message.replace(run, swept)
             raise ConfigError(f"sweep point (n, p, beta, b0, amplitude) = {point}: {message}") from None
     out_dir = cfg["output.dir"]
-    _prepare_output_dir(out_dir, flags["force"])
+    _prepare_output_dir(out_dir, flags["force"], ("manifest.json", "sweep.csv"))
     t0 = time.monotonic()
     results = run_sweep(sweep_cfg, workers=flags["workers"])
     wall = time.monotonic() - t0

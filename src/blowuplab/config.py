@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import Field, Grid, _is_mirrored
+from .grids import Field, Grid
 from .model import InitialData, Params, bump_box_half_width, bump_data, constant_data
 from .model import make_initial_data, mode_data
 from .stepper import DT_MIN, Controls
@@ -205,34 +205,16 @@ def build_params(cfg: RunConfig) -> Params:
     )
 
 
-def _mirrored(cfg: RunConfig, grid: Grid) -> bool:
-    """Whether cfg's data on the full 2-D or 3-D grid equal their mirror
-    images in every axis bit for bit, as `stepper._solver_grid` scans them,
-    told from one axis of it: a mode's samples along the first axis, which
-    the others repeat, and a bump's squared coordinate where it is inside
-    the support, as the bump is 0.0 wherever one axis's alone is outside,
-    whatever the others add; a constant always."""
-    if grid.dim == 1:
-        return False
-    line = Grid(1, grid.points_per_axis, grid.half_width)
-    if cfg["init.kind"] == "mode":
-        profile = mode_data(line, cfg["init.amplitude"], cfg["init.mode"]).values
-    elif cfg["init.kind"] == "bump":
-        x2 = line.axis() ** 2
-        profile = np.where(x2 / cfg["init.radius"] ** 2 < 1.0, x2, np.inf)
-    else:
-        return True
-    return _is_mirrored(profile)
-
-
 def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
-    """The data of cfg on grid, or in 2-D and 3-D on its even grid, built
-    there, where the full grid's data would march on it (`_mirrored`): the
-    same samples as `grids.to_even_grid` keeps of those data, bit for bit."""
+    """The data of cfg on grid, or in 2-D and 3-D on its even grid, where
+    their run marches: a centred bump, a constant and a cosine mode are
+    even in every axis.  The even grid's coordinates are the full grid's
+    at the indices it keeps, so these are the samples `grids.to_even_grid`
+    keeps of the full grid's data, bit for bit."""
     kind = cfg["init.kind"]
     amp = cfg["init.amplitude"]
     points = grid.points_per_axis**grid.dim
-    if _mirrored(cfg, grid):
+    if grid.dim > 1:
         grid = replace(grid, even=True)
     if kind == "bump":
         shape = bump_data(grid, amp, radius=cfg["init.radius"])

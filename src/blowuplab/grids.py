@@ -318,13 +318,6 @@ def boundary_shell_mask(grid: Grid) -> np.ndarray:
     return mask
 
 
-def _is_mirrored(values: np.ndarray, axis: int = 0) -> bool:
-    """Whether values equal their mirror image along axis bit for bit,
-    a[1:] == a[:0:-1], so that -0.0 is no mirror of 0.0."""
-    along = np.moveaxis(values.view(np.int64), axis, 0)
-    return np.array_equal(along[1:], along[:0:-1])
-
-
 def to_even_grid(f: Field) -> Field:
     """A field that is even in every axis as its samples on [0, L]^dim, a
     copy that shares nothing with f: sample i of an axis is f's at the

@@ -75,26 +75,23 @@ that no step is taken past a trip.  A block's step factors are built in
 the ring rows its steps then overwrite.  So a fixed-step run holds its
 ring, |k|^2, the Parseval columns and one scratch, of at most
 LEDGER_BLOCK_BYTES or one field; besides, the samples of the block it
-checks, and the initial samples (the even grid's copies on one) until it
-keeps a step.
+checks, and the initial samples until it keeps a step.
 
 Every operator of the equation keeps a field even in each axis, so 2-D
-and 3-D data whose u0 and u1 are even, bit for bit, march on the even
-grid of their samples on [0, L]^dim (`_solver_grid`, `grids.to_even_grid`),
-about 2^-dim of the full grid: the transforms (there a DCT-I as a matrix
-product along each axis), |k|^2, the Parseval columns and the shell mask
-follow the grid, and the kernels above, mode-wise or pointwise, run on
-its float64 coefficients unchanged: the ring, the step factors, the
-adaptive chains and the ledger take the dtype of the rows, which halves
-their memory and work there.  Data built from a config are built there
-(`config.build_initial_data`); other even data the run copies onto it,
-and it lets the full grid's samples go before its first snapshot.  Its
-snapshots and final state stay on the grid it marched on, which
-`RunReport.solver_points` names: a consumer that needs the full grid's
-samples mirrors them (`grids.to_full_grid`), and a field file streams
-them in mirrored slabs (`grids.save_field_binary`).  1-D runs, where
-numpy's real FFT already halves the work, and other data march on their
-own grid.
+and 3-D data that are even march on the even grid of their samples on
+[0, L]^dim when they are given on it (`grids.Grid.even`), about 2^-dim of
+the full grid: the transforms (there a DCT-I as a matrix product along
+each axis), |k|^2, the Parseval columns and the shell mask follow the
+grid, and the kernels above, mode-wise or pointwise, run on its float64
+coefficients unchanged: the ring, the step factors, the adaptive chains
+and the ledger take the dtype of the rows, which halves their memory and
+work there.  The solver makes no choice of grid: it marches on its data's,
+and its snapshots and final state stay there.  The builders choose it:
+`config.build_initial_data` builds every 2-D and 3-D config there, and a
+library caller opts in with an even `Grid` or `grids.to_even_grid`.  A
+consumer that needs the full grid's samples mirrors them
+(`grids.to_full_grid`), and a field file streams them in mirrored slabs
+(`grids.save_field_binary`).
 
 Snapshots (every `snapshot_every` accepted steps, and the initial state)
 take one path on every grid: `_Ledger.snapshot` makes one `State` of u
@@ -114,7 +111,7 @@ only when read.
 import math
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -123,13 +120,11 @@ import numpy as np
 from .grids import (
     Field,
     Grid,
-    _is_mirrored,
     boundary_shell_mask,
     from_half_spectrum,
     half_k_squared,
     half_spectrum,
     parseval_weights,
-    to_even_grid,
 )
 from .model import InitialData, Params, damping_coeff
 
@@ -238,10 +233,9 @@ class RunReport:
     """How a run ended, its ledger, and its step statistics: `accepted`
     and `rejected` count steps and rejected adaptive attempts, and
     `dt_min` / `dt_max` span the accepted step sizes (None without one).
-    `solver_points` is the shape of the grid the solver marched on: the
-    data's, or (N/2 + 1,) * dim for even 2-D and 3-D data.  The snapshots
-    and the final state are on that grid: for even data, the even grid of
-    their samples on [0, L]^dim, which `grids.to_full_grid` mirrors.
+    The snapshots and the final state are on the grid of the data, which
+    the solver marched on: for data on an even grid, their samples on
+    [0, L]^dim, which `grids.to_full_grid` mirrors.
     `imex_margin` is a fixed-step run's `_imex_margin`, above 0 where its
     step amplifies a mode of the linear part, and None for an adaptive run."""
 
@@ -255,7 +249,6 @@ class RunReport:
     rejected: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
-    solver_points: tuple = ()
     imex_margin: float | None = None
 
     @property
@@ -280,11 +273,11 @@ class Controls:
     snapshot_every = k passes the initial state and every k-th accepted
     state to on_snapshot(state) as soon as the ledger has checked it, in
     order, and `RunReport.snapshots` is None; without on_snapshot,
-    `RunReport.snapshots` keeps them.  A state is on the solver's grid
-    (`RunReport.solver_points`), and v is transformed only when read.  The
-    hook may keep the state (see the module docstring; one that keeps many
-    copies u, a view of its ledger block).  No hook sees a state after one
-    that tripped a monitor, nor a non-finite one.
+    `RunReport.snapshots` keeps them.  A state is on the data's grid, and v
+    is transformed only when read.  The hook may keep the state (see the
+    module docstring; one that keeps many copies u, a view of its ledger
+    block).  No hook sees a state after one that tripped a monitor, nor a
+    non-finite one.
     """
 
     t_end: float
@@ -530,7 +523,7 @@ class _Ledger:
         once the hook has returned, with v unread, gets a copy of its v
         coefficients from `State._settle_v`.  So a kept snapshot copies each
         field once, and one the hook let go copies nothing.  The state is
-        on the solver's grid, the even grid for even data."""
+        on the data's grid."""
         if self.snapshots is not None:
             u, v = u.copy(), v.copy() if isinstance(v, Field) else v
         snap = State(t, Field(self.grid, u), v)
@@ -549,7 +542,7 @@ class _Ledger:
         built from the row, and a copy of the initial v samples or of the
         row's v coefficients, transformed when read.  So the result views
         neither a ledger block nor the initial data, and a v never read is
-        never transformed.  The state is on the solver's grid."""
+        never transformed.  The state is on the data's grid."""
         if self.last is not None:
             return self.last
         grid = self.grid
@@ -763,21 +756,6 @@ def _imex_margin(grid: Grid, params: Params, controls: Controls) -> float:
     return dt * dt * k2_max - 2.0 * dt * b_min * k2_max - 4.0
 
 
-def _solver_grid(init: InitialData) -> Grid:
-    """The grid a run marches on: the even grid of 2-D and 3-D data whose u0
-    and u1 equal their mirror images in every axis bit for bit, u[1:] ==
-    u[:0:-1] (so -0.0 is no mirror of 0.0), else the data's grid.  Every
-    operator of the equation keeps a field even.  In 1-D numpy's real FFT
-    already halves the work, and the cosine transform is no faster."""
-    grid = init.u0.grid
-    if grid.dim == 1 or grid.even:
-        return grid
-    for f in (init.u0, init.u1):
-        if not all(_is_mirrored(f.values, axis) for axis in range(grid.dim)):
-            return grid
-    return replace(grid, even=True)
-
-
 def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport:
     """Advance the problem from the given data until the horizon, blow-up,
     a step-size floor, or boundary contamination.
@@ -805,11 +783,11 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
     the linear part (`_imex_margin` above 0): its sup norm grows, but not
     at the rate of a blow-up.
 
-    2-D and 3-D data that are even in every axis march on the even grid of
-    their samples on [0, L]^dim (`_solver_grid`), with the same steps,
-    ledger and monitors, and their snapshots and final state are on that
-    grid too.  A caller that hands init over, as `blwp simulate` does,
-    lets full-grid data go once their even copies exist.
+    The run marches on the data's grid, and its snapshots and final state
+    are on it: data on an even grid march there, with the same steps,
+    ledger and monitors as their mirror on the full grid.  A caller that
+    hands init over, as `blwp simulate` does, lets the data go once the
+    run has kept a step.
 
     Data with a sample, or a coefficient, that is not finite raise
     ValueError before any step.
@@ -825,16 +803,12 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         if controls.boundary_check is not None
         else init.compact_support
     )
-    solver = _solver_grid(init)
-    shell = boundary_shell_mask(solver) if check_boundary else None
+    shell = boundary_shell_mask(grid) if check_boundary else None
     fields = [init.u0, init.u1]
-    if solver != grid:
-        fields = [to_even_grid(f) for f in fields]  # copies, of the full grid's data
-    # a caller that hands init over lets the full grid's data go here, before
-    # the ledger's first snapshot; the ledger holds the samples it marches
-    # from until it keeps a step
+    # so that data a caller hands over go once the ledger, which marches
+    # from their samples, keeps a step
     del init
-    margin = _imex_margin(solver, params, controls) if controls.tol is None else None
+    margin = _imex_margin(grid, params, controls) if controls.tol is None else None
     # data or a diverging step overflow on their way to the outcome below
     with np.errstate(over="ignore", invalid="ignore"):
         ledger = _Ledger(*fields, params, controls, shell)
@@ -862,7 +836,6 @@ def simulate(params: Params, init: InitialData, controls: Controls) -> RunReport
         rejected=rejected,
         dt_min=ledger.dt_lo if ledger.accepted else None,
         dt_max=ledger.dt_hi if ledger.accepted else None,
-        solver_points=solver.shape,
         imex_margin=margin,
     )
 

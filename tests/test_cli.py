@@ -222,11 +222,12 @@ def test_simulate_zero_amplitude(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, points", [
     ((), [32]),
-    # even data in 3-D march on the 9^3 samples of [0, L]^3
+    # 3-D data are built on, and march on, the 9^3 samples of [0, L]^3
     (("--grid.dim", "3", "--grid.points", "16", "--init.kind", "mode"), [9, 9, 9]),
-    # a 3-D grid whose coordinates do not mirror exactly: 2 * 2.2 / 16 is
-    # not a binary fraction, so the centred bump's samples are not even
-    (("--grid.dim", "3", "--grid.points", "16", "--grid.half_width", "2.2"), [16, 16, 16]),
+    # so are those of a grid whose coordinates do not mirror exactly:
+    # 2 * 2.2 / 16 is not a binary fraction, and the centred bump's samples
+    # on the full grid would be even only up to roundoff
+    (("--grid.dim", "3", "--grid.points", "16", "--grid.half_width", "2.2"), [9, 9, 9]),
 ])
 def test_report_names_the_grid_the_solver_marched_on(tmp_path, capsys, argv, points):
     out_dir = tmp_path / "run"
@@ -280,6 +281,31 @@ def test_simulate_refuses_overwrite_without_force(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "force" in err
     assert run_cli(capsys, *args, "--force")[0] == 0
+
+
+def test_a_forced_rerun_leaves_only_its_own_files(tmp_path, capsys):
+    # a snapshot every step, then every fifth over it: the second run's
+    # directory holds the files of a fresh run of it, and other files stay
+    out_dir, fresh = tmp_path / "run", tmp_path / "fresh"
+    args = (
+        "simulate", "--init.kind", "mode", "--init.amplitude", "0.5", "--grid.points", "32",
+        "--time.tol", "0", "--time.dt0", "0.01", "--time.t_end", "0.2",
+    )
+    assert run_cli(capsys, *args, "--output.every", "1", "--output.dir", str(out_dir))[0] == 0
+    assert len(os.listdir(out_dir / "snapshots")) == 2 * 21
+    (out_dir / "notes.txt").write_text("mine\n")
+    (out_dir / "snapshots" / "u_plot.png").write_bytes(b"png")
+    coarser = ("--output.every", "5")
+    assert run_cli(capsys, *args, *coarser, "--output.dir", str(out_dir), "--force")[0] == 0
+    assert run_cli(capsys, *args, *coarser, "--output.dir", str(fresh))[0] == 0
+    assert sorted(os.listdir(out_dir / "snapshots")) == sorted(os.listdir(fresh / "snapshots") + ["u_plot.png"])
+    assert len(os.listdir(fresh / "snapshots")) == 2 * 5
+    assert sorted(os.listdir(out_dir)) == sorted(os.listdir(fresh) + ["notes.txt"])
+    for name in ("energy_trace.csv", "report.json", "final_u.blwp", "final_v.blwp"):
+        assert (out_dir / name).read_bytes() == (fresh / name).read_bytes()
+    for name in os.listdir(fresh / "snapshots"):
+        assert (out_dir / "snapshots" / name).read_bytes() == (fresh / "snapshots" / name).read_bytes()
+    assert (out_dir / "notes.txt").read_text() == "mine\n"
 
 
 def test_force_takes_a_config_boolean(tmp_path, capsys):
@@ -510,9 +536,14 @@ def test_command_refuses_a_key_it_does_not_read(tmp_path, capsys, command, key):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--sweep.p", "2.0,1.0", "model.p must exceed 1, got 1.0"),
-        ("--sweep.b0", "0", "model.b0 must be positive, got 0.0"),
-        ("--sweep.n", "1,4", "grid.dim must be 1, 2 or 3, got 4"),
+        # a point's own values, named by the point and the sweep keys
+        ("--sweep.p", "2.0,1.0", "sweep point (n, p, beta, b0, amplitude) = (1, 1.0, 0.0, 1.0, 1.0):"
+                                 " sweep.p must exceed 1, got 1.0"),
+        ("--sweep.b0", "0", "sweep point (n, p, beta, b0, amplitude) = (1, 2.0, 0.0, 0.0, 1.0):"
+                            " sweep.b0 must be positive, got 0.0"),
+        ("--sweep.n", "1,4", "sweep point (n, p, beta, b0, amplitude) = (4, 2.0, 0.0, 1.0, 1.0):"
+                             " sweep.n must be 1, 2 or 3, got 4"),
+        # the values all points share
         ("--grid.points", "100", "grid.points must be a power of two >= 2, got 100"),
         ("--grid.half_width", "0", "grid.half_width must be positive or auto, got 0.0"),
         ("--init.radius", "0", "init.radius must be positive, got 0.0"),
@@ -731,7 +762,7 @@ def test_an_even_run_writes_its_kept_snapshots_mirrored(tmp_path, capsys):
     apply_overrides(cfg, run)
     grid = build_grid(cfg)
     report = simulate(build_params(cfg), build_initial_data(cfg, grid), build_controls(cfg))
-    assert report.solver_points == (9, 9, 9) and len(report.snapshots) == 9
+    assert report.final_state.grid.shape == (9, 9, 9) and len(report.snapshots) == 9
     assert len(os.listdir(out_dir / "snapshots")) == 2 * 9
     kept = tmp_path / "kept.blwp"
     states = [(f"snapshots/{{}}_{i:06d}", s) for i, s in enumerate(report.snapshots)]

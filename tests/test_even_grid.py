@@ -1,5 +1,7 @@
-"""Even 2-D and 3-D data march on the even grid of their samples on
-[0, L]^dim; other data, and every 1-D run, march on their own grid."""
+"""2-D and 3-D data given on the even grid of their samples on [0, L]^dim,
+as the config builders give them, march there, with the steps and ledger
+of their mirror on the full grid; data on the full grid march there, even
+or not."""
 
 import json
 import os
@@ -11,9 +13,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blowuplab import config, stepper
+from blowuplab import stepper
 from blowuplab.cli import main
-from blowuplab.config import apply_overrides, build_grid, build_initial_data, default_config
+from blowuplab.config import (
+    apply_overrides,
+    build_controls,
+    build_grid,
+    build_initial_data,
+    build_params,
+    default_config,
+)
 from blowuplab.grids import (
     Field,
     Grid,
@@ -32,7 +41,7 @@ from blowuplab.grids import (
     to_even_grid,
     to_full_grid,
 )
-from blowuplab.model import Params, bump_data, make_initial_data, mode_data
+from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
 from blowuplab.stepper import Controls, Outcome, simulate
 
 
@@ -171,14 +180,54 @@ def _compact_bump_init(grid, amplitude, radius):
                              compact_support=True)
 
 
+def _on_even_grid(init):
+    """The same data as their samples on the even grid of [0, L]^dim."""
+    return make_initial_data(to_even_grid(init.u0), to_even_grid(init.u1),
+                             compact_support=init.compact_support)
+
+
+def _config(entries):
+    cfg = default_config()
+    apply_overrides(cfg, [pair.split("=") for pair in entries.split()])
+    return cfg
+
+
+def _full_grid_data(cfg):
+    """The data of cfg built on its full grid, as `build_initial_data`
+    builds them on the even grid in 2-D and 3-D."""
+    grid = build_grid(cfg)
+    kind, amp = cfg["init.kind"], cfg["init.amplitude"]
+    if kind == "bump":
+        shape = bump_data(grid, amp, radius=cfg["init.radius"])
+    elif kind == "constant":
+        shape = constant_data(grid, amp)
+    else:
+        shape = mode_data(grid, amp, cfg["init.mode"])
+    zero = constant_field(grid, 0.0)
+    on = cfg["init.on"]
+    return make_initial_data(shape if on in ("u0", "both") else zero,
+                             shape if on in ("u1", "both") else zero,
+                             compact_support=kind == "bump")
+
+
+def _config_case(name, entries, outcome, rel):
+    cfg = _config(entries)
+    return name, build_params(cfg), _full_grid_data(cfg), build_controls(cfg), outcome, rel
+
+
 def _even_cases():
-    """(name, params, data, controls, outcome, relative tolerance).  Fixed
-    steps and linear runs agree to about 1e-15.  A nonlinear adaptive run's
-    step sizes follow its error estimate, the gap between two results that
-    agree to about tol, so the roundoff of either grid's transforms moves
-    it by about 1e-16 / tol relative, and the run's times and fields
-    drift apart by a few 1e-12 (4.6e-12 measured); near blow-up that
-    drift grows with the solution's rate (2.3e-10 measured at u = 1e6)."""
+    """(name, params, full-grid data, controls, outcome, relative
+    tolerance).  Fixed steps and linear runs agree to about 1e-15.  A
+    nonlinear adaptive run's step sizes follow its error estimate, the gap
+    between two results that agree to about tol, so the roundoff of either
+    grid's transforms moves it by about 1e-16 / tol relative, and the run's
+    times and fields drift apart by a few 1e-12 (4.6e-12 measured); near
+    blow-up that drift grows with the solution's rate (2.3e-10 measured at
+    u = 1e6).  At L = 8.3, whose coordinates do not mirror exactly
+    (-L + h j is not -(-L + h (N - j)) for some j), the full grid's data
+    are even only up to roundoff, and the config's even build is their
+    samples at the indices N/2 down to 0: there the adaptive run drifts
+    further (2.2e-11 measured), the fixed one does not (2.2e-15)."""
     g2, g3 = Grid(2, 32, 4.0), Grid(3, 16, 3.0)
     modes2 = make_initial_data(mode_data(g2, 0.5, 1), mode_data(g2, 0.5, 2))
     mixed3 = make_initial_data(bump_data(g3, 0.5, 0.0, 1.2), mode_data(g3, 0.3, 1))
@@ -200,6 +249,16 @@ def _even_cases():
         ("3d-blowup", Params(n=3, p=2.0, beta=0.0), _compact_bump_init(Grid(3, 16, 6.0), 20.0, 2.5),
          Controls(t_end=5.0, tol=1e-6, u_max=1e6, snapshot_every=10, boundary_check=False),
          Outcome.BLOWUP_DETECTED, 1e-9),
+        # the CI mode2d run at L = 8.3
+        _config_case("2d-adaptive-mode-8.3",
+                     "grid.dim=2 grid.points=32 grid.half_width=8.3 init.kind=mode init.on=both"
+                     " init.amplitude=0.5 model.beta=-1 time.t_end=2 output.every=5",
+                     Outcome.COMPLETED_HORIZON, 1e-10),
+        # a nonlinear 3-D mode at L = 8.3, fixed steps
+        _config_case("3d-fixed-mode-8.3",
+                     "grid.dim=3 grid.points=32 grid.half_width=8.3 init.kind=mode init.mode=3"
+                     " init.on=both time.tol=0 time.dt0=0.02 time.t_end=0.3 output.every=3",
+                     Outcome.COMPLETED_HORIZON, 1e-12),
     ]
 
 
@@ -208,20 +267,14 @@ def _relative_gap(a, b) -> float:
     return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
 
 
-def _full_grid_run(monkeypatch, params, init, controls):
-    with monkeypatch.context() as m:
-        m.setattr(stepper, "_solver_grid", lambda init: init.u0.grid)
-        return simulate(params, init, controls)
-
-
 @pytest.mark.parametrize("case, params, init, controls, outcome, rel", _even_cases(),
                          ids=[c[0] for c in _even_cases()])
-def test_an_even_run_matches_its_full_grid_run(monkeypatch, case, params, init, controls, outcome, rel):
+def test_an_even_run_matches_its_full_grid_run(case, params, init, controls, outcome, rel):
     grid = init.u0.grid
-    even = simulate(params, init, controls)
-    full = _full_grid_run(monkeypatch, params, init, controls)
-    assert even.solver_points == (grid.points_per_axis // 2 + 1,) * grid.dim
-    assert full.solver_points == grid.shape
+    even = simulate(params, _on_even_grid(init), controls)
+    full = simulate(params, init, controls)
+    assert even.final_state.grid.shape == (grid.points_per_axis // 2 + 1,) * grid.dim
+    assert full.final_state.grid.shape == grid.shape
     assert even.outcome is full.outcome is outcome
     assert (even.accepted, even.rejected) == (full.accepted, full.rejected)
     assert even.accepted >= 10
@@ -240,9 +293,9 @@ def test_an_even_run_matches_its_full_grid_run(monkeypatch, case, params, init, 
         assert a.t == pytest.approx(b.t, rel=rel)
         assert _relative_gap(to_full_grid(a.u).values, b.u.values) <= rel
         assert _relative_gap(to_full_grid(a.v).values, b.v.values) <= rel
-    # the first snapshot is the data, mirrored back bit for bit
-    assert to_full_grid(even.snapshots[0].u).values.tobytes() == init.u0.values.tobytes()
-    assert to_full_grid(even.snapshots[0].v).values.tobytes() == init.u1.values.tobytes()
+    # the first snapshot is the even data, bit for bit
+    assert even.snapshots[0].u.values.tobytes() == to_even_grid(init.u0).values.tobytes()
+    assert even.snapshots[0].v.values.tobytes() == to_even_grid(init.u1).values.tobytes()
 
 
 def _hook_cases():
@@ -272,11 +325,12 @@ def test_an_even_snapshot_transforms_v_only_when_read(monkeypatch, case, params,
 
     monkeypatch.setattr(stepper, "from_half_spectrum", spy)
 
+    even = _on_even_grid(init)
+
     def transforms(read):
         hooked = controls if read is None else replace(controls, snapshot_every=1, on_snapshot=read)
         calls.clear()
-        report = simulate(params, init, hooked)
-        assert report.solver_points == (init.u0.grid.points_per_axis // 2 + 1,) * params.n
+        report = simulate(params, even, hooked)
         return len(calls), report.accepted
 
     seen = []
@@ -286,8 +340,8 @@ def test_an_even_snapshot_transforms_v_only_when_read(monkeypatch, case, params,
     assert transforms(lambda state: (state.u, state.v)) == (plain + accepted, accepted)
 
 
-def _uneven_cases():
-    g2 = Grid(2, 32, 4.0)
+def _full_grid_cases():
+    g2, g3 = Grid(2, 32, 4.0), Grid(3, 16, 3.0)
     # 2.2 / 16 is not a binary fraction: -L + h j is not -(-L + h (N - j))
     g_inexact = Grid(2, 32, 1.1)
     g1 = Grid(1, 128, 8.0)
@@ -295,38 +349,31 @@ def _uneven_cases():
         ("off-centre", make_initial_data(constant_field(g2, 0.0), bump_data(g2, 1.0, [0.25, 0.0], 1.0))),
         ("inexact-grid", make_initial_data(constant_field(g_inexact, 0.0), bump_data(g_inexact, 1.0, 0.0, 0.5))),
         ("1-d", make_initial_data(constant_field(g1, 0.0), bump_data(g1, 1.0))),
+        # even bit for bit, but handed over on the full grid
+        ("even-2-d", make_initial_data(mode_data(g2, 0.5, 1), bump_data(g2, 1.0, 0.0, 1.0))),
+        ("even-3-d", make_initial_data(mode_data(g3, 0.3, 2), constant_field(g3, 0.5))),
     ]
 
 
-@pytest.mark.parametrize("case, init", _uneven_cases(), ids=[c[0] for c in _uneven_cases()])
-def test_other_data_march_on_their_own_grid(monkeypatch, case, init):
+@pytest.mark.parametrize("case, init", _full_grid_cases(), ids=[c[0] for c in _full_grid_cases()])
+def test_data_on_the_full_grid_march_there(case, init):
+    # the solver makes no choice of grid: data on the full grid march
+    # there, even ones too, and the run's states stay there
     grid = init.u0.grid
-    assert stepper._solver_grid(init) is grid
     params = Params(n=grid.dim, p=2.0, beta=0.0)
     controls = Controls(t_end=0.1, dt0=1e-2, tol=None, snapshot_every=3, boundary_check=False)
     report = simulate(params, init, controls)
-    assert report.solver_points == grid.shape
-    # the run is the full grid's, bit for bit
-    full = _full_grid_run(monkeypatch, params, init, controls)
-    assert [vars(r) for r in report.energy_trace] == [vars(r) for r in full.energy_trace]
-    for a, b in zip(report.snapshots + [report.final_state], full.snapshots + [full.final_state]):
-        assert a.u.values.tobytes() == b.u.values.tobytes()
-        assert a.v.values.tobytes() == b.v.values.tobytes()
+    assert report.accepted == 10 and len(report.snapshots) == 4
+    for state in report.snapshots + [report.final_state]:
+        assert state.grid == state.u.grid == state.v.grid == grid
+    assert report.snapshots[0].u.values.tobytes() == init.u0.values.tobytes()
 
 
-def test_a_signed_zero_is_no_mirror():
-    g = Grid(2, 16, 3.0)
-    values = np.zeros(g.shape)
-    values[3, 0] = -0.0
-    init = make_initial_data(Field(g, values), constant_field(g, 0.0))
-    assert stepper._solver_grid(init) is g
-    assert stepper._solver_grid(make_initial_data(constant_field(g, 0.0), constant_field(g, 0.0))).even
-
-
-def test_an_even_run_lets_the_full_grid_data_go():
-    # handed over, as the CLI hands its data: once the even grid's copies
-    # exist, the full grid's samples are freed, before the first snapshot
-    g = Grid(3, 16, 3.0)
+def test_a_run_lets_its_data_go_once_it_keeps_a_step():
+    # handed over, as the CLI hands its data: the ledger holds the samples
+    # it marches from until it has kept its first block of steps, one step
+    # at 64^3, and no longer
+    g = Grid(3, 64, 8.0, even=True)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
     init = [make_initial_data(bump_data(g, 1.0, radius=1.2), mode_data(g, 0.5, 1))]
     data = [weakref.ref(init[0].u0.values), weakref.ref(init[0].u1.values)]
@@ -337,9 +384,9 @@ def test_an_even_run_lets_the_full_grid_data_go():
 
     controls = Controls(t_end=0.03, dt0=1e-2, tol=None, snapshot_every=1, on_snapshot=look)
     report = simulate(params, init.pop(), controls)
-    assert report.solver_points == (9, 9, 9)
-    # gone before the ledger's first snapshot, the initial one
-    assert alive == [[False, False]] * 4
+    assert report.final_state.grid == g
+    # the first two snapshots are seen while the first block is checked
+    assert alive == [[True, True]] * 2 + [[False, False]] * 2
 
 
 @pytest.mark.parametrize("build", [
@@ -365,7 +412,7 @@ def _data_cases():
     fixed2d and centred 3-D bump runs and of the benchmark's 64^3 run, and
     boxes whose coordinates do not mirror exactly (-L + h j is not
     -(-L + h (N - j)) for some j), where a bump's mismatches at 5.2 fall
-    outside its support and at 8.3 inside it."""
+    outside its support and at 8.3 inside it; and a 1-D config."""
     ci = [
         "grid.dim=3 grid.points=16 grid.half_width=4 init.kind=mode init.on=u0",
         "grid.dim=2 grid.points=32 grid.half_width=4 init.kind=mode init.on=both init.amplitude=0.5",
@@ -377,26 +424,24 @@ def _data_cases():
         f"grid.dim={dim} grid.points=32 grid.half_width={half} init.kind={kind} init.mode=3"
         for kind in ("bump", "mode", "constant") for dim in (2, 3) for half in (5.2, 8.3)
     ]
-    return ci + inexact
+    return ci + inexact + ["grid.dim=1 grid.points=64 grid.half_width=8.3 init.kind=bump"]
 
 
 @pytest.mark.parametrize("entries", _data_cases())
-def test_data_are_built_on_the_grid_their_run_marches_on(monkeypatch, entries):
-    cfg = default_config()
-    apply_overrides(cfg, [pair.split("=") for pair in entries.split()])
+def test_data_are_built_on_the_grid_their_run_marches_on(entries):
+    # every 2-D and 3-D config on its even grid, whose coordinates are the
+    # full grid's at the indices it keeps, so that the data are the full
+    # grid's cut down, bit for bit, whether or not those mirror exactly
+    cfg = _config(entries)
     grid = build_grid(cfg)
     built = build_initial_data(cfg, grid)
-    with monkeypatch.context() as m:
-        m.setattr(config, "_mirrored", lambda cfg, grid: False)
-        full = build_initial_data(cfg, grid)
+    full = _full_grid_data(cfg)
     assert full.u0.grid == grid
-    # on the even grid exactly where the full grid's data would march there
-    solver = stepper._solver_grid(full)
-    assert built.u0.grid == built.u1.grid == solver
+    assert built.u0.grid == built.u1.grid == (grid if grid.dim == 1 else replace(grid, even=True))
     for a, b in ((built.u0, full.u0), (built.u1, full.u1)):
-        want = to_even_grid(b) if solver.even else b
+        want = b if grid.dim == 1 else to_even_grid(b)
         assert a.values.tobytes() == want.values.tobytes()
-    assert repr(built.mean_u1) == repr(full.mean_u1)
+    assert built.mean_u1 == pytest.approx(full.mean_u1, rel=1e-14, abs=1e-14 * (2 * grid.half_width) ** grid.dim)
 
 
 def test_a_bump_off_the_origin_is_refused_on_an_even_grid():
@@ -406,16 +451,6 @@ def test_a_bump_off_the_origin_is_refused_on_an_even_grid():
         bump_data(even, 1.0, center=[1.0, 0.0])
     full = bump_data(Grid(2, 16, 4.0), 1.0)
     assert bump_data(even, 1.0).values.tobytes() == to_even_grid(full).values.tobytes()
-
-
-def test_the_three_kinds_take_both_grids():
-    # the cases above are no one-sided test of the decision
-    decided = {}
-    for entries in _data_cases():
-        cfg = default_config()
-        apply_overrides(cfg, [pair.split("=") for pair in entries.split()])
-        decided.setdefault(cfg["init.kind"], set()).add(config._mirrored(cfg, build_grid(cfg)))
-    assert decided == {"bump": {True, False}, "mode": {True, False}, "constant": {True}}
 
 
 def _largest_rise(run, skip) -> int:

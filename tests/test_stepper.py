@@ -21,6 +21,7 @@ from blowuplab.grids import (
     l2_norm,
     linf_norm,
     parseval_weights,
+    to_even_grid,
     to_full_grid,
 )
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
@@ -505,18 +506,18 @@ def test_a_marched_step_writes_in_place(nonlinear):
     assert peak <= (1.1 if nonlinear else 0.1) * u.nbytes
 
 
-def _full_grid_only(monkeypatch):
-    """March even 2-D and 3-D data on their full grid, as data that are
-    not even do, rather than on the even grid of `stepper._solver_grid`."""
-    monkeypatch.setattr(stepper, "_solver_grid", lambda init: init.u0.grid)
+def _on_even_grid(init):
+    """The same data as their samples on the even grid of [0, L]^dim."""
+    return make_initial_data(to_even_grid(init.u0), to_even_grid(init.u1))
 
 
-def _fixed_run_peak(dim, points):
-    """The traced peak of a linear fixed-step run of centred bumps, in
-    coefficient arrays of the full grid."""
+def _fixed_run_peak(dim, points, even=False):
+    """The traced peak of a linear fixed-step run of centred bumps, on the
+    full grid or its even grid, in coefficient arrays of the full grid."""
     g = Grid(dim, points, 6.0)
     params = Params(n=dim, p=2.0, beta=0.0, nonlinear=False)
-    init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
+    data = replace(g, even=even)
+    init = make_initial_data(bump_data(data, 1.0, radius=2.0), bump_data(data, 0.5, radius=1.5))
     controls = Controls(t_end=0.1, dt0=1e-2, tol=None, boundary_check=False)
     simulate(params, init, controls)  # the grid's caches
     tracemalloc.start()
@@ -528,23 +529,22 @@ def _fixed_run_peak(dim, points):
     return peak / (16 * half_k_squared(g).size)
 
 
-@pytest.mark.parametrize("dim, points, bound", [(3, 32, 2.6), (1, 4096, 18.5)])
-def test_a_fixed_run_holds_no_spare_arrays(dim, points, bound):
+@pytest.mark.parametrize("dim, points, even, bound", [(3, 32, True, 2.6), (1, 4096, False, 18.5)])
+def test_a_fixed_run_holds_no_spare_arrays(dim, points, even, bound):
     # neither the initial coefficients, once copied into the ring, nor the
     # samples the ledger builds for a linear block outlive their use; the
     # initial samples are not copied, the step factors live in the ring and
     # the ledger squares into one scratch: 18.17 coefficient arrays at
     # N = 4096, and the bound leaves about 0.3 of one; the 32^3 data are
-    # even and march on the 17^3 even grid's float64 coefficients, 1.37
-    # arrays, the final state on that grid among them (see the next test
-    # for the full grid)
-    assert _fixed_run_peak(dim, points) <= bound
+    # built on the 17^3 even grid and march on its float64 coefficients,
+    # 1.37 arrays, the final state on that grid among them (see the next
+    # test for the full grid)
+    assert _fixed_run_peak(dim, points, even) <= bound
 
 
-def test_a_full_grid_3d_run_holds_no_spare_arrays(monkeypatch):
-    # the 32^3 case above on its full grid, as data that are not even
-    # march: 6.02 coefficient arrays
-    _full_grid_only(monkeypatch)
+def test_a_full_grid_3d_run_holds_no_spare_arrays():
+    # the 32^3 case above built on its full grid, where it marches: 6.02
+    # coefficient arrays
     assert _fixed_run_peak(3, 32) <= 6.3
 
 
@@ -566,10 +566,9 @@ def test_a_large_even_block_is_squared_field_by_field(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(stepper, "_columns", spy)
-        even = simulate(params, init, controls)
-    assert even.solver_points == (33, 33, 33) and even.accepted == 4
+        even = simulate(params, _on_even_grid(init), controls)
+    assert even.final_state.grid.shape == (33, 33, 33) and even.accepted == 4
     assert ((33, 33, 33), np.float64) in squared
-    _full_grid_only(monkeypatch)
     full = simulate(params, init, controls)
     assert len(even.energy_trace) == len(full.energy_trace) == 5
     for column in stepper.ENERGY_CSV_COLUMNS:
@@ -584,8 +583,8 @@ def test_a_large_even_block_is_squared_field_by_field(monkeypatch):
 def test_a_hooked_fixed_run_holds_no_snapshot():
     # a hook that reads u and v and keeps nothing: no snapshot outlives its
     # hook, so the peak does not grow with their number (6.9 coefficient
-    # arrays for 6 or 31 snapshots on the full grid, 1.5 on the even grid
-    # these data march on, where the snapshots stay)
+    # arrays for 6 or 31 snapshots on the full grid these data march on,
+    # 1.5 on the even grid)
     g = Grid(3, 32, 6.0)
     params = Params(n=3, p=2.0, beta=0.0, nonlinear=False)
     init = make_initial_data(bump_data(g, 1.0, radius=2.0), bump_data(g, 0.5, radius=1.5))
@@ -1083,11 +1082,9 @@ def _reference_cases():
 
 
 @pytest.mark.parametrize("params, init, controls", _reference_cases())
-def test_fixed_run_equals_a_loop_of_public_steps(monkeypatch, params, init, controls):
+def test_fixed_run_equals_a_loop_of_public_steps(params, init, controls):
     # each step's reference is `_reference_step`, written apart from the
-    # solver's kernel; the 3-D data are even, so the pins hold on the full
-    # grid's march
-    _full_grid_only(monkeypatch)
+    # solver's kernel, on the full grid the data are built on
     grid = init.u0.grid
     assert stepper._block_rows(grid) == (63 if grid.dim == 1 else 1)
     # a hook that keeps every snapshot and reads its fields only after the run

@@ -4,7 +4,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from blowuplab import stepper
 from blowuplab.config import build_grid, build_initial_data
 from blowuplab.sweep import (
     SWEEP_CSV_COLUMNS,
@@ -75,7 +74,7 @@ def test_csv_deterministic_across_worker_counts(tmp_path):
     # so the pool forks a process that has already used BLAS
     even = small_config(n_values=(2,), points_per_axis=256, half_width=20.0)
     point = even.point_config(sweep_points(even)[-1])
-    assert stepper._solver_grid(build_initial_data(point, build_grid(point))).even
+    assert build_initial_data(point, build_grid(point)).u0.grid.even
     for name, cfg in (("1-d", small_config()), ("2-d", even)):
         serial = run_sweep(cfg, workers=1)
         parallel = run_sweep(cfg, workers=2)

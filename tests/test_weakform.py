@@ -600,8 +600,9 @@ def test_crosscheck_stacks_stay_small():
 
 
 def test_weak_residual_reads_the_snapshots_of_an_even_run():
-    # a centred 2-D bump marches on the even grid, where its snapshots stay;
-    # the residual mirrors them, and is that of the mirrored trajectory
+    # a centred 2-D bump on the even grid marches there, where its
+    # snapshots stay; the residual mirrors them, and is that of the
+    # mirrored trajectory
     params = Params(n=2, p=2.0, beta=0.0)
     spec = CutoffSpec(ell=6, eta=6, d=1.0, T=2.0)
     grid = Grid(2, 32, 8.0)
@@ -609,7 +610,8 @@ def test_weak_residual_reads_the_snapshots_of_an_even_run():
         bump_data(grid, 0.5, 0.0, 1.0), constant_data(grid, 0.0), compact_support=True
     )
     controls = Controls(t_end=2.0, dt0=0.05, tol=None, snapshot_every=1, boundary_check=False)
-    traj = [s.u for s in simulate(params, init, controls).snapshots]
+    even = make_initial_data(to_even_grid(init.u0), to_even_grid(init.u1), compact_support=True)
+    traj = [s.u for s in simulate(params, even, controls).snapshots]
     assert traj[0].grid.even and len(traj) == 41
     mirrored = [to_full_grid(f) for f in traj]
     want = weak_residual(mirrored, init.u0, init.u1, spec, params, 2.0)
