@@ -137,15 +137,15 @@ def _load_config(argv, spec, unread):
 
 def _prepare_output_dir(path: str, force: bool, written) -> None:
     """Make the output directory, refused where it holds a finished run
-    (its manifest.json) without force, and remove the files there that the
-    command writes (glob patterns `written`): none of an earlier run's stays."""
+    (its manifest.json) without force; with force, first remove the files
+    there that the command writes (glob patterns `written`)."""
     manifest = os.path.join(path, "manifest.json")
     if os.path.exists(manifest) and not force:
         raise ConfigError(
             f"output directory {path} already holds a finished run; use --force to overwrite"
         )
     os.makedirs(path, exist_ok=True)
-    for pattern in written:
+    for pattern in written if force else ():
         for name in glob.glob(os.path.join(glob.escape(path), pattern)):
             os.remove(name)
 
@@ -184,15 +184,16 @@ def cmd_simulate(argv) -> int:
     with _building():
         grid = build_grid(cfg)
         params = build_params(cfg)
-        # on the even grid in 2-D and 3-D, where the run marches; handed to
-        # simulate, not held here, so that the initial samples are freed
-        # once the run has kept a step
+        # on build_grid's even grid in 2-D and 3-D, where the run marches;
+        # handed to simulate, not held here, so that the initial samples
+        # are freed once the run has kept a step
         init = [build_initial_data(cfg, grid)]
         controls = build_controls(cfg)
 
     out_dir = cfg["output.dir"]
     _prepare_output_dir(out_dir, flags["force"], (
-        "manifest.json", "report.json", "energy_trace.csv", "final_[uv].blwp", "snapshots/[uv]_*.blwp"))
+        "manifest.json", "report.json", "energy_trace.csv", "final_[uv].blwp",
+        "snapshots/[uv]_[0-9][0-9][0-9][0-9][0-9][0-9].blwp"))
     if controls.snapshot_every:
         controls.on_snapshot = _snapshot_writer(os.path.join(out_dir, "snapshots"))
     t0 = time.monotonic()

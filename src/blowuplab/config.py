@@ -11,7 +11,7 @@ A number that is not finite (nan, inf) is an error, in a list too.
 Command-line overrides use the same dotted keys: --model.p 2.0.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,7 +192,8 @@ def build_grid(cfg: RunConfig) -> Grid:
             half = bump_box_half_width(cfg["init.radius"], cfg["time.t_end"])
         else:
             half = max(8.0, 4.0 * cfg["init.radius"])
-    return Grid(cfg["grid.dim"], cfg["grid.points"], half)
+    # a centred bump, a constant and a cosine mode are even in every axis
+    return Grid(cfg["grid.dim"], cfg["grid.points"], half, even=cfg["grid.dim"] > 1)
 
 
 def build_params(cfg: RunConfig) -> Params:
@@ -206,16 +207,13 @@ def build_params(cfg: RunConfig) -> Params:
 
 
 def build_initial_data(cfg: RunConfig, grid: Grid) -> InitialData:
-    """The data of cfg on grid, or in 2-D and 3-D on its even grid, where
-    their run marches: a centred bump, a constant and a cosine mode are
-    even in every axis.  The even grid's coordinates are the full grid's
-    at the indices it keeps, so these are the samples `grids.to_even_grid`
-    keeps of the full grid's data, bit for bit."""
+    """The data of cfg on grid: on `build_grid`'s even grid in 2-D and 3-D,
+    whose coordinates are the full grid's at the indices it keeps, so these
+    are the samples `grids.to_even_grid` keeps of the full grid's data, bit
+    for bit."""
     kind = cfg["init.kind"]
     amp = cfg["init.amplitude"]
     points = grid.points_per_axis**grid.dim
-    if grid.dim > 1:
-        grid = replace(grid, even=True)
     if kind == "bump":
         shape = bump_data(grid, amp, radius=cfg["init.radius"])
     elif kind == "constant":

@@ -87,7 +87,7 @@ coefficients unchanged: the ring, the step factors, the adaptive chains
 and the ledger take the dtype of the rows, which halves their memory and
 work there.  The solver makes no choice of grid: it marches on its data's,
 and its snapshots and final state stay there.  The builders choose it:
-`config.build_initial_data` builds every 2-D and 3-D config there, and a
+`config.build_grid` gives every 2-D and 3-D config the even grid, and a
 library caller opts in with an even `Grid` or `grids.to_even_grid`.  A
 consumer that needs the full grid's samples mirrors them
 (`grids.to_full_grid`), and a field file streams them in mirrored slabs

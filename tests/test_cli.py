@@ -294,11 +294,11 @@ def test_a_forced_rerun_leaves_only_its_own_files(tmp_path, capsys):
     assert run_cli(capsys, *args, "--output.every", "1", "--output.dir", str(out_dir))[0] == 0
     assert len(os.listdir(out_dir / "snapshots")) == 2 * 21
     (out_dir / "notes.txt").write_text("mine\n")
-    (out_dir / "snapshots" / "u_plot.png").write_bytes(b"png")
+    (out_dir / "snapshots" / "u_plot.blwp").write_bytes(b"mine")
     coarser = ("--output.every", "5")
     assert run_cli(capsys, *args, *coarser, "--output.dir", str(out_dir), "--force")[0] == 0
     assert run_cli(capsys, *args, *coarser, "--output.dir", str(fresh))[0] == 0
-    assert sorted(os.listdir(out_dir / "snapshots")) == sorted(os.listdir(fresh / "snapshots") + ["u_plot.png"])
+    assert sorted(os.listdir(out_dir / "snapshots")) == sorted(os.listdir(fresh / "snapshots") + ["u_plot.blwp"])
     assert len(os.listdir(fresh / "snapshots")) == 2 * 5
     assert sorted(os.listdir(out_dir)) == sorted(os.listdir(fresh) + ["notes.txt"])
     for name in ("energy_trace.csv", "report.json", "final_u.blwp", "final_v.blwp"):

@@ -21,7 +21,6 @@ from blowuplab.grids import (
     l2_norm,
     linf_norm,
     parseval_weights,
-    to_even_grid,
     to_full_grid,
 )
 from blowuplab.model import Params, bump_data, constant_data, make_initial_data, mode_data
@@ -34,6 +33,8 @@ from blowuplab.stepper import (
     simulate,
     write_energy_csv,
 )
+
+from conftest import on_even_grid
 
 
 def zero_init(grid):
@@ -506,11 +507,6 @@ def test_a_marched_step_writes_in_place(nonlinear):
     assert peak <= (1.1 if nonlinear else 0.1) * u.nbytes
 
 
-def _on_even_grid(init):
-    """The same data as their samples on the even grid of [0, L]^dim."""
-    return make_initial_data(to_even_grid(init.u0), to_even_grid(init.u1))
-
-
 def _fixed_run_peak(dim, points, even=False):
     """The traced peak of a linear fixed-step run of centred bumps, on the
     full grid or its even grid, in coefficient arrays of the full grid."""
@@ -566,7 +562,7 @@ def test_a_large_even_block_is_squared_field_by_field(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(stepper, "_columns", spy)
-        even = simulate(params, _on_even_grid(init), controls)
+        even = simulate(params, on_even_grid(init), controls)
     assert even.final_state.grid.shape == (33, 33, 33) and even.accepted == 4
     assert ((33, 33, 33), np.float64) in squared
     full = simulate(params, init, controls)

@@ -28,6 +28,8 @@ from blowuplab.weakform import (
     _time_window,
 )
 
+from conftest import on_even_grid
+
 
 # ---------------------------------------------------------------------------
 # cutoff profile
@@ -610,7 +612,7 @@ def test_weak_residual_reads_the_snapshots_of_an_even_run():
         bump_data(grid, 0.5, 0.0, 1.0), constant_data(grid, 0.0), compact_support=True
     )
     controls = Controls(t_end=2.0, dt0=0.05, tol=None, snapshot_every=1, boundary_check=False)
-    even = make_initial_data(to_even_grid(init.u0), to_even_grid(init.u1), compact_support=True)
+    even = on_even_grid(init)
     traj = [s.u for s in simulate(params, even, controls).snapshots]
     assert traj[0].grid.even and len(traj) == 41
     mirrored = [to_full_grid(f) for f in traj]
